@@ -9,7 +9,20 @@ width-telescoping hyperparameter searches over synthetic tasks.
 Throughout, "tokens" means training samples consumed: one sample is one
 token, which is what makes the token-consumption ratios well-defined at
 desk scale.
+
+Importing the package pins OpenBLAS to one thread unless one of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is already set:
+the matrices here are at most a few hundred wide, where a BLAS thread pool
+spins more than it computes, and one thread keeps the summation order (so
+the last digits of MLP runs) independent of the host's core count. This
+must run before any submodule imports numpy.
 """
+
+import os
+
+if not any(os.environ.get(name) for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .errors import (
     ConfigError,
@@ -70,8 +83,6 @@ from .tasks import (
     QuadraticTask,
     build_task,
     grad_check,
-    mlp_loss_grad,
-    quadratic_loss_grad,
 )
 from .harness import (
     ABLATION_CELLS,

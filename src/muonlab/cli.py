@@ -8,6 +8,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 divergence. The optional MUONLAB_WORKERS environment variable sets the
 worker-thread count for independent sweep/ablation/telescope cells;
 absence means sequential execution.
+
+Importing this module runs the package ``__init__``, which pins OpenBLAS
+to one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set; set one of them to override. With one thread the
+run CSVs of MLP tasks no longer depend on the host's core count.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .optim import (
     SCHEDULE_KINDS,
     Schedule,
     _clip_grad_arrays,
+    _global_norm,
     schedule_eta,
 )
 from .tasks import MlpSpec, QuadraticSpec, TaskSpec, build_task
@@ -160,11 +161,6 @@ def _make_bank(spec: OptimizerSpec, shapes: dict[str, tuple[int, ...]], dtype) -
                          dtype=dtype)
 
 
-def _objective_grad_norm(task, params: dict[str, np.ndarray]) -> float:
-    grads = task.objective_grads(params)
-    return math.sqrt(sum(float(np.sum(g.astype(F64) ** 2)) for g in grads.values()))
-
-
 def _spike_count(vals: Sequence[float], ratio: float) -> int:
     count = 0
     running_min = math.inf
@@ -205,9 +201,8 @@ def train(config: TrainConfig) -> RunRecord:
 
     def snapshot(step: int, eta: float) -> EvalRow:
         with np.errstate(all="ignore"):
-            train_loss = float(task.train_loss(params))
-            val_loss = float(task.val_loss(params))
-            grad_norm = _objective_grad_norm(task, params)
+            train_loss, val_loss, grads = task.evaluate(params)
+            grad_norm = _global_norm(grads.values())
         wall = (time.perf_counter() - t0) * 1e3 if config.record_wall_time else 0.0
         return EvalRow(step=step, tokens_seen=step * config.batch_size,
                        train_loss=train_loss, val_loss=val_loss,

@@ -81,10 +81,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def normal_matrix(self, rows: int, cols: int, scale: float = 1.0,
-                      dtype=F64) -> "Matrix":
-        return Matrix(self.normal((rows, cols), scale), dtype=dtype)
-
     def unit_vector(self, n: int) -> np.ndarray:
         v = self._gen.standard_normal(n)
         norm = float(np.linalg.norm(v))

@@ -54,8 +54,6 @@ COEFF_PRESETS = {
 # (acceptance check 1 asserts this on the kernel).
 SPECTRUM_BAND = (0.7, 1.3)
 
-_OPT_EPS = 1e-12  # pre-normalization epsilon used only on the optimizer path
-
 
 def coefficient_preset(label: str) -> NsCoefficients:
     try:

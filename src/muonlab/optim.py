@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -282,25 +282,34 @@ def schedule_eta(sched: Schedule, step: int) -> float:
     return eta_min + (sched.eta0 - eta_min) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def clip_global_norm(grads: Sequence[Matrix], max_norm: float) -> list[Matrix]:
-    """Jointly rescale gradients so their global L2 norm is at most max_norm."""
-    if max_norm <= 0.0:
-        raise RangeError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(sum(float(np.sum(g.a.astype(F64) ** 2)) for g in grads))
-    if total <= max_norm:
-        return list(grads)
-    factor = max_norm / total
-    return [Matrix(g.a * factor) for g in grads]
+def _global_norm(arrays: Iterable[np.ndarray]) -> float:
+    """L2 norm of all entries together, accumulated in f64 array by array."""
+    return math.sqrt(sum(float(np.sum(g.astype(F64) ** 2)) for g in arrays))
 
 
 def _clip_grad_arrays(grads: dict[str, np.ndarray], max_norm: float,
                       ) -> tuple[dict[str, np.ndarray], float]:
-    """Array-core global clip; returns (clipped grads, pre-clip global norm)."""
-    total = math.sqrt(sum(float(np.sum(g.astype(F64) ** 2)) for g in grads.values()))
+    """Array-core global clip; returns (clipped grads, pre-clip global norm).
+
+    Unclipped gradients come back as the same dict object.
+    """
+    total = _global_norm(grads.values())
     if total <= max_norm or total == 0.0:
         return grads, total
     factor = max_norm / total
     return {k: g * factor for k, g in grads.items()}, total
+
+
+def clip_global_norm(grads: Sequence[Matrix], max_norm: float) -> list[Matrix]:
+    """Jointly rescale gradients so their global L2 norm is at most max_norm."""
+    if max_norm <= 0.0:
+        raise RangeError(f"max_norm must be positive, got {max_norm}")
+    grads = list(grads)
+    arrays = {i: g.a for i, g in enumerate(grads)}
+    clipped, _ = _clip_grad_arrays(arrays, max_norm)
+    if clipped is arrays:
+        return grads
+    return [Matrix(a) for a in clipped.values()]
 
 
 def route_parameter(shape) -> Literal["muon", "adamw"]:

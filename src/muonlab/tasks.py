@@ -221,10 +221,14 @@ class QuadraticTask:
         _, grad = self.loss_grad(Matrix(params["w"].astype(F64, copy=False)))
         return {"w": grad.a}
 
+    def evaluate(self, params: dict[str, np.ndarray],
+                 ) -> tuple[float, float, dict[str, np.ndarray]]:
+        """(train_loss, val_loss, objective_grads) from one `loss_grad` call.
 
-def quadratic_loss_grad(task: QuadraticTask, w: Matrix) -> tuple[float, Matrix]:
-    """Module-level alias for the full-objective loss and gradient."""
-    return task.loss_grad(w)
+        The val loss is the train loss, as in `val_loss`.
+        """
+        loss, grad = self.loss_grad(Matrix(params["w"].astype(F64, copy=False)))
+        return loss, loss, {"w": grad.a}
 
 
 def _activation(name: str, z: np.ndarray) -> np.ndarray:
@@ -357,11 +361,17 @@ class MlpTask:
         xb, yb = self._rows(params, self.train_idx)
         return self._ce_loss_grads(params, xb, yb, want_grads=True)[1]
 
+    def evaluate(self, params: dict[str, np.ndarray],
+                 ) -> tuple[float, float, dict[str, np.ndarray]]:
+        """(train_loss, val_loss, objective_grads) from one train pass.
 
-def mlp_loss_grad(task: MlpTask, params: dict[str, np.ndarray],
-                  idx: np.ndarray | None = None) -> tuple[float, dict[str, np.ndarray]]:
-    """Module-level alias for the minibatch loss and gradients."""
-    return task.batch_loss_grad(params, idx)
+        The train loss comes out of the backward pass's forward, which
+        computes it with the same ops as `train_loss`, so the values match
+        the three separate calls bit for bit.
+        """
+        xb, yb = self._rows(params, self.train_idx)
+        train_loss, grads = self._ce_loss_grads(params, xb, yb, want_grads=True)
+        return train_loss, self.val_loss(params), grads
 
 
 def build_task(spec: TaskSpec, rng: Rng):
@@ -382,7 +392,7 @@ class GradCheckReport:
     probes: int
 
 
-def _probe_loss_fn(task, params: dict[str, np.ndarray]):
+def _probe_loss_fn(task):
     """A deterministic scalar loss over a fixed probe batch, plus its grads."""
     if isinstance(task, QuadraticTask):
         def loss(p):
@@ -403,7 +413,6 @@ def _probe_loss_fn(task, params: dict[str, np.ndarray]):
                                        yb, want_grads=True)[1]
     else:
         raise ConfigError(f"grad_check does not know task {type(task).__name__}")
-    del params
     return loss, grads
 
 
@@ -421,7 +430,7 @@ def grad_check(task, params: dict[str, np.ndarray], probes: int = 20,
         raise RangeError(f"probes must be >= 1, got {probes}")
     if rng is None:
         rng = Rng(0)
-    loss_fn, grads_fn = _probe_loss_fn(task, params)
+    loss_fn, grads_fn = _probe_loss_fn(task)
     analytic = grads_fn(params)
     reports = []
     for name in params:

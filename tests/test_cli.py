@@ -1,10 +1,14 @@
-"""End-to-end command-line behavior via in-process main(argv)."""
+"""End-to-end command-line behavior via in-process main(argv), plus the
+BLAS thread default that importing the CLI sets in a fresh interpreter."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import muonlab
 from muonlab.cli import main
 from muonlab.linalg import Rng
 from muonlab.reports import read_run_csv
@@ -25,6 +29,35 @@ def quad_target_loss(seed=42, factor=1.1):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+class TestBlasThreadDefault:
+    """Importing the CLI pins OpenBLAS to one thread unless the user chose."""
+
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @classmethod
+    def openblas_threads_after_import(cls, **thread_vars):
+        env = {k: v for k, v in os.environ.items() if k not in cls.THREAD_VARS}
+        env.update(thread_vars)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(muonlab.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import muonlab.cli, os; "
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        return out.stdout.strip()
+
+    def test_unset_defaults_to_one_thread(self):
+        assert self.openblas_threads_after_import() == "1"
+
+    def test_openblas_variable_wins(self):
+        assert self.openblas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_omp_variable_leaves_openblas_unset(self):
+        assert self.openblas_threads_after_import(OMP_NUM_THREADS="2") == "None"
 
 
 class TestMsignCheck:

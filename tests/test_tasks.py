@@ -163,6 +163,38 @@ class TestQuadraticBatches:
         np.testing.assert_allclose(t2.a.a, 0.25 * t1.a.a, atol=1e-12)
 
 
+class TestEvaluate:
+    """`evaluate` must return what the three separate calls return, bit for bit."""
+
+    @staticmethod
+    def assert_matches_separate_calls(task, params):
+        train_loss, val_loss, grads = task.evaluate(params)
+        assert train_loss == task.train_loss(params)
+        assert val_loss == task.val_loss(params)
+        expected = task.objective_grads(params)
+        assert list(grads) == list(expected)
+        for name, grad in expected.items():
+            assert grads[name].dtype == grad.dtype, name
+            assert np.array_equal(grads[name], grad), name
+            assert np.any(grad != 0.0), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_quadratic(self, dtype):
+        # lambda_reg > 0 with the regularizer kept out of the training
+        # gradient: the objective gradient must still include it
+        task = make_quadratic(seed=40, lambda_reg=0.3, reg_in_gradient=False)
+        params = {"w": Rng(41).normal((task.a.cols, task.b.cols)).astype(dtype)}
+        self.assert_matches_separate_calls(task, params)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mlp(self, activation, dtype):
+        task = make_mlp(seed=42, activation=activation, hidden=(16, 12))
+        params = task.init_params(Rng(43).child("init"), dtype=dtype)
+        params["b0"] = Rng(44).normal(params["b0"].shape).astype(dtype)
+        self.assert_matches_separate_calls(task, params)
+
+
 class TestMlpTask:
     def test_split_is_disjoint_and_complete(self):
         task = make_mlp(seed=1)
