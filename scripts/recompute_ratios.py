@@ -4,10 +4,13 @@
 Reads ``sweep_report.json`` plus the per-run ``run_*.csv`` files from a
 sweep output directory and independently re-derives, for every measured
 cell, the tokens at which the trailing-mean val loss first crossed the
-target. Ratios are then recomputed per batch size and compared against the
-report's values. Exits nonzero on any disagreement beyond 1e-12, so it can
-serve as a cross-check that the harness applied no hidden smoothing or
-bookkeeping to the published numbers.
+target. A measured run stops at its crossing, so a cell that crossed must
+end its CSV on the crossing row and read ``target-reached`` in
+``summary.csv``; a cell that never crossed must not. Ratios are then
+recomputed per batch size and compared against the report's values. Exits
+nonzero on any disagreement beyond 1e-12, so it can serve as a cross-check
+that the harness applied no hidden smoothing or bookkeeping to the
+published numbers.
 
 Only the standard library is used on purpose: the point is to not share
 code with the package under test.
@@ -55,6 +58,8 @@ def main(argv=None):
     target = float(report["target_loss"])
     smooth_window = int(report["provenance"]["smooth_window"])
     cells = report["provenance"]["cells"]
+    summary = read_rows(os.path.join(args.out_dir, "summary.csv"))
+    terminated = {row["run_id"]: row["terminated"] for row in summary}
 
     tokens = {}
     failures = 0
@@ -65,10 +70,18 @@ def main(argv=None):
         got = crossing_tokens(rows, target, smooth_window)
         want = cell["tokens_to_target"]
         tokens[(int(cell["batch_size"]), cell["optimizer"])] = got
-        status = "ok" if got == want else f"MISMATCH (report says {want})"
+        problems = []
         if got != want:
-            failures += 1
-        print(f"{run_id:>16s}: tokens_to_target={got} {status}")
+            problems.append(f"MISMATCH (report says {want})")
+        if got is not None and int(rows[-1]["tokens_seen"]) != got:
+            problems.append(f"run continues to tokens_seen="
+                            f"{rows[-1]['tokens_seen']} past the crossing")
+        if (terminated.get(run_id) == "target-reached") != (got is not None):
+            problems.append(f"summary says terminated="
+                            f"{terminated.get(run_id)}")
+        failures += len(problems)
+        print(f"{run_id:>16s}: tokens_to_target={got} "
+              f"{'; '.join(problems) or 'ok'}")
 
     reported = {int(b): float(r) for b, r in report["ratios"].items()}
     for b in sorted({bs for bs, _ in tokens}):

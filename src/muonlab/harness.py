@@ -14,7 +14,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -262,6 +262,14 @@ def train(config: TrainConfig) -> RunRecord:
                         terminated = "target-reached"
                         break
 
+    return _record(config, rows, tokens_to_target, terminated,
+                   bank.state_scalar_count())
+
+
+def _record(config: TrainConfig, rows: Sequence[EvalRow],
+            tokens_to_target: int | None, terminated: str,
+            state_scalar_count: int) -> RunRecord:
+    """Assemble a RunRecord; the spike count and final loss derive from rows."""
     vals = [r.val_loss for r in rows]
     spikes = _spike_count(vals, config.spike_ratio) if len(rows) >= 2 else 0
     return RunRecord(
@@ -273,7 +281,7 @@ def train(config: TrainConfig) -> RunRecord:
         terminated=terminated,
         loss_spike_count=spikes,
         final_val_loss=rows[-1].val_loss,
-        state_scalar_count=bank.state_scalar_count(),
+        state_scalar_count=state_scalar_count,
         config=config,
     )
 
@@ -360,50 +368,17 @@ class SweepResult:
     provenance: dict = field(repr=False)
 
 
-def _sweep_cell(base: TrainConfig, kind: str, batch_size: int,
-                cell_seed: int) -> tuple[SweepCell, RunRecord, dict]:
-    """Tune eta on the five-point grid, then measure tokens-to-target.
-
-    Tuning runs are fixed-step; each records the tokens at which its
-    smoothed val loss first crossed the target, if ever. The winning eta is
-    the one that crossed earliest, with final val loss breaking ties and
-    ranking etas that never crossed. This keeps the tuning criterion aligned
-    with the token-consumption quantity the sweep reports.
-    """
-    spec = replace(base.optimizer, kind=kind)
-    tuning: dict[str, dict] = {}
-    best_eta = spec.eta0
-    best_score = (math.inf, math.inf)
-    for mult in ETA_TUNING_MULTIPLIERS:
-        eta = spec.eta0 * mult
-        cfg = replace(base, batch_size=batch_size, seed=cell_seed,
-                      optimizer=replace(spec, eta0=eta),
-                      stop_rule="fixed-steps",
-                      run_id=f"tune-{kind}-b{batch_size}-x{mult}")
-        rec = train(cfg)
-        final = rec.final_val_loss
-        tuning[repr(mult)] = {"tokens_to_target": rec.tokens_to_target,
-                              "final_val_loss": final}
-        crossed = rec.tokens_to_target
-        score = (math.inf if crossed is None else float(crossed),
-                 final if math.isfinite(final) else math.inf)
-        if score < best_score:
-            best_score = score
-            best_eta = eta
-    run_id = f"{kind}-b{batch_size}"
-    measured = train(replace(base, batch_size=batch_size, seed=cell_seed,
-                             optimizer=replace(spec, eta0=best_eta),
-                             stop_rule="tokens-to-target", run_id=run_id))
-    cell = SweepCell(batch_size=batch_size, optimizer=kind, run_id=run_id,
-                     seed=cell_seed, eta0=best_eta,
-                     tokens_to_target=measured.tokens_to_target,
-                     terminated=measured.terminated,
-                     final_val_loss=measured.final_val_loss)
-    prov = {"run_id": run_id, "optimizer": kind, "batch_size": batch_size,
-            "seed": cell_seed, "eta0": best_eta, "eta_tuning": tuning,
-            "tokens_to_target": measured.tokens_to_target,
-            "terminated": measured.terminated}
-    return cell, measured, prov
+def _stopped_at_target(record: RunRecord, run_id: str) -> RunRecord:
+    """``train`` of ``record``'s config under the tokens-to-target rule,
+    named ``run_id``: the run cut at its crossing row, as stopping changes
+    nothing before it (``wall_ms`` aside), or the whole run if none."""
+    rows, terminated = record.rows, record.terminated
+    if record.tokens_to_target is not None:
+        crossing = [r.tokens_seen for r in rows].index(record.tokens_to_target)
+        rows, terminated = rows[:crossing + 1], "target-reached"
+    config = replace(record.config, stop_rule="tokens-to-target", run_id=run_id)
+    return _record(config, rows, record.tokens_to_target, terminated,
+                   record.state_scalar_count)
 
 
 def batch_sweep(base: TrainConfig, batch_grid: Sequence[int],
@@ -411,10 +386,11 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int],
     """Measure tokens-to-target for both optimizers over a batch-size grid.
 
     Each (B, optimizer) cell re-tunes the peak learning rate on a five-point
-    log grid (tuning runs are fixed-step and judged by earliest target
-    crossing, then final val loss), then measures tokens-to-target with the
-    tuned eta. Cell seeds derive from the base seed by cell tag, so cells
-    are independent and may run in parallel without changing any number.
+    log grid of fixed-step runs, judged by earliest target crossing, then
+    finite final val loss (the first run wins a tie; eta0 itself stands if
+    no run scores). The measured run is the winner cut at its crossing, not
+    trained again. Cell seeds derive from the base seed by cell tag, and all
+    tuning runs share one executor: ``workers`` changes wall time, not bytes.
     """
     if not batch_grid:
         raise RangeError("batch_grid must be nonempty")
@@ -424,20 +400,45 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int],
         raise ConfigError("batch_sweep requires target_loss in the base config")
     grid = tuple(int(b) for b in batch_grid)
     root = Rng(base.seed)
-    jobs: list[Callable[[], tuple[SweepCell, RunRecord, dict]]] = []
-    for b in grid:
-        for kind in ("muon", "adamw"):
-            seed = root.child(f"cell-{kind}-b{b}").seed
-            jobs.append(lambda b=b, kind=kind, seed=seed:
-                        _sweep_cell(base, kind, b, seed))
-    if workers == 1 or len(jobs) <= 1:
-        outcomes = [job() for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda job: job(), jobs))
+    cell_keys = [(b, kind, root.child(f"cell-{kind}-b{b}").seed)
+                 for b in grid for kind in ("muon", "adamw")]
+    configs = [
+        replace(base, batch_size=b, seed=seed,
+                optimizer=replace(base.optimizer, kind=kind,
+                                  eta0=base.optimizer.eta0 * mult),
+                stop_rule="fixed-steps", run_id=f"tune-{kind}-b{b}-x{mult}")
+        for b, kind, seed in cell_keys for mult in ETA_TUNING_MULTIPLIERS
+    ]
+    tuned = _run_many(configs, workers)
 
-    cells = tuple(out[0] for out in outcomes)
-    records = {out[1].run_id: out[1] for out in outcomes}
+    n = len(ETA_TUNING_MULTIPLIERS)
+    cells, records, cell_prov = [], {}, []
+    for i, (b, kind, seed) in enumerate(cell_keys):
+        runs = tuned[i * n:(i + 1) * n]
+        scores = [(math.inf if r.tokens_to_target is None else float(r.tokens_to_target),
+                   r.final_val_loss if math.isfinite(r.final_val_loss) else math.inf)
+                  for r in runs]
+        # The configured eta0 (multiplier 1) stands when no run scores.
+        best = (scores.index(min(scores)) if min(scores) < (math.inf, math.inf)
+                else ETA_TUNING_MULTIPLIERS.index(1.0))
+        eta = runs[best].config.optimizer.eta0
+        measured = _stopped_at_target(runs[best], f"{kind}-b{b}")
+        cells.append(SweepCell(batch_size=b, optimizer=kind,
+                               run_id=measured.run_id, seed=seed, eta0=eta,
+                               tokens_to_target=measured.tokens_to_target,
+                               terminated=measured.terminated,
+                               final_val_loss=measured.final_val_loss))
+        records[measured.run_id] = measured
+        cell_prov.append({
+            "run_id": measured.run_id, "optimizer": kind, "batch_size": b,
+            "seed": seed, "eta0": eta,
+            "eta_tuning": {repr(mult): {"tokens_to_target": rec.tokens_to_target,
+                                        "final_val_loss": rec.final_val_loss}
+                           for mult, rec in zip(ETA_TUNING_MULTIPLIERS, runs)},
+            "tokens_to_target": measured.tokens_to_target,
+            "terminated": measured.terminated,
+        })
+
     by_key = {(c.batch_size, c.optimizer): c for c in cells}
     ratios: dict[int, float] = {}
     for b in grid:
@@ -458,10 +459,10 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int],
         "eta_multipliers": list(ETA_TUNING_MULTIPLIERS),
         "total_steps": base.total_steps,
         "task": base.task.kind,
-        "cells": [out[2] for out in outcomes],
+        "cells": cell_prov,
     }
     return SweepResult(batch_grid=grid, target_loss=base.target_loss,
-                       cells=cells, ratios=ratios,
+                       cells=tuple(cells), ratios=ratios,
                        ratio_monotone_nondecreasing=monotone,
                        records=records, provenance=provenance)
 

@@ -254,10 +254,6 @@ class SvdResult:
         if self.u.cols != self.rank or self.v.cols != self.rank:
             raise ShapeError("factor column counts must equal rank")
 
-    def reconstruct(self) -> Matrix:
-        s = np.asarray(self.singular_values, dtype=F64)
-        return Matrix((self.u.a * s) @ self.v.a.T)
-
 
 _ORTHO_TOL = 1e-10
 

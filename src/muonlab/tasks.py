@@ -137,13 +137,18 @@ class QuadraticTask:
             raise ShapeError(
                 f"w must be {self.a.cols}x{self.b.cols}, got {w.rows}x{w.cols}"
             )
-        resid = self.a.a @ w.a - self.b.a
+        loss, grad = self._objective(w.a)
+        return loss, Matrix(grad)
+
+    def _objective(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        # Array core of `loss_grad`; an overflowed gradient returns, not raises.
+        resid = self.a.a @ w - self.b.a
         loss = 0.5 * float(np.sum(resid * resid))
         grad = self.a.a.T @ resid
         if self.lambda_reg > 0.0:
-            loss += 0.5 * self.lambda_reg * float(np.sum(w.a * w.a))
-            grad = grad + self.lambda_reg * w.a
-        return loss, Matrix(grad)
+            loss += 0.5 * self.lambda_reg * float(np.sum(w * w))
+            grad = grad + self.lambda_reg * w
+        return loss, grad
 
     def minimizer(self) -> Matrix:
         """Closed-form argmin via the SVD oracle.
@@ -208,8 +213,7 @@ class QuadraticTask:
         return loss, {"w": grad.astype(w.dtype, copy=False)}
 
     def train_loss(self, params: dict[str, np.ndarray]) -> float:
-        loss, _ = self.loss_grad(Matrix(params["w"].astype(F64, copy=False)))
-        return loss
+        return self._objective(params["w"].astype(F64, copy=False))[0]
 
     def val_loss(self, params: dict[str, np.ndarray]) -> float:
         # No held-out split for the deterministic quadratic: the objective is
@@ -218,17 +222,16 @@ class QuadraticTask:
 
     def objective_grads(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Exact full-objective gradient (regularizer always included)."""
-        _, grad = self.loss_grad(Matrix(params["w"].astype(F64, copy=False)))
-        return {"w": grad.a}
+        return {"w": self._objective(params["w"].astype(F64, copy=False))[1]}
 
     def evaluate(self, params: dict[str, np.ndarray],
                  ) -> tuple[float, float, dict[str, np.ndarray]]:
-        """(train_loss, val_loss, objective_grads) from one `loss_grad` call.
+        """(train_loss, val_loss, objective_grads) from one objective pass.
 
         The val loss is the train loss, as in `val_loss`.
         """
-        loss, grad = self.loss_grad(Matrix(params["w"].astype(F64, copy=False)))
-        return loss, loss, {"w": grad.a}
+        loss, grad = self._objective(params["w"].astype(F64, copy=False))
+        return loss, loss, {"w": grad}
 
 
 def _activation(name: str, z: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from muonlab import harness
 from muonlab.errors import ConfigError, RangeError
 from muonlab.harness import (
     ABLATION_CELLS,
@@ -16,6 +17,7 @@ from muonlab.harness import (
     TelescopeGrid,
     TrainConfig,
     _log_grid,
+    _stopped_at_target,
     ablate,
     batch_sweep,
     loss_spike_count,
@@ -177,6 +179,17 @@ class TestTrainLoop:
         assert rec.terminated == "diverged"
         assert all(math.isfinite(r.val_loss) for r in rec.rows)
 
+    @pytest.mark.parametrize("kind, eta0", [("adamw", 1e306), ("adamw", 3e306),
+                                            ("muon", 3e306)])
+    def test_overflowed_eval_gradient_is_divergence(self, kind, eta0):
+        # The first step leaves finite weights whose full-objective gradient
+        # overflows; the eval snapshot must report that, not raise.
+        cfg = quad_config(optimizer=OptimizerSpec(kind=kind, eta0=eta0),
+                          total_steps=20, eval_every=1)
+        rec = train(cfg)
+        assert rec.terminated == "diverged"
+        assert not math.isfinite(rec.rows[-1].grad_global_norm)
+
 
 class TestDiagnostics:
     def test_spike_hand_sequence(self):
@@ -253,6 +266,22 @@ class TestBatchSweep:
         for run_id, rec in r1.records.items():
             assert rec.rows == r2.records[run_id].rows
 
+    def test_trains_five_runs_per_cell(self, monkeypatch):
+        # each cell's measured run is cut from its winning tuning run
+        calls = []
+        real_train = harness.train
+
+        def counting_train(config):
+            calls.append(config.run_id)
+            return real_train(config)
+
+        monkeypatch.setattr(harness, "train", counting_train)
+        res = batch_sweep(self.small_base(), (32, 128))
+        assert len(calls) == 4 * len(ETA_TUNING_MULTIPLIERS) == 20
+        assert all(run_id.startswith("tune-") for run_id in calls)
+        assert set(res.records) == {"muon-b32", "adamw-b32", "muon-b128",
+                                    "adamw-b128"}
+
     def test_tuning_multipliers_span_sixteenfold(self):
         assert ETA_TUNING_MULTIPLIERS == (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -266,6 +295,82 @@ class TestBatchSweep:
             batch_sweep(self.small_base(), ())
         with pytest.raises(RangeError):
             batch_sweep(self.small_base(), (0,))
+
+
+def _mlp_f32_config(**overrides):
+    spec = MlpSpec(n_samples=256, input_dim=8, hidden=(16,), classes=4,
+                   val_fraction=0.125)
+    defaults = dict(task=spec, batch_size=32, total_steps=100, eval_every=10,
+                    seed=42, precision="f32",
+                    optimizer=OptimizerSpec(kind="muon", eta0=0.05,
+                                            weight_decay=0.1))
+    defaults.update(overrides)
+    return TrainConfig(**defaults)
+
+
+def _quad_f64_config(target_factor, **overrides):
+    from muonlab.linalg import Rng
+    from muonlab.tasks import QuadraticTask
+    obj = QuadraticTask.generate(QuadraticSpec(),
+                                 Rng(0).child("data")).optimum_loss()
+    return quad_config(total_steps=400, target_loss=target_factor * obj,
+                       **overrides)
+
+
+# name: (fixed-step config, where its smoothed val loss crosses the target;
+#        "completed" and "diverged" mean it never does)
+MEASURED_RUN_CASES = {
+    "quadratic-mid-run": (lambda: _quad_f64_config(1.1), "mid-run"),
+    "quadratic-step-0": (lambda: _quad_f64_config(1e6), "step-0"),
+    "quadratic-never": (lambda: _quad_f64_config(0.5), "completed"),
+    "quadratic-diverged": (lambda: _quad_f64_config(
+        1.1, optimizer=OptimizerSpec(kind="muon", eta0=100.0)), "diverged"),
+    "mlp-mid-run": (lambda: _mlp_f32_config(
+        target_loss=0.6, optimizer=OptimizerSpec(kind="adamw", eta0=0.2)),
+        "mid-run"),
+    "mlp-step-0": (lambda: _mlp_f32_config(target_loss=10.0), "step-0"),
+    "mlp-never": (lambda: _mlp_f32_config(target_loss=0.01), "completed"),
+    "mlp-diverged": (lambda: _mlp_f32_config(
+        target_loss=0.6, optimizer=OptimizerSpec(kind="adamw", eta0=50.0)),
+        "diverged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEASURED_RUN_CASES))
+def test_measured_run_cut_equals_retrained_run(case):
+    build, crossing = MEASURED_RUN_CASES[case]
+    tuning = train(build())
+    derived = _stopped_at_target(tuning, "measured")
+    retrained = train(dataclasses.replace(
+        tuning.config, stop_rule="tokens-to-target", run_id="measured"))
+    assert derived == retrained
+    crossed = tuning.tokens_to_target
+    if crossing == "mid-run":
+        assert 0 < crossed < tuning.rows[-1].tokens_seen
+        assert derived.terminated == "target-reached"
+    elif crossing == "step-0":
+        assert crossed == 0 and len(derived.rows) == 1
+        assert derived.terminated == "target-reached"
+    else:
+        assert crossed is None
+        assert derived.terminated == tuning.terminated == crossing
+    if case == "mlp-mid-run":
+        # the spikes after the crossing drop out of the cut record
+        assert 0 < derived.loss_spike_count < tuning.loss_spike_count
+
+
+@pytest.mark.parametrize("driver", ["batch_sweep", "ablate", "telescope_sweep"])
+def test_zero_workers_is_range_error(driver):
+    grid = TelescopeGrid(eta_center=0.05, lambda_center=0.1)
+    calls = {
+        "batch_sweep": lambda: batch_sweep(TestBatchSweep().small_base(),
+                                           (32,), workers=0),
+        "ablate": lambda: ablate(TestAblation().base(), workers=0),
+        "telescope_sweep": lambda: telescope_sweep(TestTelescope().base(),
+                                                   16, 32, grid, workers=0),
+    }
+    with pytest.raises(RangeError):
+        calls[driver]()
 
 
 class TestAblation:
