@@ -4,13 +4,16 @@
 Reads ``sweep_report.json`` plus the per-run ``run_*.csv`` files from a
 sweep output directory and independently re-derives, for every measured
 cell, the tokens at which the trailing-mean val loss first crossed the
-target. A measured run stops at its crossing, so a cell that crossed must
-end its CSV on the crossing row and read ``target-reached`` in
-``summary.csv``; a cell that never crossed must not. Ratios are then
-recomputed per batch size and compared against the report's values. Exits
-nonzero on any disagreement beyond 1e-12, so it can serve as a cross-check
-that the harness applied no hidden smoothing or bookkeeping to the
-published numbers.
+target. Each run CSV must hold the whole eval grid: a step-0 row first,
+then one row per stride (a divisor of ``total_steps``) with
+``tokens_seen == step * batch_size``, so a gapped or shifted CSV cannot
+pass for a complete one. A measured run stops at its crossing, so a cell
+that crossed must end its CSV on the crossing row and read
+``target-reached`` in ``summary.csv``; a cell that never crossed must
+not. Ratios are then recomputed per batch size and compared against the
+report's values. Exits nonzero on any disagreement beyond 1e-12, so it can
+serve as a cross-check that the harness applied no hidden smoothing or
+bookkeeping to the published numbers.
 
 Only the standard library is used on purpose: the point is to not share
 code with the package under test.
@@ -41,6 +44,32 @@ def crossing_tokens(rows, target, smooth_window):
     return None
 
 
+def grid_problems(rows, total_steps, batch_size):
+    """Breaks in a run's eval grid: the first row must be step 0, ``step``
+    must advance by one stride (``rows[1]``'s step) that divides
+    ``total_steps``, and every row must have tokens_seen == step * B."""
+    if not rows:
+        return ["no eval rows"]
+    steps = [int(row["step"]) for row in rows]
+    problems = []
+    if steps[0] != 0:
+        problems.append(f"first row is step {steps[0]}, not 0")
+    if len(steps) > 1:
+        stride = steps[1]
+        if stride < 1 or total_steps % stride:
+            problems.append(f"stride {stride} does not divide "
+                            f"total_steps={total_steps}")
+        off = [i for i, step in enumerate(steps) if step != i * stride]
+        if off:
+            problems.append(f"row {off[0]} is step {steps[off[0]]}, "
+                            f"not {off[0] * stride} (stride {stride})")
+    bad = [row["step"] for row in rows
+           if int(row["tokens_seen"]) != int(row["step"]) * batch_size]
+    if bad:
+        problems.append(f"tokens_seen != step * {batch_size} at step {bad[0]}")
+    return problems
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -57,6 +86,7 @@ def main(argv=None):
         report = json.load(fh)
     target = float(report["target_loss"])
     smooth_window = int(report["provenance"]["smooth_window"])
+    total_steps = int(report["provenance"]["total_steps"])
     cells = report["provenance"]["cells"]
     summary = read_rows(os.path.join(args.out_dir, "summary.csv"))
     terminated = {row["run_id"]: row["terminated"] for row in summary}
@@ -69,8 +99,9 @@ def main(argv=None):
         rows = read_rows(csv_path)
         got = crossing_tokens(rows, target, smooth_window)
         want = cell["tokens_to_target"]
-        tokens[(int(cell["batch_size"]), cell["optimizer"])] = got
-        problems = []
+        batch_size = int(cell["batch_size"])
+        tokens[(batch_size, cell["optimizer"])] = got
+        problems = grid_problems(rows, total_steps, batch_size)
         if got != want:
             problems.append(f"MISMATCH (report says {want})")
         if got is not None and int(rows[-1]["tokens_seen"]) != got:

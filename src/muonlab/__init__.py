@@ -16,6 +16,14 @@ the matrices here are at most a few hundred wide, where a BLAS thread pool
 spins more than it computes, and one thread keeps the summation order (so
 the last digits of MLP runs) independent of the host's core count. This
 must run before any submodule imports numpy.
+
+On glibc, importing the package also raises malloc's mmap threshold to
+32 MiB and its trim threshold to 64 MiB, so large numpy temporaries (eval
+activations, big minibatch gathers) reuse heap pages that stay mapped
+instead of being page-faulted in afresh on every call. This moves no byte
+of any result. Setting any of MALLOC_MMAP_THRESHOLD_,
+MALLOC_TRIM_THRESHOLD_, MALLOC_TOP_PAD_, MALLOC_MMAP_MAX_ or GLIBC_TUNABLES
+leaves glibc's policy as the user chose it.
 """
 
 import os
@@ -23,6 +31,35 @@ import os
 if not any(os.environ.get(name) for name in
            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
+def _keep_heap_mapped() -> None:
+    """Keep large temporaries on heap pages that stay mapped (glibc only).
+
+    glibc serves blocks >= 128 KiB with a fresh mmap, and raises that
+    threshold only after such a block is freed; it trims the freed heap top
+    back to the kernel past twice the threshold. So by default each large
+    numpy temporary is faulted in page by page on every call. The largest
+    mmap threshold (32 MiB) and a trim threshold of twice that (glibc's own
+    dynamic rule) stop both. Any of glibc's own malloc variables wins.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc") or any(name in os.environ for name in (
+            "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+            "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")):
+        return
+    import ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_heap_mapped()
 
 from .errors import (
     ConfigError,

@@ -105,12 +105,12 @@ def newton_schulz_step(x: Matrix, coeffs: NsCoefficients) -> Matrix:
     return Matrix(coeffs.a * arr + arr @ (coeffs.b * gram + coeffs.c * (gram @ gram)))
 
 
-def _ns_orthogonalize(arr: np.ndarray, coeffs: NsCoefficients, k: int,
-                      norm_eps: float = 0.0) -> np.ndarray:
-    """Run k quintic steps from the Frobenius-normalized input (array core)."""
-    transposed = arr.shape[0] < arr.shape[1]
-    x = arr.T if transposed else arr
-    x = x / (np.linalg.norm(x) + norm_eps)
+def _ns_orthogonalize(x0: np.ndarray, coeffs: NsCoefficients,
+                      k: int) -> np.ndarray:
+    """Run k quintic steps from x0, already Frobenius-normalized by the
+    caller (array core)."""
+    transposed = x0.shape[0] < x0.shape[1]
+    x = x0.T if transposed else x0
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     for _ in range(k):
         gram = x.T @ x
@@ -139,7 +139,7 @@ def msign_newton_schulz(
         raise RangeError(f"k must be >= 1, got {k}")
     if not m.a.any():
         raise DegenerateInputError("msign of the zero matrix is undefined")
-    x = _ns_orthogonalize(m.a, coeffs, k)
+    x = _ns_orthogonalize(m.a / np.linalg.norm(m.a), coeffs, k)
     result = Matrix(x)
     smin = smax = deviation = None
     if compute_spectrum:

@@ -115,16 +115,18 @@ class AdamWState:
 
 def _muon_direction(momentum: np.ndarray, hyper: MuonHyper) -> np.ndarray:
     """Unscaled update direction from a momentum buffer (array core)."""
-    norm = float(np.linalg.norm(momentum))
-    if norm < _ZERO_MOMENTUM_TOL:
+    # A numpy scalar of the momentum's dtype: it is also the NS divisor,
+    # whose dtype sets the f32 rounding.
+    norm = np.linalg.norm(momentum)
+    if float(norm) < _ZERO_MOMENTUM_TOL:
         return np.zeros_like(momentum)
     if hyper.momentum_only:
-        return momentum / norm
+        return momentum / float(norm)
     if hyper.exact_msign:
         u = msign_exact(Matrix(momentum.astype(F64)))
         return u.a.astype(momentum.dtype, copy=False)
-    return _ns_orthogonalize(momentum, hyper.coeffs, hyper.k_iters,
-                             norm_eps=_NORM_EPS)
+    return _ns_orthogonalize(momentum / (norm + _NORM_EPS), hyper.coeffs,
+                             hyper.k_iters)
 
 
 def _rms_scale(hyper: MuonHyper, shape: tuple[int, int], u: np.ndarray) -> float:

@@ -9,6 +9,7 @@ unless a run opted into wall-time capture).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -61,9 +62,14 @@ def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:

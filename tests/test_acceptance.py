@@ -18,6 +18,7 @@ envelope implies; its verdict line still reports the deviation from 0.2.
 
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -398,6 +399,26 @@ def test_09_token_ratio_pipeline(sweep_artifacts):
         f"{ {b: round(result.ratios[b], 4) for b in sorted(result.ratios)} }, "
         f"monotonicity reported ({result.ratio_monotone_nondecreasing}), "
         f"independent recompute exit {proc.returncode} ('{tail}')")
+
+
+def test_audit_rejects_gapped_eval_grid(sweep_artifacts, tmp_path):
+    """A run CSV missing an eval row fails the audit, and so check 9, even
+    when the trailing-mean crossing still lands on the same row."""
+    _, out_dir = sweep_artifacts
+    gapped = str(tmp_path / "gapped")
+    shutil.copytree(out_dir, gapped)
+    path = os.path.join(gapped, "run_muon-b128.csv")
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 1 + 12
+    del lines[1 + 3]
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    proc = subprocess.run([sys.executable, RECOMPUTE_SCRIPT, gapped],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "muon-b128: tokens_to_target=14080 row 3 is step 40, not 30" \
+        in proc.stdout
 
 
 def test_10_byte_determinism(sweep_artifacts, tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via in-process main(argv), plus the
-BLAS thread default that importing the CLI sets in a fresh interpreter."""
+BLAS thread and malloc defaults that importing the CLI sets in a fresh
+interpreter."""
 
 import json
 import os
@@ -31,6 +32,20 @@ def read_bytes(path):
         return fh.read()
 
 
+def fresh_interpreter_output(code, unset=(), **env_vars):
+    """stdout of ``python -c code`` with this checkout's package on the path,
+    the variables named in ``unset`` removed and ``env_vars`` added."""
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(env_vars)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(muonlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return out.stdout.strip()
+
+
 class TestBlasThreadDefault:
     """Importing the CLI pins OpenBLAS to one thread unless the user chose."""
 
@@ -38,17 +53,9 @@ class TestBlasThreadDefault:
 
     @classmethod
     def openblas_threads_after_import(cls, **thread_vars):
-        env = {k: v for k, v in os.environ.items() if k not in cls.THREAD_VARS}
-        env.update(thread_vars)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(muonlab.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import muonlab.cli, os; "
                 "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
-        return out.stdout.strip()
+        return fresh_interpreter_output(code, cls.THREAD_VARS, **thread_vars)
 
     def test_unset_defaults_to_one_thread(self):
         assert self.openblas_threads_after_import() == "1"
@@ -58,6 +65,44 @@ class TestBlasThreadDefault:
 
     def test_omp_variable_leaves_openblas_unset(self):
         assert self.openblas_threads_after_import(OMP_NUM_THREADS="2") == "None"
+
+
+def _is_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="malloc tuning applies to glibc")
+class TestHeapStaysMapped:
+    """Importing the CLI keeps freed heap pages mapped unless the user chose:
+    a repeated 1843x128 f64 temporary (the MLP eval's train activations) is
+    then served from pages already faulted in."""
+
+    MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                   "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
+    CODE = (
+        "import resource, muonlab.cli, numpy as np\n"
+        "h = np.full((1843, 128), 0.5)\n"
+        "for _ in range(5):\n"
+        "    1.0 - h * h\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(50):\n"
+        "    1.0 - h * h\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+
+    @classmethod
+    def minor_faults(cls, **malloc_vars):
+        return int(fresh_interpreter_output(cls.CODE, cls.MALLOC_VARS,
+                                            **malloc_vars))
+
+    def test_default_reuses_mapped_pages(self):
+        assert self.minor_faults() < 2_000
+
+    def test_glibc_variable_wins(self):
+        assert self.minor_faults(MALLOC_TRIM_THRESHOLD_="131072") > 20_000
 
 
 class TestMsignCheck:

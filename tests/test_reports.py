@@ -291,6 +291,16 @@ class TestEmitReports:
         assert len(lines) == 1 + 2 * 9
         assert sum(line.endswith(",true") for line in lines) == 2
 
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        rec = demo_record([EvalRow(0, 0, 1.0, 1.0, 0.5, 0.0, 0.02, 0.0)])
+        with pytest.raises(OSError, match="replace refused"):
+            emit_reports(rec, str(tmp_path))
+        assert not [n for n in os.listdir(tmp_path) if ".tmp." in n]
+
     def test_unknown_result_type_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_reports({"not": "a result"}, str(tmp_path))
