@@ -6,8 +6,10 @@ and ``telescope`` (JSON-config experiment drivers).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 divergence. The optional MUONLAB_WORKERS environment variable sets the
-worker-thread count for the independent training runs of a sweep,
-ablation or telescope stage; absence means sequential execution.
+worker-thread count for a sweep, ablation or telescope stage; workers
+take lockstep groups of runs (runs that differ only in eta0, weight decay
+and run id), whose records are byte-identical to the runs trained alone.
+Absence means sequential execution.
 
 Importing this module runs the package ``__init__``, which pins OpenBLAS
 to one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or

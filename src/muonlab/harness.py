@@ -1,11 +1,16 @@
 """Training loop and the experiment drivers built on top of it.
 
-A single `train` call is a pure function of its `TrainConfig` (every random
+A `train` call is a pure function of its `TrainConfig` (every random
 draw flows from the config seed), which is what makes the higher-level
 drivers trustworthy: batch-size sweeps with per-batch learning-rate
 re-tuning and token-consumption ratios, the eleven-cell component ablation
 grid, the width-telescoping hyperparameter search, and the empirical
 convergence-rate fit.
+
+The drivers hand their runs to one executor, `_run_many`, which groups
+runs that differ only in eta0, weight decay and run id, and has `train`
+train each group in lockstep as one stack. Workers get groups, not runs,
+and a group's records are byte-identical to its runs trained alone.
 """
 
 from __future__ import annotations
@@ -150,15 +155,12 @@ class RunRecord:
     config: TrainConfig
 
 
-def _make_bank(spec: OptimizerSpec, shapes: dict[str, tuple[int, ...]], dtype) -> OptimizerBank:
-    if spec.kind == "muon":
-        return OptimizerBank(shapes, "muon", muon=spec.muon_hyper(),
-                             weight_decay=spec.weight_decay,
-                             beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps,
-                             dtype=dtype)
-    return OptimizerBank(shapes, "adamw", weight_decay=spec.weight_decay,
+def _make_bank(spec: OptimizerSpec, shapes: dict[str, tuple[int, ...]],
+               run_decays: Sequence[float], dtype) -> OptimizerBank:
+    muon = spec.muon_hyper() if spec.kind == "muon" else None
+    return OptimizerBank(shapes, spec.kind, muon=muon,
                          beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps,
-                         dtype=dtype)
+                         dtype=dtype, run_decays=run_decays)
 
 
 def _spike_count(vals: Sequence[float], ratio: float) -> int:
@@ -172,98 +174,169 @@ def _spike_count(vals: Sequence[float], ratio: float) -> int:
     return count
 
 
-def train(config: TrainConfig) -> RunRecord:
-    """Run one training loop; deterministic given the config.
+def _group_key(config: TrainConfig) -> TrainConfig:
+    """What the runs of one lockstep group share: all but eta0, the weight
+    decay and the run id."""
+    return replace(config, run_id="", optimizer=replace(
+        config.optimizer, eta0=1.0, weight_decay=0.0))
+
+
+def _finite_per_run(stack: np.ndarray) -> np.ndarray:
+    """Per run of a stack (R, ...): whether all of its entries are finite."""
+    return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+
+
+def train(configs: TrainConfig | Sequence[TrainConfig],
+          ) -> RunRecord | list[RunRecord]:
+    """Train one run, or a group of runs in lockstep; deterministic given
+    the configs.
+
+    One config returns its RunRecord; a sequence returns one record per
+    config, in order. The configs of a group may differ only in
+    ``optimizer.eta0``, ``optimizer.weight_decay`` and ``run_id``, so they
+    share the seed, and with it the data, the init and every batch draw.
+    The group trains as one stack: every parameter and optimizer state
+    gets a leading run axis, and each step makes one batch draw and
+    gather, one stacked matmul per layer and per Newton-Schulz step, and
+    one optimizer step with a learning rate and decay per run. Clipping,
+    the finiteness checks and the eval snapshots stay per run, and a run
+    leaves the stack when it diverges or stops at its target, so each
+    record is byte-identical to its run trained alone.
 
     Per step: draw a batch (or take the full set), compute the loss and
     gradients, inject task noise if configured, clip the global gradient
     norm, and apply one optimizer step. Every ``eval_every`` steps an eval
     row records the full train/val losses, the exact full-objective
     gradient norm, the realized update RMS, and the learning rate used.
+    With ``record_wall_time`` its ``wall_ms`` is the time since the group
+    started, so it includes the other runs' work in a group.
 
     Divergence (non-finite loss/gradient/parameter, or an eval val loss
     that is NaN or above 10x the initial one) terminates the run with the
     'diverged' flag instead of raising.
     """
-    dtype = dtype_of(config.precision)
-    root = Rng(config.seed)
-    task = build_task(config.task, root.child("data"))
-    params = task.init_params(root.child("init"), dtype=dtype)
+    single = isinstance(configs, TrainConfig)
+    group = [configs] if single else list(configs)
+    if not group:
+        raise RangeError("train needs at least one config")
+    first = group[0]
+    if any(_group_key(c) != _group_key(first) for c in group[1:]):
+        raise ConfigError("a training group may differ only in optimizer.eta0, "
+                          "optimizer.weight_decay and run_id")
+    dtype = dtype_of(first.precision)
+    root = Rng(first.seed)
+    task = build_task(first.task, root.child("data"))
+    init = task.init_params(root.child("init"), dtype=dtype)
     batch_rng = root.child("batch")
     noise_rng = root.child("noise")
-    shapes = {name: arr.shape for name, arr in params.items()}
-    bank = _make_bank(config.optimizer, shapes, dtype)
-    sched = Schedule(eta0=config.optimizer.eta0, total_steps=config.total_steps,
-                     warmup_fraction=config.warmup_fraction,
-                     kind=config.schedule_kind,
-                     eta_min_fraction=config.eta_min_fraction)
+    bank = _make_bank(first.optimizer, {name: arr.shape for name, arr in init.items()},
+                      [c.optimizer.weight_decay for c in group], dtype)
+    scheds = [Schedule(eta0=c.optimizer.eta0, total_steps=first.total_steps,
+                       warmup_fraction=first.warmup_fraction,
+                       kind=first.schedule_kind,
+                       eta_min_fraction=first.eta_min_fraction)
+              for c in group]
+    params = {name: np.repeat(arr[None], len(group), axis=0)
+              for name, arr in init.items()}
+    live = list(range(len(group)))  # the group index of each stack slot
+    rows: list[list[EvalRow]] = [[] for _ in group]
+    tokens_to_target: list[int | None] = [None] * len(group)
+    records: list[RunRecord | None] = [None] * len(group)
     t0 = time.perf_counter()
 
-    def snapshot(step: int, eta: float) -> EvalRow:
+    def measure(run_params: dict[str, np.ndarray]) -> tuple[float, float, float]:
         with np.errstate(all="ignore"):
-            train_loss, val_loss, grads = task.evaluate(params)
-            grad_norm = _global_norm(grads.values())
-        wall = (time.perf_counter() - t0) * 1e3 if config.record_wall_time else 0.0
-        return EvalRow(step=step, tokens_seen=step * config.batch_size,
-                       train_loss=train_loss, val_loss=val_loss,
-                       grad_global_norm=grad_norm,
-                       update_rms=bank.last_update_rms, eta_t=eta,
-                       wall_ms=wall)
+            train_loss, val_loss, grads = task.evaluate(run_params)
+            return train_loss, val_loss, _global_norm(grads.values())
 
-    rows = [snapshot(0, schedule_eta(sched, 0))]
-    initial_val = rows[0].val_loss
-    tokens_to_target: int | None = None
-    terminated = "completed"
+    def row(step: int, measured: tuple[float, float, float], update_rms: float,
+            eta: float) -> EvalRow:
+        wall = (time.perf_counter() - t0) * 1e3 if first.record_wall_time else 0.0
+        return EvalRow(step, step * first.batch_size, *measured,
+                       update_rms=update_rms, eta_t=eta, wall_ms=wall)
+
+    def leave(ended: dict[int, str]) -> list[int]:
+        """Close the runs in the ended stack slots; returns the kept slots."""
+        nonlocal params, live
+        for slot, terminated in ended.items():
+            run = live[slot]
+            records[run] = _record(group[run], rows[run], tokens_to_target[run],
+                                   terminated, bank.state_scalar_count())
+        keep = [slot for slot in range(len(live)) if slot not in ended]
+        params = {name: p[keep] for name, p in params.items()}
+        bank.select(keep)
+        live = [live[slot] for slot in keep]
+        return keep
+
+    # Every run starts from the same weights: one snapshot serves them all.
+    measured = measure(init)
+    initial_val = measured[1]
+    for run, sched in enumerate(scheds):
+        rows[run].append(row(0, measured, 0.0, schedule_eta(sched, 0)))
+    if first.target_loss is not None and initial_val <= first.target_loss:
+        tokens_to_target = [0] * len(group)
+        if first.stop_rule == "tokens-to-target":
+            leave(dict.fromkeys(range(len(live)), "target-reached"))
+
     noise_sigma = float(task.noise_sigma)
-
-    if (config.target_loss is not None
-            and rows[0].val_loss <= config.target_loss):
-        tokens_to_target = 0
-        if config.stop_rule == "tokens-to-target":
-            terminated = "target-reached"
-
-    if terminated == "completed":
-        for step in range(1, config.total_steps + 1):
-            eta = schedule_eta(sched, step)
-            idx = (None if config.full_batch
-                   else task.sample_batch(batch_rng, config.batch_size))
-            with np.errstate(all="ignore"):
-                loss, grads = task.batch_loss_grad(params, idx)
-                if noise_sigma > 0.0:
-                    for name in grads:
-                        g = grads[name]
-                        grads[name] = (g + noise_sigma
-                                       * noise_rng.normal(g.shape)).astype(g.dtype,
+    for step in range(1, first.total_steps + 1):
+        if not live:
+            break
+        etas = [schedule_eta(scheds[run], step) for run in live]
+        idx = (None if first.full_batch
+               else task.sample_batch(batch_rng, first.batch_size))
+        with np.errstate(all="ignore"):
+            loss, grads = task.batch_loss_grad(params, idx)
+            if noise_sigma > 0.0:
+                # Every run draws the same noise: one draw serves the stack.
+                for name in grads:
+                    g = grads[name]
+                    grads[name] = (g + noise_sigma
+                                   * noise_rng.normal(g.shape[1:])).astype(g.dtype,
                                                                            copy=False)
-                finite = math.isfinite(loss) and all(
-                    np.all(np.isfinite(g)) for g in grads.values()
-                )
-                if finite:
-                    grads, _ = _clip_grad_arrays(grads, config.clip_norm)
-                    params = bank.step(params, grads, eta)
-                    finite = all(np.all(np.isfinite(p)) for p in params.values())
-            if not finite:
-                terminated = "diverged"
-                break
-            if step % config.eval_every != 0:
-                continue
-            row = snapshot(step, eta)
-            rows.append(row)
-            if (not math.isfinite(row.val_loss)
-                    or row.val_loss > _DIVERGENCE_FACTOR * initial_val):
-                terminated = "diverged"
-                break
-            if config.target_loss is not None and tokens_to_target is None:
-                window = rows[-config.smooth_window:]
+            finite = np.isfinite(loss)
+            for g in grads.values():
+                finite &= _finite_per_run(g)
+            if not finite.all():
+                keep = leave({int(s): "diverged" for s in np.flatnonzero(~finite)})
+                grads = {name: g[keep] for name, g in grads.items()}
+                etas = [etas[slot] for slot in keep]
+            for slot in range(len(live)):
+                run_grads = {name: g[slot] for name, g in grads.items()}
+                clipped, _ = _clip_grad_arrays(run_grads, first.clip_norm)
+                if clipped is not run_grads:
+                    for name, g in clipped.items():
+                        grads[name][slot] = g
+            if live:
+                params = bank.step(params, grads, etas)
+                finite = np.logical_and.reduce(
+                    [_finite_per_run(p) for p in params.values()])
+                if not finite.all():
+                    keep = leave({int(s): "diverged" for s in np.flatnonzero(~finite)})
+                    etas = [etas[slot] for slot in keep]
+        if step % first.eval_every != 0:
+            continue
+        update_rms = bank.last_update_rms
+        ended: dict[int, str] = {}
+        for slot, run in enumerate(live):
+            measured = measure({name: p[slot] for name, p in params.items()})
+            rows[run].append(row(step, measured, float(update_rms[slot]), etas[slot]))
+            val_loss = measured[1]
+            if (not math.isfinite(val_loss)
+                    or val_loss > _DIVERGENCE_FACTOR * initial_val):
+                ended[slot] = "diverged"
+            elif first.target_loss is not None and tokens_to_target[run] is None:
+                window = rows[run][-first.smooth_window:]
                 smoothed = sum(r.val_loss for r in window) / len(window)
-                if smoothed <= config.target_loss:
-                    tokens_to_target = row.tokens_seen
-                    if config.stop_rule == "tokens-to-target":
-                        terminated = "target-reached"
-                        break
+                if smoothed <= first.target_loss:
+                    tokens_to_target[run] = step * first.batch_size
+                    if first.stop_rule == "tokens-to-target":
+                        ended[slot] = "target-reached"
+        if ended:
+            leave(ended)
 
-    return _record(config, rows, tokens_to_target, terminated,
-                   bank.state_scalar_count())
+    leave(dict.fromkeys(range(len(live)), "completed"))
+    return records[0] if single else records
 
 
 def _record(config: TrainConfig, rows: Sequence[EvalRow],
@@ -323,12 +396,29 @@ def rate_check(record: RunRecord) -> float:
 
 
 def _run_many(configs: Sequence[TrainConfig], workers: int) -> list[RunRecord]:
+    """Train configs in lockstep groups; returns records in config order.
+
+    Configs that differ only in eta0, weight decay and run id form one
+    group, placed where its first member stands. ``workers`` threads take
+    whole groups; since each record equals its run trained alone, the
+    worker count changes wall time, never bytes.
+    """
     if workers < 1:
         raise RangeError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(configs) <= 1:
-        return [train(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(train, configs))
+    members: dict[TrainConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        members.setdefault(_group_key(config), []).append(i)
+    groups = [[configs[i] for i in idx] for idx in members.values()]
+    if workers == 1 or len(groups) <= 1:
+        trained = [train(group) for group in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            trained = list(pool.map(train, groups))
+    records: list[RunRecord] = [None] * len(configs)
+    for idx, group_records in zip(members.values(), trained):
+        for i, record in zip(idx, group_records):
+            records[i] = record
+    return records
 
 
 # ---------------------------------------------------------------------------

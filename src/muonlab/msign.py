@@ -108,14 +108,19 @@ def newton_schulz_step(x: Matrix, coeffs: NsCoefficients) -> Matrix:
 def _ns_orthogonalize(x0: np.ndarray, coeffs: NsCoefficients,
                       k: int) -> np.ndarray:
     """Run k quintic steps from x0, already Frobenius-normalized by the
-    caller (array core)."""
-    transposed = x0.shape[0] < x0.shape[1]
-    x = x0.T if transposed else x0
+    caller (array core).
+
+    ``x0`` is one (m, n) matrix or a stack (..., m, n) of them; a stack
+    runs each slice through the same GEMM calls as that slice alone, so
+    every slice's result is the bytes of its solo run.
+    """
+    transposed = x0.shape[-2] < x0.shape[-1]
+    x = x0.swapaxes(-1, -2) if transposed else x0
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     for _ in range(k):
-        gram = x.T @ x
+        gram = x.swapaxes(-1, -2) @ x
         x = a * x + x @ (b * gram + c * (gram @ gram))
-    return x.T if transposed else x
+    return x.swapaxes(-1, -2) if transposed else x
 
 
 def msign_newton_schulz(

@@ -19,7 +19,8 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError, RangeError, ShapeError
+from .errors import (ConfigError, DegenerateInputError, NumericError, RangeError,
+                     ShapeError)
 from .linalg import F64, Matrix, svd
 from .msign import (
     NsCoefficients,
@@ -114,48 +115,74 @@ class AdamWState:
 
 
 def _muon_direction(momentum: np.ndarray, hyper: MuonHyper) -> np.ndarray:
-    """Unscaled update direction from a momentum buffer (array core)."""
-    # A numpy scalar of the momentum's dtype: it is also the NS divisor,
-    # whose dtype sets the f32 rounding.
-    norm = np.linalg.norm(momentum)
-    if float(norm) < _ZERO_MOMENTUM_TOL:
+    """Unscaled update direction of each (m, n) slice of a momentum stack
+    (..., m, n); one matrix is a stack of one (array core)."""
+    slices = momentum.reshape(-1, *momentum.shape[-2:])
+    # Per-slice BLAS norms, numpy scalars of the momentum's dtype: each is
+    # also its slice's NS divisor, whose dtype sets the f32 rounding. A
+    # norm over the whole stack would round differently.
+    norms = [np.linalg.norm(s) for s in slices]
+    zero = [float(n) < _ZERO_MOMENTUM_TOL for n in norms]
+    if all(zero):
         return np.zeros_like(momentum)
-    if hyper.momentum_only:
-        return momentum / float(norm)
     if hyper.exact_msign:
-        u = msign_exact(Matrix(momentum.astype(F64)))
-        return u.a.astype(momentum.dtype, copy=False)
-    return _ns_orthogonalize(momentum / (norm + _NORM_EPS), hyper.coeffs,
-                             hyper.k_iters)
+        u = np.stack([
+            np.zeros_like(s) if z
+            else msign_exact(Matrix(s.astype(F64))).a.astype(s.dtype, copy=False)
+            for s, z in zip(slices, zero)
+        ]).reshape(momentum.shape)
+    else:
+        norm = np.array(norms, dtype=momentum.dtype).reshape(
+            momentum.shape[:-2] + (1, 1))
+        if hyper.momentum_only:
+            # Zero slices divide by 1 here and are zeroed below.
+            u = momentum / np.where(np.reshape(zero, norm.shape), 1, norm)
+        else:
+            u = _ns_orthogonalize(momentum / (norm + _NORM_EPS), hyper.coeffs,
+                                  hyper.k_iters)
+    if any(zero):
+        u[np.reshape(zero, momentum.shape[:-2])] = 0.0
+    return u
 
 
-def _rms_scale(hyper: MuonHyper, shape: tuple[int, int], u: np.ndarray) -> float:
+def _rms_scale(hyper: MuonHyper, u: np.ndarray):
+    """Scale of the directions ``u`` (..., m, n): a float, or one per slice
+    (shaped to broadcast) under ``dynamic_rms``."""
     if not hyper.rms_matching:
         return 1.0
+    rows, cols = u.shape[-2:]
     if hyper.dynamic_rms:
-        unorm = float(np.linalg.norm(u))
-        if unorm == 0.0:
-            return 0.0
-        return hyper.rms_factor * math.sqrt(shape[0] * shape[1]) / unorm
-    n = shape[1] if hyper.rms_dim == "fan-out" else max(shape)
+        target = hyper.rms_factor * math.sqrt(rows * cols)
+        unorms = [float(np.linalg.norm(s)) for s in u.reshape(-1, rows, cols)]
+        scales = [0.0 if unorm == 0.0 else target / unorm for unorm in unorms]
+        return np.array(scales, dtype=u.dtype).reshape(u.shape[:-2] + (1, 1))
+    n = cols if hyper.rms_dim == "fan-out" else max(rows, cols)
     return hyper.rms_factor * math.sqrt(n)
 
 
 def _muon_core(w: np.ndarray, g: np.ndarray, momentum: np.ndarray,
-               hyper: MuonHyper, eta_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Muon step on raw arrays; returns (new_w, new_momentum, update)."""
+               hyper: MuonHyper, eta_t, weight_decay,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Muon step on raw arrays; returns (new_w, new_momentum, update).
+
+    The arrays are one matrix or a stack (R, m, n) of them; ``eta_t`` and
+    ``weight_decay`` are floats or per-run arrays that broadcast.
+    """
     momentum = hyper.beta * momentum + (1.0 - hyper.beta) * g
     u = _muon_direction(momentum, hyper)
-    s = _rms_scale(hyper, w.shape, u)
-    update = eta_t * (s * u + hyper.weight_decay * w)
+    update = eta_t * (_rms_scale(hyper, u) * u + weight_decay * w)
     return w - update, momentum, update
 
 
 def _adamw_core(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                 step_count: int, beta1: float, beta2: float, eps: float,
-                eta_t: float, weight_decay: float,
+                eta_t, weight_decay,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """One AdamW step on raw arrays; returns (new_w, m, v, t, update)."""
+    """One AdamW step on raw arrays; returns (new_w, m, v, t, update).
+
+    Elementwise, so the arrays may be stacks and ``eta_t`` and
+    ``weight_decay`` per-run arrays that broadcast.
+    """
     t = step_count + 1
     m = beta1 * m + (1.0 - beta1) * g
     v = beta2 * v + (1.0 - beta2) * (g * g)
@@ -178,7 +205,8 @@ def muon_step(w: Matrix, g: Matrix, state: MuonState, hyper: MuonHyper,
         )
     if eta_t < 0.0:
         raise RangeError(f"eta_t must be >= 0, got {eta_t}")
-    new_w, new_mom, _ = _muon_core(w.a, g.a, state.momentum.a, hyper, eta_t)
+    new_w, new_mom, _ = _muon_core(w.a, g.a, state.momentum.a, hyper, eta_t,
+                                   hyper.weight_decay)
     return Matrix(new_w), MuonState(momentum=Matrix(new_mom))
 
 
@@ -338,6 +366,15 @@ class OptimizerBank:
     'adamw'); vectors always run AdamW. Vector parameters take no weight
     decay (biases are conventionally undecayed), matrix parameters take the
     decay from their hyperparameters.
+
+    With ``run_decays`` the bank steps a stack of runs that share every
+    hyperparameter but the learning rate and the weight decay: run r's
+    matrices decay by ``run_decays[r]`` (in place of ``weight_decay`` and
+    ``muon.weight_decay``), every parameter, gradient and state carries a
+    leading run axis, ``step`` takes one ``eta_t`` per run, and
+    ``last_update_rms`` holds one value per run. Parameters must then carry
+    the bank's dtype. Each run's slices are the bytes that a bank of that
+    run alone produces.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]],
@@ -345,62 +382,98 @@ class OptimizerBank:
                  muon: MuonHyper | None = None,
                  weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 dtype=F64):
+                 dtype=F64, run_decays: Sequence[float] | None = None):
         if matrix_rule not in ("muon", "adamw"):
             raise RangeError(f"matrix_rule must be 'muon' or 'adamw', got {matrix_rule!r}")
         if matrix_rule == "muon" and muon is None:
             raise RangeError("matrix_rule 'muon' requires MuonHyper")
+        self._single = run_decays is None
+        if self._single:
+            run_decays = [muon.weight_decay if matrix_rule == "muon" else weight_decay]
+        elif not run_decays or min(run_decays) < 0.0:
+            raise RangeError(f"run_decays must be nonempty and >= 0, got {run_decays}")
         self.muon = muon
-        self.weight_decay = weight_decay
+        self._dtype = dtype
         self._betas = (beta1, beta2, eps)
+        self._decay = np.array(run_decays, dtype=dtype)
         self._route: dict[str, str] = {}
+        self._decayed: set[str] = set()
         self._mom: dict[str, np.ndarray] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
-        self.last_update_rms = 0.0
+        self._rms = np.zeros(len(self._decay))
+        self._state_scalars = 0
         for name, shape in shapes.items():
-            route = route_parameter(shape)
-            if route == "muon" and matrix_rule == "muon":
+            stacked = (len(self._decay), *shape)
+            if len(shape) == 2 and min(shape) >= 2:
+                self._decayed.add(name)
+            if route_parameter(shape) == "muon" and matrix_rule == "muon":
                 self._route[name] = "muon"
-                self._mom[name] = np.zeros(shape, dtype=dtype)
+                self._mom[name] = np.zeros(stacked, dtype=dtype)
+                self._state_scalars += math.prod(shape)
             else:
                 self._route[name] = "adamw"
-                self._m[name] = np.zeros(shape, dtype=dtype)
-                self._v[name] = np.zeros(shape, dtype=dtype)
+                self._m[name] = np.zeros(stacked, dtype=dtype)
+                self._v[name] = np.zeros(stacked, dtype=dtype)
                 self._t[name] = 0
+                self._state_scalars += 2 * math.prod(shape)
+
+    @property
+    def last_update_rms(self):
+        """RMS of the last step's update over all parameters (0 before any
+        step): a float, or one per run for a stack."""
+        return float(self._rms[0]) if self._single else self._rms
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             eta_t: float) -> dict[str, np.ndarray]:
+             eta_t) -> dict[str, np.ndarray]:
         """Apply one update to every parameter; returns the new parameter dict."""
+        if self._single:
+            params = {name: w[None] for name, w in params.items()}
+            grads = {name: g[None] for name, g in grads.items()}
+            eta_t = (eta_t,)
         beta1, beta2, eps = self._betas
+        eta = np.array(eta_t, dtype=self._dtype)
         new_params: dict[str, np.ndarray] = {}
-        update_sq = 0.0
+        update_sq = np.zeros(len(eta))
         count = 0
         for name, w in params.items():
             g = grads[name]
+            # Per-run scalars shaped to broadcast against the (R, ...) stack.
+            col = (-1,) + (1,) * (w.ndim - 1)
+            decay = self._decay.reshape(col) if name in self._decayed else 0.0
             if self._route[name] == "muon":
-                new_w, new_mom, update = _muon_core(w, g, self._mom[name],
-                                                    self.muon, eta_t)
+                new_w, new_mom, update = _muon_core(w, g, self._mom[name], self.muon,
+                                                    eta.reshape(col), decay)
                 self._mom[name] = new_mom
             else:
-                decay = self.weight_decay if np.ndim(w) == 2 and min(w.shape) >= 2 else 0.0
                 new_w, m, v, t, update = _adamw_core(
                     w, g, self._m[name], self._v[name], self._t[name],
-                    beta1, beta2, eps, eta_t, decay,
+                    beta1, beta2, eps, eta.reshape(col), decay,
                 )
                 self._m[name], self._v[name], self._t[name] = m, v, t
             new_params[name] = new_w
-            update_sq += float(np.sum(update.astype(F64) ** 2))
-            count += update.size
-        self.last_update_rms = math.sqrt(update_sq / count) if count else 0.0
+            # A fresh C-contiguous stack: each run's sum is its slice's
+            # np.sum, bit for bit.
+            update_sq += np.sum(update.astype(F64) ** 2,
+                                axis=tuple(range(1, update.ndim)))
+            count += update[0].size
+        self._rms = np.sqrt(update_sq / count) if count else update_sq
+        if self._single:
+            return {name: w[0] for name, w in new_params.items()}
         return new_params
 
+    def select(self, keep: Sequence[int]) -> None:
+        """Keep only the runs at stack positions ``keep``, in that order."""
+        for bufs in (self._mom, self._m, self._v):
+            for name in bufs:
+                bufs[name] = bufs[name][keep]
+        self._decay = self._decay[keep]
+        self._rms = self._rms[keep]
+
     def state_scalar_count(self) -> int:
-        """Total auxiliary scalars held: momentum entries plus both moments."""
-        total = sum(buf.size for buf in self._mom.values())
-        total += sum(2 * buf.size for buf in self._m.values())
-        return total
+        """Auxiliary scalars held per run: momentum entries plus both moments."""
+        return self._state_scalars
 
 
 @dataclass(frozen=True)
@@ -431,6 +504,16 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in ("muon", "adamw"):
             raise RangeError(f"optimizer kind must be 'muon' or 'adamw', got {self.kind!r}")
+        # Every run has AdamW moments (vectors always take AdamW); the keys
+        # are named as in the config's optimizer section.
+        for key in ("beta1", "beta2"):
+            value = getattr(self, key)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"must lie in [0, 1), got {value!r}",
+                                  key_path=f"optimizer.{key}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"must be positive, got {self.eps!r}",
+                              key_path="optimizer.eps")
 
     def muon_hyper(self) -> MuonHyper:
         from .msign import coefficient_preset

@@ -186,12 +186,14 @@ class QuadraticTask:
         return rng.integers(0, self.n_train, size=batch_size)
 
     def batch_loss_grad(self, params: dict[str, np.ndarray],
-                        idx: np.ndarray | None) -> tuple[float, dict[str, np.ndarray]]:
+                        idx: np.ndarray | None):
         """Unbiased estimate of the full objective and its gradient.
 
         ``idx`` rows are rescaled by n_rows / batch; ``idx=None`` means the
         exact full batch. The regularizer joins the gradient only when
-        ``reg_in_gradient`` is set.
+        ``reg_in_gradient`` is set. ``params["w"]`` may be a stack
+        (R, in, out) of runs sharing the batch: the loss is then one value
+        per run, each the bytes of that run alone.
         """
         w = params["w"]
         a, b = self.a.a, self.b.a
@@ -202,15 +204,17 @@ class QuadraticTask:
                 raise RangeError("batch must be nonempty")
             a, b = a[idx], b[idx]
             scale = self.n_train / len(idx)
-        aw = a @ w.astype(F64, copy=False)
-        resid = aw - b
-        loss = 0.5 * scale * float(np.sum(resid * resid))
+        # In place: a stack of residuals is the largest array of a step.
+        resid = a @ w.astype(F64, copy=False)
+        resid -= b
         grad = scale * (a.T @ resid)
+        resid *= resid
+        loss = 0.5 * scale * np.sum(resid, axis=(-2, -1))
         if self.lambda_reg > 0.0:
-            loss += 0.5 * self.lambda_reg * float(np.sum(w * w))
+            loss += 0.5 * self.lambda_reg * np.sum(w * w, axis=(-2, -1)).astype(F64)
             if self.reg_in_gradient:
                 grad = grad + self.lambda_reg * w
-        return loss, {"w": grad.astype(w.dtype, copy=False)}
+        return _per_run(loss), {"w": grad.astype(w.dtype, copy=False)}
 
     def train_loss(self, params: dict[str, np.ndarray]) -> float:
         return self._objective(params["w"].astype(F64, copy=False))[0]
@@ -234,12 +238,22 @@ class QuadraticTask:
         return loss, loss, {"w": grad}
 
 
+def _per_run(loss):
+    """A float for one run's 0-d loss, the array of losses for a stack."""
+    return float(loss) if np.ndim(loss) == 0 else loss
+
+
 def _activation(name: str, z: np.ndarray) -> np.ndarray:
     return np.tanh(z) if name == "tanh" else np.maximum(z, 0.0)
 
 
-def _activation_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return 1.0 - h * h if name == "tanh" else (z > 0.0).astype(z.dtype)
+def _activation_grad(name: str, h: np.ndarray) -> np.ndarray:
+    """The activation's derivative, from its output (relu's h > 0 exactly
+    where its input z > 0)."""
+    if name == "tanh":
+        g = h * h
+        return np.subtract(1.0, g, out=g)
+    return (h > 0.0).astype(h.dtype)
 
 
 @dataclass(frozen=True)
@@ -297,41 +311,47 @@ class MlpTask:
         return params
 
     def _forward(self, params: dict[str, np.ndarray], xb: np.ndarray,
-                 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+                 ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Logits and the inputs of every layer (xb, then each activation)."""
         n_layers = len(self.layer_dims())
         hs = [xb]
-        zs = []
-        h = xb
         for i in range(n_layers):
-            z = h @ params[f"w{i}"] + params[f"b{i}"]
-            zs.append(z)
+            z = hs[-1] @ params[f"w{i}"]
+            z += params[f"b{i}"][..., None, :]
             if i < n_layers - 1:
-                h = _activation(self.activation, z)
-                hs.append(h)
-        return zs[-1], hs, zs
+                hs.append(_activation(self.activation, z))
+        return z, hs
 
     def _ce_loss_grads(self, params: dict[str, np.ndarray], xb: np.ndarray,
-                       yb: np.ndarray, want_grads: bool,
-                       ) -> tuple[float, dict[str, np.ndarray]]:
-        logits, hs, zs = self._forward(params, xb)
-        shifted = logits - logits.max(axis=1, keepdims=True)
+                       yb: np.ndarray, want_grads: bool):
+        """Mean cross-entropy of (xb, yb) and its gradients.
+
+        The parameters may be stacks with a leading run axis, all fed the
+        same rows: the loss is then one value per run. Every op acts per
+        slice (matmuls run one GEMM per slice, reductions run along one
+        axis), so each run's values are the bytes of that run alone.
+        """
+        logits, hs = self._forward(params, xb)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         expz = np.exp(shifted)
-        sumexp = expz.sum(axis=1, keepdims=True)
+        sumexp = expz.sum(axis=-1, keepdims=True)
         n = xb.shape[0]
-        loss = float(np.mean(np.log(sumexp[:, 0]) - shifted[np.arange(n), yb]))
+        rows = np.arange(n)
+        loss = _per_run(np.mean(np.log(sumexp[..., 0]) - shifted[..., rows, yb],
+                                axis=-1))
         if not want_grads:
             return loss, {}
         probs = expz / sumexp
         dz = probs
-        dz[np.arange(n), yb] -= 1.0
+        dz[..., rows, yb] -= 1.0
         dz /= n
         grads: dict[str, np.ndarray] = {}
-        for i in range(len(zs) - 1, -1, -1):
-            grads[f"w{i}"] = hs[i].T @ dz
-            grads[f"b{i}"] = dz.sum(axis=0)
+        for i in range(len(hs) - 1, -1, -1):
+            grads[f"w{i}"] = hs[i].swapaxes(-1, -2) @ dz
+            grads[f"b{i}"] = dz.sum(axis=-2)
             if i > 0:
-                dh = dz @ params[f"w{i}"].T
-                dz = dh * _activation_grad(self.activation, zs[i - 1], hs[i])
+                dz = dz @ params[f"w{i}"].swapaxes(-1, -2)
+                dz *= _activation_grad(self.activation, hs[i])
         return loss, grads
 
     def sample_batch(self, rng: Rng, batch_size: int) -> np.ndarray:
@@ -342,9 +362,12 @@ class MlpTask:
         dtype = params["w0"].dtype
         return self.x[rows].astype(dtype, copy=False), self.y[rows]
 
-    def batch_loss_grad(self, params: dict[str, np.ndarray],
-                        idx: np.ndarray | None) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean cross-entropy and gradients on a minibatch of train positions."""
+    def batch_loss_grad(self, params: dict[str, np.ndarray], idx: np.ndarray | None):
+        """Mean cross-entropy and gradients on a minibatch of train positions.
+
+        The parameters may be stacks (R, ...) of runs sharing the minibatch:
+        one gather serves them all, and the loss is one value per run.
+        """
         rows = self.train_idx if idx is None else self.train_idx[idx]
         if len(rows) == 0:
             raise RangeError("batch must be nonempty")

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muonlab import harness
 from muonlab.errors import ConfigError, RangeError
@@ -191,6 +194,109 @@ class TestTrainLoop:
         assert not math.isfinite(rec.rows[-1].grad_global_norm)
 
 
+def _bits(value):
+    """``value`` with every float swapped for its IEEE-754 bytes, so that
+    ``==`` also holds between identical NaNs."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _assert_records_identical(got, want):
+    assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))
+
+
+LOCKSTEP_TASKS = {
+    "quadratic": QuadraticSpec(n_rows=64, in_dim=8, out_dim=4),
+    "mlp": MlpSpec(n_samples=128, input_dim=8, hidden=(16, 8), classes=4,
+                   val_fraction=0.125),
+}
+
+
+def _target_losses(task: str, seed: int) -> tuple[float, ...]:
+    """Targets crossed at step 0, mid-run, late, and never, roughly."""
+    if task == "mlp":  # the initial loss is near log(4) ~ 1.39
+        return (10.0, 1.3, 1.0, 0.01)
+    from muonlab.linalg import Rng
+    from muonlab.tasks import QuadraticTask
+    obj = QuadraticTask.generate(LOCKSTEP_TASKS["quadratic"],
+                                 Rng(seed).child("data")).optimum_loss()
+    return (1e6 * obj, 3.0 * obj, 1.5 * obj, 0.5 * obj)
+
+
+@st.composite
+def lockstep_groups(draw):
+    """A group of configs differing only in eta0, weight decay and run id;
+    some eta0 values diverge on an eval row, some overflow mid-run."""
+    task = draw(st.sampled_from(sorted(LOCKSTEP_TASKS)))
+    spec = LOCKSTEP_TASKS[task]
+    if draw(st.booleans()):
+        spec = dataclasses.replace(spec, noise_sigma=0.5)
+    seed = draw(st.integers(0, 3))
+    stop_rule = draw(st.sampled_from(STOP_RULES))
+    target = draw(st.sampled_from(_target_losses(task, seed))
+                  if stop_rule == "tokens-to-target"
+                  else st.none() | st.sampled_from(_target_losses(task, seed)))
+    base = TrainConfig(
+        task=spec,
+        optimizer=OptimizerSpec(kind=draw(st.sampled_from(["muon", "adamw"]))),
+        batch_size=draw(st.sampled_from([8, 32])), total_steps=20,
+        eval_every=draw(st.sampled_from([1, 2, 5])), seed=seed,
+        precision=draw(st.sampled_from(["f32", "f64"])),
+        full_batch=draw(st.booleans()), target_loss=target,
+        stop_rule=stop_rule, clip_norm=draw(st.sampled_from([1.0, 1e300])),
+        smooth_window=draw(st.sampled_from([1, 3])))
+    eta0 = st.floats(0.005, 0.2) | st.sampled_from([5.0, 1e4, 1e150, 1e306])
+    runs = draw(st.lists(st.tuples(eta0, st.floats(0.0, 0.3)),
+                         min_size=1, max_size=6))
+    return [dataclasses.replace(
+        base, run_id=f"run{i}",
+        optimizer=dataclasses.replace(base.optimizer, eta0=eta, weight_decay=lam))
+        for i, (eta, lam) in enumerate(runs)]
+
+
+class TestLockstep:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(group=lockstep_groups())
+    def test_group_records_equal_solo_records(self, group):
+        records = train(group)
+        assert len(records) == len(group)
+        for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
+
+    def test_runs_leave_the_stack_at_different_steps(self):
+        # a non-finite step before any eval row, a 10x loss rise on the
+        # first eval row, two target crossings and a run that completes
+        from muonlab.linalg import Rng
+        from muonlab.tasks import QuadraticTask
+        obj = QuadraticTask.generate(QuadraticSpec(),
+                                     Rng(0).child("data")).optimum_loss()
+        base = quad_config(total_steps=100, eval_every=5, target_loss=1.5 * obj,
+                           stop_rule="tokens-to-target")
+        etas = (1e150, 50.0, 0.2, 0.05, 0.005)
+        group = [dataclasses.replace(base, run_id=f"run{i}", optimizer=dataclasses.replace(
+            base.optimizer, eta0=eta)) for i, eta in enumerate(etas)]
+        records = train(group)
+        assert [(r.terminated, len(r.rows)) for r in records] == [
+            ("diverged", 1), ("diverged", 2), ("target-reached", 7),
+            ("target-reached", 13), ("completed", 21)]
+        for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
+
+    def test_group_of_one_returns_a_list(self):
+        config = quad_config(total_steps=20)
+        (record,) = train([config])
+        assert record == train(config)
+
+    def test_incompatible_group_rejected(self):
+        with pytest.raises(ConfigError):
+            train([quad_config(seed=1), quad_config(seed=2)])
+        with pytest.raises(RangeError):
+            train([])
+
+
 class TestDiagnostics:
     def test_spike_hand_sequence(self):
         rec = synthetic_record(vals=[3.0, 2.0, 2.6, 1.9])
@@ -267,18 +373,21 @@ class TestBatchSweep:
             assert rec.rows == r2.records[run_id].rows
 
     def test_trains_five_runs_per_cell(self, monkeypatch):
-        # each cell's measured run is cut from its winning tuning run
-        calls = []
+        # each cell's measured run is cut from its winning tuning run, and
+        # a cell's tuning runs train as one lockstep group
+        groups = []
         real_train = harness.train
 
-        def counting_train(config):
-            calls.append(config.run_id)
-            return real_train(config)
+        def counting_train(configs):
+            groups.append([c.run_id for c in configs])
+            return real_train(configs)
 
         monkeypatch.setattr(harness, "train", counting_train)
         res = batch_sweep(self.small_base(), (32, 128))
+        calls = [run_id for group in groups for run_id in group]
         assert len(calls) == 4 * len(ETA_TUNING_MULTIPLIERS) == 20
         assert all(run_id.startswith("tune-") for run_id in calls)
+        assert [len(group) for group in groups] == [5] * 4
         assert set(res.records) == {"muon-b32", "adamw-b32", "muon-b128",
                                     "adamw-b128"}
 

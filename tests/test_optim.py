@@ -24,6 +24,7 @@ from muonlab.optim import (
     shampoo_direction,
     shampoo_step_oracle,
 )
+from muonlab.optim import _muon_core, _muon_direction
 
 
 def rms(arr: np.ndarray) -> float:
@@ -357,3 +358,95 @@ class TestOptimizerBank:
         assert hyper.k_iters == 3
         assert hyper.coeffs == TAYLOR_COEFFS
         assert hyper.rms_dim == "max"
+
+
+def _solo_ns_direction(m: np.ndarray, coeffs, k: int) -> np.ndarray:
+    """One momentum matrix's Newton-Schulz direction, written out for one
+    matrix: BLAS norm, then k quintic steps on the taller orientation."""
+    x = m / (np.linalg.norm(m) + 1e-12)
+    wide = x.shape[0] < x.shape[1]
+    if wide:
+        x = x.T
+    for _ in range(k):
+        gram = x.T @ x
+        x = coeffs.a * x + x @ (coeffs.b * gram + coeffs.c * (gram @ gram))
+    return x.T if wide else x
+
+
+class TestStackedCores:
+    """A stack of runs (leading run axis) through the array cores gives each
+    run the bits it gets alone."""
+
+    SHAPES = [(16, 8), (8, 16), (64, 128), (128, 8), (16, 64), (64, 4)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ns_direction_matches_one_matrix_at_a_time(self, shape, dtype):
+        stack = Rng(len(shape) * shape[0] + shape[1]).normal((4, *shape)).astype(dtype)
+        stack[1] *= 1e-6
+        stack[2] = 0.0  # zero momentum: zero direction, as for one run
+        hyper = MuonHyper(eta0=0.1)
+        u = _muon_direction(stack, hyper)
+        assert u.dtype == dtype
+        for r in range(4):
+            want = (np.zeros(shape, dtype) if r == 2
+                    else _solo_ns_direction(stack[r], hyper.coeffs, hyper.k_iters))
+            assert np.array_equal(u[r], want)
+
+    @pytest.mark.parametrize("variant", [dict(momentum_only=True),
+                                         dict(exact_msign=True),
+                                         dict(dynamic_rms=True),
+                                         dict(rms_matching=False)])
+    def test_muon_variants_are_per_slice(self, variant):
+        hyper = MuonHyper(eta0=0.1, **variant)
+        root = Rng(7)
+        w = root.child("w").normal((3, 8, 5)).astype(np.float32)
+        g = root.child("g").normal((3, 8, 5)).astype(np.float32)
+        g[1] = 0.0
+        mom = np.zeros_like(w)
+        eta = np.array([0.1, 0.02, 0.3], dtype=np.float32).reshape(-1, 1, 1)
+        lam = np.array([0.0, 0.1, 0.2], dtype=np.float32).reshape(-1, 1, 1)
+        new_w, new_mom, update = _muon_core(w, g, mom, hyper, eta, lam)
+        for r in range(3):
+            want = _muon_core(w[r], g[r], mom[r], hyper, float(eta[r, 0, 0]),
+                              float(lam[r, 0, 0]))
+            for got, solo in zip((new_w[r], new_mom[r], update[r]), want):
+                assert got.dtype == solo.dtype and np.array_equal(got, solo)
+
+    @pytest.mark.parametrize("matrix_rule", ["muon", "adamw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_bank_matches_one_bank_per_run(self, matrix_rule, dtype):
+        shapes = {"w0": (6, 8), "b0": (8,), "w1": (8, 1), "w2": (8, 3)}
+        decays, etas = [0.0, 0.1, 0.3], [0.05, 0.01, 0.2]
+        hyper = MuonHyper(eta0=1.0, weight_decay=0.7)  # replaced per run
+        stacked = OptimizerBank(shapes, matrix_rule, muon=hyper, dtype=dtype,
+                                run_decays=decays)
+        solo = [OptimizerBank(shapes, matrix_rule, weight_decay=lam, dtype=dtype,
+                              muon=MuonHyper(eta0=1.0, weight_decay=lam))
+                for lam in decays]
+        root = Rng(3)
+        params = {n: root.child(n).normal((3, *s)).astype(dtype)
+                  for n, s in shapes.items()}
+        solo_params = [{n: p[r] for n, p in params.items()} for r in range(3)]
+        for step in range(3):
+            grads = {n: root.child(f"{n}-{step}").normal((3, *s)).astype(dtype)
+                     for n, s in shapes.items()}
+            params = stacked.step(params, grads, etas)
+            solo_params = [bank.step(p, {n: g[r] for n, g in grads.items()}, eta)
+                           for r, (bank, p, eta)
+                           in enumerate(zip(solo, solo_params, etas))]
+            for r, bank in enumerate(solo):
+                assert stacked.last_update_rms[r] == bank.last_update_rms
+                for n in shapes:
+                    assert params[n].dtype == dtype
+                    assert np.array_equal(params[n][r], solo_params[r][n])
+        assert stacked.state_scalar_count() == solo[0].state_scalar_count()
+        stacked.select([2, 0])
+        assert list(stacked.last_update_rms) == [solo[2].last_update_rms,
+                                                 solo[0].last_update_rms]
+
+    def test_run_decays_must_be_nonnegative(self):
+        with pytest.raises(RangeError):
+            OptimizerBank({"w": (2, 2)}, "adamw", run_decays=[0.1, -0.1])
+        with pytest.raises(RangeError):
+            OptimizerBank({"w": (2, 2)}, "adamw", run_decays=[])

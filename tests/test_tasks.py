@@ -195,6 +195,52 @@ class TestEvaluate:
         self.assert_matches_separate_calls(task, params)
 
 
+class TestStackedBatches:
+    """`batch_loss_grad` on a stack of runs (leading run axis) gives each
+    run the bits it gets alone."""
+
+    @staticmethod
+    def assert_matches_each_run(task, stack, idx):
+        losses, grads = task.batch_loss_grad(stack, idx)
+        assert losses.shape == (len(stack["w0" if "w0" in stack else "w"]),)
+        for r, loss in enumerate(losses):
+            solo_loss, solo_grads = task.batch_loss_grad(
+                {name: p[r] for name, p in stack.items()}, idx)
+            assert isinstance(solo_loss, float)
+            assert float(loss) == solo_loss
+            assert list(grads) == list(solo_grads)
+            for name, grad in solo_grads.items():
+                assert grads[name][r].dtype == grad.dtype, name
+                assert np.array_equal(grads[name][r], grad), name
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("reg_in_gradient", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_quadratic(self, dtype, reg_in_gradient, full):
+        task = make_quadratic(seed=50, lambda_reg=0.3,
+                              reg_in_gradient=reg_in_gradient)
+        stack = {"w": Rng(51).normal((4, task.a.cols, task.b.cols)).astype(dtype)}
+        idx = None if full else task.sample_batch(Rng(52), 37)
+        self.assert_matches_each_run(task, stack, idx)
+        # the loss as written for one run, every reduction a Python float
+        a, b = (task.a.a, task.b.a) if full else (task.a.a[idx], task.b.a[idx])
+        scale = task.n_train / len(a)
+        losses, _ = task.batch_loss_grad(stack, idx)
+        for w, loss in zip(stack["w"], losses):
+            resid = a @ w.astype(np.float64) - b
+            assert loss == (0.5 * scale * float(np.sum(resid * resid))
+                            + 0.5 * 0.3 * float(np.sum(w * w)))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mlp(self, activation, dtype):
+        task = make_mlp(seed=53, activation=activation, hidden=(16, 12))
+        root = Rng(54)
+        stack = {name: root.child(name).normal((5, *p.shape)).astype(dtype)
+                 for name, p in task.init_params(Rng(55), dtype=dtype).items()}
+        self.assert_matches_each_run(task, stack, task.sample_batch(Rng(56), 32))
+
+
 class TestMlpTask:
     def test_split_is_disjoint_and_complete(self):
         task = make_mlp(seed=1)
