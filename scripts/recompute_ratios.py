@@ -27,6 +27,16 @@ import os
 import sys
 
 
+def mean(values):
+    """Mean with the float sum folded left to right, as the harness takes
+    it. The built-in ``sum`` compensates its rounding from Python 3.12 on,
+    so it would give other bytes there."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def crossing_tokens(rows, target, smooth_window):
     """First tokens_seen whose trailing-mean val loss is <= target.
 
@@ -37,9 +47,7 @@ def crossing_tokens(rows, target, smooth_window):
     vals = []
     for row in rows:
         vals.append(float(row["val_loss"]))
-        window = vals[-smooth_window:]
-        mean = sum(window) / len(window)
-        if mean <= target:
+        if mean(vals[-smooth_window:]) <= target:
             return int(row["tokens_seen"])
     return None
 

@@ -19,7 +19,8 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import partial
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .optim import (
     Schedule,
     _clip_grad_arrays,
     _global_norm,
+    _sum_left,
     schedule_eta,
 )
 from .tasks import MlpSpec, QuadraticSpec, TaskSpec, build_task
@@ -120,13 +122,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EvalRow:
-    """One evaluation snapshot; mirrors one run-CSV data row."""
+    """One evaluation snapshot; mirrors one run-CSV data row.
+
+    ``train_loss`` and ``grad_global_norm`` are None in a val-only
+    snapshot (see `train`), which does not measure them.
+    """
 
     step: int
     tokens_seen: int
-    train_loss: float
+    train_loss: float | None
     val_loss: float
-    grad_global_norm: float
+    grad_global_norm: float | None
     update_rms: float
     eta_t: float
     wall_ms: float
@@ -186,8 +192,8 @@ def _finite_per_run(stack: np.ndarray) -> np.ndarray:
     return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
 
 
-def train(configs: TrainConfig | Sequence[TrainConfig],
-          ) -> RunRecord | list[RunRecord]:
+def train(configs: TrainConfig | Sequence[TrainConfig], *,
+          val_only: bool = False) -> RunRecord | list[RunRecord]:
     """Train one run, or a group of runs in lockstep; deterministic given
     the configs.
 
@@ -211,6 +217,14 @@ def train(configs: TrainConfig | Sequence[TrainConfig],
     With ``record_wall_time`` its ``wall_ms`` is the time since the group
     started, so it includes the other runs' work in a group.
 
+    ``val_only`` (MLP tasks only; a quadratic group is a ConfigError)
+    takes each snapshot as one stacked val-loss pass over the live runs
+    and leaves ``train_loss`` and ``grad_global_norm`` None: the rows,
+    verdicts and summaries are otherwise the bytes of full snapshots, at
+    the cost of a val forward pass instead of a train-set forward and
+    backward pass per run. With ``record_wall_time`` the live runs' rows
+    of one step then share one ``wall_ms``, taken after that pass.
+
     Divergence (non-finite loss/gradient/parameter, or an eval val loss
     that is NaN or above 10x the initial one) terminates the run with the
     'diverged' flag instead of raising.
@@ -223,6 +237,9 @@ def train(configs: TrainConfig | Sequence[TrainConfig],
     if any(_group_key(c) != _group_key(first) for c in group[1:]):
         raise ConfigError("a training group may differ only in optimizer.eta0, "
                           "optimizer.weight_decay and run_id")
+    if val_only and not isinstance(first.task, MlpSpec):
+        # The quadratic's val loss sums a whole stack into one value.
+        raise ConfigError("val-only snapshots need an MLP task")
     dtype = dtype_of(first.precision)
     root = Rng(first.seed)
     task = build_task(first.task, root.child("data"))
@@ -244,13 +261,24 @@ def train(configs: TrainConfig | Sequence[TrainConfig],
     records: list[RunRecord | None] = [None] * len(group)
     t0 = time.perf_counter()
 
-    def measure(run_params: dict[str, np.ndarray]) -> tuple[float, float, float]:
-        with np.errstate(all="ignore"):
-            train_loss, val_loss, grads = task.evaluate(run_params)
-            return train_loss, val_loss, _global_norm(grads.values())
+    def measure(stack: dict[str, np.ndarray]) -> Iterator[tuple]:
+        """(train_loss, val_loss, grad_global_norm) of each run in a stack,
+        run by run: a full snapshot evaluates a run only when asked for
+        it, so each row's ``wall_ms`` stops after its own run's pass."""
+        if val_only:
+            with np.errstate(all="ignore"):
+                val_losses = task.val_loss(stack)
+            for val_loss in val_losses:
+                yield None, float(val_loss), None
+            return
+        for slot in range(len(next(iter(stack.values())))):
+            with np.errstate(all="ignore"):
+                train_loss, val_loss, grads = task.evaluate(
+                    {name: p[slot] for name, p in stack.items()})
+                norm = _global_norm(grads.values())
+            yield train_loss, val_loss, norm
 
-    def row(step: int, measured: tuple[float, float, float], update_rms: float,
-            eta: float) -> EvalRow:
+    def row(step: int, measured: tuple, update_rms: float, eta: float) -> EvalRow:
         wall = (time.perf_counter() - t0) * 1e3 if first.record_wall_time else 0.0
         return EvalRow(step, step * first.batch_size, *measured,
                        update_rms=update_rms, eta_t=eta, wall_ms=wall)
@@ -269,7 +297,7 @@ def train(configs: TrainConfig | Sequence[TrainConfig],
         return keep
 
     # Every run starts from the same weights: one snapshot serves them all.
-    measured = measure(init)
+    (measured,) = measure({name: arr[None] for name, arr in init.items()})
     initial_val = measured[1]
     for run, sched in enumerate(scheds):
         rows[run].append(row(0, measured, 0.0, schedule_eta(sched, 0)))
@@ -318,8 +346,7 @@ def train(configs: TrainConfig | Sequence[TrainConfig],
             continue
         update_rms = bank.last_update_rms
         ended: dict[int, str] = {}
-        for slot, run in enumerate(live):
-            measured = measure({name: p[slot] for name, p in params.items()})
+        for slot, (run, measured) in enumerate(zip(live, measure(params))):
             rows[run].append(row(step, measured, float(update_rms[slot]), etas[slot]))
             val_loss = measured[1]
             if (not math.isfinite(val_loss)
@@ -327,7 +354,7 @@ def train(configs: TrainConfig | Sequence[TrainConfig],
                 ended[slot] = "diverged"
             elif first.target_loss is not None and tokens_to_target[run] is None:
                 window = rows[run][-first.smooth_window:]
-                smoothed = sum(r.val_loss for r in window) / len(window)
+                smoothed = _sum_left(r.val_loss for r in window) / len(window)
                 if smoothed <= first.target_loss:
                     tokens_to_target[run] = step * first.batch_size
                     if first.stop_rule == "tokens-to-target":
@@ -395,13 +422,15 @@ def rate_check(record: RunRecord) -> float:
     return slope
 
 
-def _run_many(configs: Sequence[TrainConfig], workers: int) -> list[RunRecord]:
+def _run_many(configs: Sequence[TrainConfig], workers: int, *,
+              val_only: bool = False) -> list[RunRecord]:
     """Train configs in lockstep groups; returns records in config order.
 
     Configs that differ only in eta0, weight decay and run id form one
     group, placed where its first member stands. ``workers`` threads take
     whole groups; since each record equals its run trained alone, the
-    worker count changes wall time, never bytes.
+    worker count changes wall time, never bytes. ``val_only`` is passed
+    to each `train` call.
     """
     if workers < 1:
         raise RangeError(f"workers must be >= 1, got {workers}")
@@ -409,11 +438,12 @@ def _run_many(configs: Sequence[TrainConfig], workers: int) -> list[RunRecord]:
     for i, config in enumerate(configs):
         members.setdefault(_group_key(config), []).append(i)
     groups = [[configs[i] for i in idx] for idx in members.values()]
+    train_group = partial(train, val_only=val_only)
     if workers == 1 or len(groups) <= 1:
-        trained = [train(group) for group in groups]
+        trained = [train_group(group) for group in groups]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(train, groups))
+            trained = list(pool.map(train_group, groups))
     records: list[RunRecord] = [None] * len(configs)
     for idx, group_records in zip(members.values(), trained):
         for i, record in zip(idx, group_records):
@@ -737,6 +767,10 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
     (two hyperparameters, so the grid area shrinks fourfold per stage).
     Total cost is one constant-size grid per doubling. Ties on the loss
     surface resolve to the first cell in (eta, lambda) row-major order.
+
+    The search reads only val losses (the final one, and each eval row's
+    for divergence), so its runs train with val-only snapshots: one
+    stacked val pass per eval step, no train-set pass.
     """
     if not isinstance(base.task, MlpSpec):
         raise ConfigError("telescope_sweep requires an MLP task")
@@ -767,7 +801,7 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
                     base, task=task, optimizer=spec, stop_rule="fixed-steps",
                     run_id=f"telescope-w{width}-eta{eta:.6g}-lam{lam:.6g}",
                 ))
-        results = _run_many(configs, workers)
+        results = _run_many(configs, workers, val_only=True)
         flat = np.array([r.final_val_loss for r in results], dtype=F64)
         flat = np.where(np.isfinite(flat), flat, np.inf)
         best = int(np.argmin(flat))

@@ -312,9 +312,19 @@ def schedule_eta(sched: Schedule, step: int) -> float:
     return eta_min + (sched.eta0 - eta_min) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def _sum_left(values: Iterable[float]) -> float:
+    """Float sum folded left to right in f64. The built-in ``sum``
+    compensates its rounding from Python 3.12 on; this gives the same
+    bytes on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _global_norm(arrays: Iterable[np.ndarray]) -> float:
     """L2 norm of all entries together, accumulated in f64 array by array."""
-    return math.sqrt(sum(float(np.sum(g.astype(F64) ** 2)) for g in arrays))
+    return math.sqrt(_sum_left(float(np.sum(g.astype(F64) ** 2)) for g in arrays))
 
 
 def _clip_grad_arrays(grads: dict[str, np.ndarray], max_norm: float,

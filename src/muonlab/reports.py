@@ -16,7 +16,6 @@ import json
 import math
 import os
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -43,6 +42,13 @@ SUMMARY_CSV_COLUMNS = (
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
             "#aec7e8", "#ffbb78")
+
+
+def _xml_escape(text: str) -> str:
+    """``&``, ``>`` and ``<`` as XML entities, in the order
+    `xml.sax.saxutils.escape` replaces them (whose import loads
+    `urllib.request`, `http.client`, `email` and `ssl`)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def format_value(v) -> str:
@@ -155,7 +161,7 @@ def svg_line_plot(series: dict[str, tuple[Sequence[float], Sequence[float]]],
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.2f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="13">{_xml_escape(title)}</text>',
     ]
     axis = (
         f'<line x1="{ml:.2f}" y1="{mt:.2f}" x2="{ml:.2f}" '
@@ -167,13 +173,13 @@ def svg_line_plot(series: dict[str, tuple[Sequence[float], Sequence[float]]],
     parts.append(
         f'<text x="{ml + plot_w / 2:.2f}" y="{height - 8:.2f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-        f'{escape(x_label)}</text>'
+        f'{_xml_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="14" y="{mt + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11" '
         f'transform="rotate(-90 14 {mt + plot_h / 2:.2f})">'
-        f'{escape(y_label)}</text>'
+        f'{_xml_escape(y_label)}</text>'
     )
 
     if finite_pts:
@@ -228,7 +234,7 @@ def svg_line_plot(series: dict[str, tuple[Sequence[float], Sequence[float]]],
                 f'<line x1="{ml + 8:.2f}" y1="{ly:.2f}" x2="{ml + 28:.2f}" '
                 f'y2="{ly:.2f}" stroke="{color}" stroke-width="1.5"/>'
                 f'<text x="{ml + 33:.2f}" y="{ly + 3.5:.2f}" '
-                f'font-family="sans-serif" font-size="10">{escape(label)}</text>'
+                f'font-family="sans-serif" font-size="10">{_xml_escape(label)}</text>'
             )
     else:
         parts.append(

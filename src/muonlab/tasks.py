@@ -378,7 +378,9 @@ class MlpTask:
         xb, yb = self._rows(params, self.train_idx)
         return self._ce_loss_grads(params, xb, yb, want_grads=False)[0]
 
-    def val_loss(self, params: dict[str, np.ndarray]) -> float:
+    def val_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
+        """Mean cross-entropy on the validation rows; the parameters may be
+        stacks (R, ...), and the loss is then one value per run."""
         xb, yb = self._rows(params, self.val_idx)
         return self._ce_loss_grads(params, xb, yb, want_grads=False)[0]
 

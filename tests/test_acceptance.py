@@ -16,6 +16,8 @@ Check 5b asserts that the fixed 0.2 * sqrt(n) scale gives the update RMS
 envelope implies; its verdict line still reports the deviation from 0.2.
 """
 
+import csv
+import json
 import math
 import os
 import shutil
@@ -28,10 +30,12 @@ import pytest
 
 from muonlab.harness import (
     ABLATION_CELLS,
+    TelescopeGrid,
     TrainConfig,
     ablate,
     batch_sweep,
     rate_check,
+    telescope_sweep,
     train,
 )
 from muonlab.linalg import Matrix, Rng, frobenius_norm, svd
@@ -58,9 +62,10 @@ from muonlab.tasks import (
     grad_check,
 )
 
-RECOMPUTE_SCRIPT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "scripts", "recompute_ratios.py")
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts")
+RECOMPUTE_SCRIPT = os.path.join(SCRIPTS, "recompute_ratios.py")
+TELESCOPE_AUDIT = os.path.join(SCRIPTS, "audit_telescope.py")
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -419,6 +424,97 @@ def test_audit_rejects_gapped_eval_grid(sweep_artifacts, tmp_path):
     assert proc.returncode == 1
     assert "muon-b128: tokens_to_target=14080 row 3 is step 40, not 30" \
         in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def telescope_dir(tmp_path_factory):
+    """A three-stage telescope (widths 16 to 64, 3x3 grids), emitted once."""
+    base = TrainConfig(
+        task=MlpSpec(n_samples=256, input_dim=8, hidden=(16,), classes=4,
+                     val_fraction=0.125),
+        optimizer=OptimizerSpec(kind="muon", eta0=0.05, weight_decay=0.1),
+        batch_size=32, total_steps=60, eval_every=10, seed=42)
+    grid = TelescopeGrid(eta_center=0.05, lambda_center=0.1, points=3)
+    out_dir = str(tmp_path_factory.mktemp("telescope") / "out")
+    emit_reports(telescope_sweep(base, 16, 64, grid), out_dir)
+    return out_dir
+
+
+def _audit_telescope(out_dir):
+    proc = subprocess.run([sys.executable, TELESCOPE_AUDIT, out_dir],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def _mutated_telescope(out_dir, tmp_path, edit):
+    """A copy of ``out_dir`` after ``edit(stage CSV rows, report)``."""
+    copy = str(tmp_path / "mutated")
+    shutil.copytree(out_dir, copy)
+    csv_path = os.path.join(copy, "telescope_stages.csv")
+    json_path = os.path.join(copy, "telescope_report.json")
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(json_path) as fh:
+        report = json.load(fh)
+    edit(rows, report)
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with open(json_path, "w") as fh:
+        json.dump(report, fh)
+    return copy
+
+
+def test_telescope_audit_confirms_winners(telescope_dir):
+    code, out = _audit_telescope(telescope_dir)
+    assert code == 0, out
+    assert out.count(": eta=") == 3
+    assert "all stage winners confirmed" in out
+
+
+def test_telescope_audit_rejects_deleted_row(telescope_dir, tmp_path):
+    mutated = _mutated_telescope(telescope_dir, tmp_path,
+                                 lambda rows, report: rows.pop(1 + 9 + 4))
+    code, out = _audit_telescope(mutated)
+    assert code == 1
+    assert "stage 1 width 32: 8 CSV rows, the 3x3 grid needs 9" in out
+
+
+def _swap_stage0_winner(rows, report=None):
+    """Swap stage 0's winning val loss with the next cell's; with a
+    report, move the winner fields and flags along with it."""
+    stage = rows[1:10]
+    best = [row[5] for row in stage].index("true")
+    other = (best + 1) % 9
+    stage[best][4], stage[other][4] = stage[other][4], stage[best][4]
+    if report is not None:
+        stage[best][5], stage[other][5] = "false", "true"
+        losses = [v for row in report["stages"][0]["val_losses"] for v in row]
+        losses[best], losses[other] = losses[other], losses[best]
+        report["stages"][0]["val_losses"] = [losses[i:i + 3] for i in (0, 3, 6)]
+        report["stages"][0]["best_eta"] = float(stage[other][2])
+        report["stages"][0]["best_lambda"] = float(stage[other][3])
+
+
+def test_telescope_audit_rejects_swapped_winner(telescope_dir, tmp_path):
+    # values swapped, labels left: the report names a cell that lost
+    mutated = _mutated_telescope(telescope_dir, tmp_path,
+                                 lambda rows, report: _swap_stage0_winner(rows))
+    code, out = _audit_telescope(mutated)
+    assert code == 1
+    stage0 = out.splitlines()[0]
+    assert "winner (eta, lambda, val_loss) is" in stage0
+    assert "is_best is true on rows" in stage0
+
+
+def test_telescope_audit_rejects_grid_off_the_winner(telescope_dir, tmp_path):
+    # a stage 0 that moved its winner consistently: stage 1 is still
+    # centred on the old one
+    mutated = _mutated_telescope(telescope_dir, tmp_path, _swap_stage0_winner)
+    code, out = _audit_telescope(mutated)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].endswith(" ok")
+    assert "grid centred on" in lines[1]
 
 
 def test_10_byte_determinism(sweep_artifacts, tmp_path):

@@ -67,6 +67,14 @@ class TestBlasThreadDefault:
         assert self.openblas_threads_after_import(OMP_NUM_THREADS="2") == "None"
 
 
+def test_import_loads_no_network_modules():
+    # `xml.sax.saxutils` would bring in urllib.request, http.client,
+    # email and ssl
+    code = ("import sys, muonlab.cli; print(sorted({'xml.sax', 'urllib.request', "
+            "'http.client', 'email', 'ssl'} & set(sys.modules)))")
+    assert fresh_interpreter_output(code) == "[]"
+
+
 def _is_glibc():
     try:
         return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
@@ -395,3 +403,26 @@ class TestTelescopeCommand:
         report = json.loads(read_bytes(os.path.join(out,
                                                     "telescope_report.json")))
         assert [s["width"] for s in report["stages"]] == [16, 32]
+
+    def test_diverging_grid_bytes_do_not_depend_on_workers(self, tmp_path,
+                                                           capsys, monkeypatch):
+        # f32 etas from 158 to 1.6e5: runs blow past 10x the initial loss,
+        # overflow to inf, or go non-finite in a step and leave the stack
+        doc = self.doc("")
+        doc["precision"] = "f32"
+        doc["telescope"]["grid"].update(eta_center=5000.0, eta_extent=1.5)
+        outs = {}
+        for workers in ("1", "2"):
+            outs[workers] = str(tmp_path / f"w{workers}")
+            cfg = write_json(tmp_path, f"w{workers}.json",
+                             dict(doc, out_dir=outs[workers]))
+            monkeypatch.setenv("MUONLAB_WORKERS", workers)
+            assert main(["telescope", "--config", cfg]) == 0
+        capsys.readouterr()
+        names = sorted(os.listdir(outs["1"]))
+        assert names == sorted(os.listdir(outs["2"]))
+        for name in names:
+            assert read_bytes(os.path.join(outs["1"], name)) == \
+                read_bytes(os.path.join(outs["2"], name)), name
+        stages = read_bytes(os.path.join(outs["1"], "telescope_stages.csv"))
+        assert b",inf," in stages

@@ -297,6 +297,97 @@ class TestLockstep:
             train([])
 
 
+@st.composite
+def mlp_groups(draw):
+    """An MLP lockstep group; some eta0 values diverge on the first eval
+    rows (eval_every 1 puts them mid-run), some overflow in a step."""
+    spec = dataclasses.replace(LOCKSTEP_TASKS["mlp"],
+                               activation=draw(st.sampled_from(["tanh", "relu"])))
+    stop_rule = draw(st.sampled_from(STOP_RULES))
+    target = draw(st.sampled_from(_target_losses("mlp", 0))
+                  if stop_rule == "tokens-to-target"
+                  else st.none() | st.sampled_from(_target_losses("mlp", 0)))
+    base = TrainConfig(
+        task=spec,
+        optimizer=OptimizerSpec(kind=draw(st.sampled_from(["muon", "adamw"]))),
+        batch_size=draw(st.sampled_from([8, 32])), total_steps=20,
+        eval_every=draw(st.sampled_from([1, 2, 5])), seed=draw(st.integers(0, 3)),
+        precision=draw(st.sampled_from(["f32", "f64"])),
+        full_batch=draw(st.booleans()), target_loss=target, stop_rule=stop_rule,
+        clip_norm=draw(st.sampled_from([1.0, 1e300])),
+        smooth_window=draw(st.sampled_from([1, 3])))
+    eta0 = st.floats(0.005, 0.5) | st.sampled_from([5.0, 8.0, 1e4, 1e150, 1e306])
+    runs = draw(st.lists(st.tuples(eta0, st.floats(0.0, 0.3)),
+                         min_size=1, max_size=6))
+    return [dataclasses.replace(
+        base, run_id=f"run{i}",
+        optimizer=dataclasses.replace(base.optimizer, eta0=eta, weight_decay=lam))
+        for i, (eta, lam) in enumerate(runs)]
+
+
+def _val_only_view(record):
+    """``record`` with the values a val-only snapshot does not measure
+    blanked out."""
+    return dataclasses.replace(record, rows=tuple(
+        dataclasses.replace(r, train_loss=None, grad_global_norm=None)
+        for r in record.rows))
+
+
+class TestValOnlySnapshots:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(group=mlp_groups())
+    def test_val_only_records_equal_full_records(self, group):
+        val_only = train(group, val_only=True)
+        for got, full in zip(val_only, train(group)):
+            assert all(r.train_loss is None and r.grad_global_norm is None
+                       for r in got.rows)
+            _assert_records_identical(got, _val_only_view(full))
+
+    def test_runs_leave_at_different_steps(self):
+        # two runs overflow or blow up early, one crosses the target, one
+        # completes; each activation and precision
+        for activation in ("tanh", "relu"):
+            for precision in ("f32", "f64"):
+                base = TrainConfig(
+                    task=dataclasses.replace(LOCKSTEP_TASKS["mlp"],
+                                             activation=activation),
+                    optimizer=OptimizerSpec(kind="adamw"), batch_size=8,
+                    total_steps=40, eval_every=1, seed=1, precision=precision,
+                    target_loss=1.0, stop_rule="tokens-to-target")
+                group = [dataclasses.replace(
+                    base, run_id=f"run{i}",
+                    optimizer=dataclasses.replace(base.optimizer, eta0=eta))
+                    for i, eta in enumerate((1e306, 20.0, 0.05, 0.005))]
+                val_only = train(group, val_only=True)
+                assert [r.terminated for r in val_only] == [
+                    "diverged", "diverged", "target-reached", "completed"]
+                for got, full in zip(val_only, train(group)):
+                    _assert_records_identical(got, _val_only_view(full))
+
+    def test_quadratic_group_rejected(self):
+        with pytest.raises(ConfigError):
+            train([quad_config()], val_only=True)
+
+    def test_only_the_telescope_asks_for_val_only(self, monkeypatch):
+        asked = []
+        real_train = harness.train
+
+        def recording_train(configs, **kwargs):
+            asked.append(kwargs)
+            return real_train(configs, **kwargs)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        grid = TelescopeGrid(eta_center=0.05, lambda_center=0.1, points=2)
+        telescope_sweep(dataclasses.replace(TestTelescope().base(), total_steps=20),
+                        16, 32, grid)
+        assert asked == [{"val_only": True}] * 2
+        asked.clear()
+        ablate(TestAblation().base(total_steps=20), axes=("full", "batch-4x"))
+        batch_sweep(dataclasses.replace(TestBatchSweep().small_base(),
+                                        total_steps=20), (32,))
+        assert asked == [{"val_only": False}] * 4
+
+
 class TestDiagnostics:
     def test_spike_hand_sequence(self):
         rec = synthetic_record(vals=[3.0, 2.0, 2.6, 1.9])
@@ -378,9 +469,9 @@ class TestBatchSweep:
         groups = []
         real_train = harness.train
 
-        def counting_train(configs):
+        def counting_train(configs, **kwargs):
             groups.append([c.run_id for c in configs])
-            return real_train(configs)
+            return real_train(configs, **kwargs)
 
         monkeypatch.setattr(harness, "train", counting_train)
         res = batch_sweep(self.small_base(), (32, 128))

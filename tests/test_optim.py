@@ -24,7 +24,7 @@ from muonlab.optim import (
     shampoo_direction,
     shampoo_step_oracle,
 )
-from muonlab.optim import _muon_core, _muon_direction
+from muonlab.optim import _global_norm, _muon_core, _muon_direction, _sum_left
 
 
 def rms(arr: np.ndarray) -> float:
@@ -272,6 +272,14 @@ class TestClip:
     def test_nonpositive_max_norm_rejected(self, make_matrix):
         with pytest.raises(RangeError):
             clip_global_norm([make_matrix(2, 2)], 0.0)
+
+    def test_global_norm_sums_left_to_right(self):
+        # 1e16 + 1 + 1 stays 1e16 in a left-to-right f64 fold; the built-in
+        # sum compensates from Python 3.12 on and gives 1e16 + 2, whose
+        # root rounds to the next float above 1e8
+        assert _sum_left([1e16, 1.0, 1.0]) == 1e16
+        assert _global_norm([np.array([1e8]), np.array([1.0]),
+                             np.array([1.0])]) == 1e8
 
 
 class TestRouting:

@@ -2,8 +2,11 @@
 
 import math
 import os
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from muonlab.errors import ConfigError
 from muonlab.harness import (
@@ -22,6 +25,7 @@ from muonlab.optim import OptimizerSpec
 from muonlab.reports import (
     RUN_CSV_COLUMNS,
     SUMMARY_CSV_COLUMNS,
+    _xml_escape,
     emit_reports,
     format_value,
     read_run_csv,
@@ -154,6 +158,10 @@ class TestSvgLinePlot:
         assert "a&lt;b" in svg
         assert "&lt;t&gt;" in svg
         assert "<t>" not in svg
+
+    @given(st.text(alphabet="&<>;amp gtl", max_size=24))
+    def test_local_escape_matches_saxutils(self, text):
+        assert _xml_escape(text) == escape(text)
 
     def test_empty_series_says_no_data(self):
         svg = svg_line_plot({}, title="t", x_label="x", y_label="y")
