@@ -5,11 +5,10 @@ sign computation against the exact one), ``train``, ``sweep``, ``ablate``,
 and ``telescope`` (JSON-config experiment drivers).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 divergence. The optional MUONLAB_WORKERS environment variable sets the
-worker-thread count for a sweep, ablation or telescope stage; workers
-take lockstep groups of runs (runs that differ only in eta0, weight decay
-and run id), whose records are byte-identical to the runs trained alone.
-Absence means sequential execution.
+3 divergence. A sweep, ablation or telescope stage trains its lockstep
+groups of runs (runs that differ only in eta0, weight decay and run id)
+one after another in this process; each record is byte-identical to its
+run trained alone.
 
 Importing this module runs the package ``__init__``, which pins OpenBLAS
 to one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -25,7 +24,6 @@ are the same bytes either way.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import (
@@ -40,21 +38,6 @@ from .harness import ablate, batch_sweep, telescope_sweep, train
 from .linalg import Matrix, Rng
 from .msign import SPECTRUM_BAND, coefficient_preset, msign_newton_schulz
 from .reports import emit_reports
-
-WORKERS_ENV = "MUONLAB_WORKERS"
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {value}")
-    return value
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
@@ -135,7 +118,7 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     config, grid, out_dir = parse_sweep_config(load_config(args.config),
                                                _overrides(args))
-    result = batch_sweep(config, grid, workers=_workers())
+    result = batch_sweep(config, grid)
     _print_paths(emit_reports(result, out_dir))
     for cell in result.cells:
         if cell.tokens_to_target is None:
@@ -149,7 +132,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablate(args) -> int:
     config, axes, out_dir = parse_ablate_config(load_config(args.config),
                                                 _overrides(args))
-    table = ablate(config, axes=axes, workers=_workers())
+    table = ablate(config, axes=axes)
     _print_paths(emit_reports(table, out_dir))
     for cell in table.cells:
         print(f"cell {cell.name}: final_val_loss={cell.final_val_loss!r} "
@@ -163,7 +146,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_telescope(args) -> int:
     config, start, end, grid, out_dir = parse_telescope_config(
         load_config(args.config), _overrides(args))
-    result = telescope_sweep(config, start, end, grid, workers=_workers())
+    result = telescope_sweep(config, start, end, grid)
     _print_paths(emit_reports(result, out_dir))
     for stage in result.stages:
         print(f"width {stage.width}: best_eta={stage.best_eta!r} "

@@ -9,17 +9,15 @@ convergence-rate fit.
 
 The drivers hand their runs to one executor, `_run_many`, which groups
 runs that differ only in eta0, weight decay and run id, and has `train`
-train each group in lockstep as one stack. Workers get groups, not runs,
-and a group's records are byte-identical to its runs trained alone.
+train each group in lockstep as one stack, one group after another. A
+group's records are byte-identical to its runs trained alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -422,30 +420,20 @@ def rate_check(record: RunRecord) -> float:
     return slope
 
 
-def _run_many(configs: Sequence[TrainConfig], workers: int, *,
+def _run_many(configs: Sequence[TrainConfig], *,
               val_only: bool = False) -> list[RunRecord]:
     """Train configs in lockstep groups; returns records in config order.
 
     Configs that differ only in eta0, weight decay and run id form one
-    group, placed where its first member stands. ``workers`` threads take
-    whole groups; since each record equals its run trained alone, the
-    worker count changes wall time, never bytes. ``val_only`` is passed
-    to each `train` call.
+    group, placed where its first member stands, and the groups train one
+    after another. ``val_only`` is passed to each `train` call.
     """
-    if workers < 1:
-        raise RangeError(f"workers must be >= 1, got {workers}")
     members: dict[TrainConfig, list[int]] = {}
     for i, config in enumerate(configs):
         members.setdefault(_group_key(config), []).append(i)
-    groups = [[configs[i] for i in idx] for idx in members.values()]
-    train_group = partial(train, val_only=val_only)
-    if workers == 1 or len(groups) <= 1:
-        trained = [train_group(group) for group in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trained = list(pool.map(train_group, groups))
     records: list[RunRecord] = [None] * len(configs)
-    for idx, group_records in zip(members.values(), trained):
+    for idx in members.values():
+        group_records = train([configs[i] for i in idx], val_only=val_only)
         for i, record in zip(idx, group_records):
             records[i] = record
     return records
@@ -488,6 +476,13 @@ class SweepResult:
     provenance: dict = field(repr=False)
 
 
+def _search_loss(record: RunRecord) -> float:
+    """The final val loss as the searches rank it: +inf for a run that
+    diverged, whose last row may predate the blow-up (a run that goes
+    non-finite before its first eval keeps only its step-0 row)."""
+    return math.inf if record.terminated == "diverged" else record.final_val_loss
+
+
 def _stopped_at_target(record: RunRecord, run_id: str) -> RunRecord:
     """``train`` of ``record``'s config under the tokens-to-target rule,
     named ``run_id``: the run cut at its crossing row, as stopping changes
@@ -501,16 +496,15 @@ def _stopped_at_target(record: RunRecord, run_id: str) -> RunRecord:
                    record.state_scalar_count)
 
 
-def batch_sweep(base: TrainConfig, batch_grid: Sequence[int],
-                workers: int = 1) -> SweepResult:
+def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
     """Measure tokens-to-target for both optimizers over a batch-size grid.
 
     Each (B, optimizer) cell re-tunes the peak learning rate on a five-point
     log grid of fixed-step runs, judged by earliest target crossing, then
-    finite final val loss (the first run wins a tie; eta0 itself stands if
-    no run scores). The measured run is the winner cut at its crossing, not
-    trained again. Cell seeds derive from the base seed by cell tag, and all
-    tuning runs share one executor: ``workers`` changes wall time, not bytes.
+    final val loss, +inf for a run that diverged (the first run wins a tie;
+    eta0 itself stands if no run scores). The measured run is the winner
+    cut at its crossing, not trained again. Cell seeds derive from the base
+    seed by cell tag, and all tuning runs go through one `_run_many` call.
     """
     if not batch_grid:
         raise RangeError("batch_grid must be nonempty")
@@ -529,15 +523,14 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int],
                 stop_rule="fixed-steps", run_id=f"tune-{kind}-b{b}-x{mult}")
         for b, kind, seed in cell_keys for mult in ETA_TUNING_MULTIPLIERS
     ]
-    tuned = _run_many(configs, workers)
+    tuned = _run_many(configs)
 
     n = len(ETA_TUNING_MULTIPLIERS)
     cells, records, cell_prov = [], {}, []
     for i, (b, kind, seed) in enumerate(cell_keys):
         runs = tuned[i * n:(i + 1) * n]
         scores = [(math.inf if r.tokens_to_target is None else float(r.tokens_to_target),
-                   r.final_val_loss if math.isfinite(r.final_val_loss) else math.inf)
-                  for r in runs]
+                   _search_loss(r)) for r in runs]
         # The configured eta0 (multiplier 1) stands when no run scores.
         best = (scores.index(min(scores)) if min(scores) < (math.inf, math.inf)
                 else ETA_TUNING_MULTIPLIERS.index(1.0))
@@ -658,8 +651,7 @@ def _ablation_config(base: TrainConfig, name: str) -> TrainConfig:
                    stop_rule="fixed-steps", run_id=f"ablate-{name}")
 
 
-def ablate(base: TrainConfig, axes: Sequence[str] | None = None,
-           workers: int = 1) -> AblationTable:
+def ablate(base: TrainConfig, axes: Sequence[str] | None = None) -> AblationTable:
     """Run the component-ablation grid and summarize one row per cell.
 
     All cells share the base seed, so they see identical data, identical
@@ -680,7 +672,7 @@ def ablate(base: TrainConfig, axes: Sequence[str] | None = None,
     if unknown:
         raise ConfigError(f"unknown ablation cells {unknown}")
     configs = [_ablation_config(base, name) for name in names]
-    results = _run_many(configs, workers)
+    results = _run_many(configs)
     cells = []
     records = {}
     for name, rec in zip(names, results):
@@ -759,14 +751,16 @@ class TelescopeResult:
 
 
 def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
-                    grid: TelescopeGrid, workers: int = 1) -> TelescopeResult:
+                    grid: TelescopeGrid) -> TelescopeResult:
     """Search (eta, weight decay) while doubling the MLP hidden width.
 
     Stage one searches the full grid at ``start_width``; each doubling
     recenters the grid on the previous winner and halves both extents
     (two hyperparameters, so the grid area shrinks fourfold per stage).
-    Total cost is one constant-size grid per doubling. Ties on the loss
-    surface resolve to the first cell in (eta, lambda) row-major order.
+    Total cost is one constant-size grid per doubling. A run that diverged
+    reads +inf on the loss surface, whatever loss its last row logged, so
+    it never beats a run that trained. Ties resolve to the first cell in
+    (eta, lambda) row-major order.
 
     The search reads only val losses (the final one, and each eval row's
     for divergence), so its runs train with val-only snapshots: one
@@ -801,9 +795,8 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
                     base, task=task, optimizer=spec, stop_rule="fixed-steps",
                     run_id=f"telescope-w{width}-eta{eta:.6g}-lam{lam:.6g}",
                 ))
-        results = _run_many(configs, workers, val_only=True)
-        flat = np.array([r.final_val_loss for r in results], dtype=F64)
-        flat = np.where(np.isfinite(flat), flat, np.inf)
+        results = _run_many(configs, val_only=True)
+        flat = np.array([_search_loss(r) for r in results], dtype=F64)
         best = int(np.argmin(flat))
         bi, bj = divmod(best, len(lams))
         losses = tuple(

@@ -111,11 +111,17 @@ def write_run_csv(record: RunRecord, path: str) -> None:
     _atomic_write_text(path, run_csv_text(record))
 
 
+def _float_or_none(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
 def read_run_csv(path: str) -> tuple[str, str, int, tuple[EvalRow, ...]]:
     """Parse a run CSV back into (run_id, optimizer, batch_size, eval rows).
 
     Exact inverse of `write_run_csv` for finite and non-finite floats alike,
-    because cells are written with round-trip repr.
+    because cells are written with round-trip repr, and for the None
+    ``train_loss`` and ``grad_global_norm`` of val-only rows, which are
+    written as empty cells.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -131,9 +137,10 @@ def read_run_csv(path: str) -> tuple[str, str, int, tuple[EvalRow, ...]]:
             batch_size = int(cells[2])
             rows.append(EvalRow(
                 step=int(cells[3]), tokens_seen=int(cells[4]),
-                train_loss=float(cells[5]), val_loss=float(cells[6]),
-                grad_global_norm=float(cells[7]), update_rms=float(cells[8]),
-                eta_t=float(cells[9]), wall_ms=float(cells[10]),
+                train_loss=_float_or_none(cells[5]), val_loss=float(cells[6]),
+                grad_global_norm=_float_or_none(cells[7]),
+                update_rms=float(cells[8]), eta_t=float(cells[9]),
+                wall_ms=float(cells[10]),
             ))
     return run_id, optimizer, batch_size, tuple(rows)
 
@@ -254,24 +261,23 @@ def _json_text(payload) -> str:
 # Dispatching emitter
 # ---------------------------------------------------------------------------
 
-def _emit_run(record: RunRecord, out_dir: str) -> list[str]:
-    run_path = os.path.join(out_dir, f"run_{record.run_id}.csv")
-    summary_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write_text(run_path, run_csv_text(record))
-    _atomic_write_text(summary_path, summary_csv_text([record]))
-    return [run_path, summary_path]
-
-
-def _emit_sweep(result: SweepResult, out_dir: str) -> list[str]:
+def _emit_runs(records: Sequence[RunRecord], out_dir: str) -> list[str]:
+    """Write one run CSV per record, then ``summary.csv`` over all of them,
+    in the given order; returns the paths in that order."""
     written = []
-    ordered = [result.records[c.run_id] for c in result.cells]
-    for rec in ordered:
+    for rec in records:
         path = os.path.join(out_dir, f"run_{rec.run_id}.csv")
         _atomic_write_text(path, run_csv_text(rec))
         written.append(path)
     summary_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write_text(summary_path, summary_csv_text(ordered))
+    _atomic_write_text(summary_path, summary_csv_text(records))
     written.append(summary_path)
+    return written
+
+
+def _emit_sweep(result: SweepResult, out_dir: str) -> list[str]:
+    written = _emit_runs([result.records[c.run_id] for c in result.cells],
+                         out_dir)
 
     bs = sorted(result.ratios)
     ratio_svg = svg_line_plot(
@@ -315,15 +321,8 @@ def _emit_sweep(result: SweepResult, out_dir: str) -> list[str]:
 
 
 def _emit_ablation(table: AblationTable, out_dir: str) -> list[str]:
-    written = []
-    ordered = [table.records[c.run_id] for c in table.cells]
-    for rec in ordered:
-        path = os.path.join(out_dir, f"run_{rec.run_id}.csv")
-        _atomic_write_text(path, run_csv_text(rec))
-        written.append(path)
-    summary_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write_text(summary_path, summary_csv_text(ordered))
-    written.append(summary_path)
+    written = _emit_runs([table.records[c.run_id] for c in table.cells],
+                         out_dir)
 
     header = ("cell", "run_id", "batch_size", "final_val_loss",
               "steps_to_target", "loss_spike_count", "state_scalar_count",
@@ -404,7 +403,7 @@ def emit_reports(result, out_dir: str) -> list[str]:
     Returns the written paths in a deterministic order.
     """
     if isinstance(result, RunRecord):
-        return _emit_run(result, out_dir)
+        return _emit_runs([result], out_dir)
     if isinstance(result, SweepResult):
         return _emit_sweep(result, out_dir)
     if isinstance(result, AblationTable):

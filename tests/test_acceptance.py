@@ -28,6 +28,8 @@ import time
 import numpy as np
 import pytest
 
+import muonlab
+from muonlab.config import parse_sweep_config
 from muonlab.harness import (
     ABLATION_CELLS,
     TelescopeGrid,
@@ -66,6 +68,8 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "scripts")
 RECOMPUTE_SCRIPT = os.path.join(SCRIPTS, "recompute_ratios.py")
 TELESCOPE_AUDIT = os.path.join(SCRIPTS, "audit_telescope.py")
+# The directory the imported package lives in, for a fresh interpreter.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(muonlab.__file__)))
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -126,9 +130,10 @@ SWEEP_GRID = (32, 128, 512, 2048)
 
 @pytest.fixture(scope="module")
 def sweep_artifacts(tmp_path_factory):
-    """The batch sweep, run sequentially and emitted once; shared by 9/10."""
-    out_dir = str(tmp_path_factory.mktemp("sweep") / "w1")
-    result = batch_sweep(sweep_base_config(), SWEEP_GRID, workers=1)
+    """The batch sweep, run in this process and emitted once; shared by
+    9/10."""
+    out_dir = str(tmp_path_factory.mktemp("sweep") / "out")
+    result = batch_sweep(sweep_base_config(), SWEEP_GRID)
     emit_reports(result, out_dir)
     return result, out_dir
 
@@ -517,32 +522,60 @@ def test_telescope_audit_rejects_grid_off_the_winner(telescope_dir, tmp_path):
     assert "grid centred on" in lines[1]
 
 
+def _same_files(dir_a: str, dir_b: str) -> tuple[int, bool]:
+    """(file count of ``dir_a``, whether ``dir_b`` holds the same names
+    with the same bytes)."""
+    def read(directory, name):
+        with open(os.path.join(directory, name), "rb") as fh:
+            return fh.read()
+
+    names = sorted(os.listdir(dir_a))
+    if not os.path.isdir(dir_b) or sorted(os.listdir(dir_b)) != names:
+        return len(names), False
+    return len(names), all(read(dir_a, n) == read(dir_b, n) for n in names)
+
+
 def test_10_byte_determinism(sweep_artifacts, tmp_path):
-    _, w1_dir = sweep_artifacts
+    _, in_process_dir = sweep_artifacts
     cfg = TrainConfig(
         task=QuadraticSpec(),
         optimizer=OptimizerSpec(kind="muon", eta0=0.02, weight_decay=0.1),
         batch_size=32, total_steps=200, eval_every=10, seed=11)
-    paths_a = emit_reports(train(cfg), str(tmp_path / "a"))
-    paths_b = emit_reports(train(cfg), str(tmp_path / "b"))
-    train_identical = all(
-        open(p, "rb").read() == open(q, "rb").read()
-        for p, q in zip(paths_a, paths_b))
+    emit_reports(train(cfg), str(tmp_path / "a"))
+    emit_reports(train(cfg), str(tmp_path / "b"))
+    _, train_identical = _same_files(str(tmp_path / "a"), str(tmp_path / "b"))
 
-    w4_dir = str(tmp_path / "w4")
-    emit_reports(batch_sweep(sweep_base_config(), SWEEP_GRID, workers=4),
-                 w4_dir)
-    names = sorted(os.listdir(w1_dir))
-    sweep_identical = names == sorted(os.listdir(w4_dir)) and all(
-        open(os.path.join(w1_dir, n), "rb").read()
-        == open(os.path.join(w4_dir, n), "rb").read()
-        for n in names)
-    ok = train_identical and sweep_identical
+    # The acceptance sweep again, as `python -m muonlab.cli sweep` in a
+    # fresh interpreter: nothing the outputs depend on may come from the
+    # state of the process that made them.
+    base = sweep_base_config()
+    cli_dir = str(tmp_path / "cli")
+    doc = {
+        "task": {"kind": "quadratic"},
+        "optimizer": {"kind": "muon", "eta0": base.optimizer.eta0,
+                      "lambda": base.optimizer.weight_decay},
+        "batch_size": base.batch_size, "total_steps": base.total_steps,
+        "eval_every": base.eval_every, "seed": base.seed,
+        "target_loss": base.target_loss, "stop_rule": base.stop_rule,
+        "sweep": {"batch_grid": list(SWEEP_GRID)}, "out_dir": cli_dir,
+    }
+    assert parse_sweep_config(doc)[:2] == (base, list(SWEEP_GRID))
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "muonlab.cli", "sweep", "--config",
+         str(config_path)], env=env, capture_output=True, text=True,
+        timeout=600)
+    count, sweep_identical = _same_files(in_process_dir, cli_dir)
+    ok = train_identical and proc.returncode == 0 and sweep_identical
     _verdict(
         "10", ok,
         f"repeat train emission byte-identical ({train_identical}); "
-        f"sweep with 1 vs 4 workers byte-identical across {len(names)} "
-        f"files ({sweep_identical})")
+        f"in-process sweep and fresh-interpreter CLI sweep (exit "
+        f"{proc.returncode}) byte-identical across {count} files "
+        f"({sweep_identical})")
 
 
 def test_11_ablation_grid():

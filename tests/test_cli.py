@@ -3,6 +3,7 @@ BLAS thread and malloc defaults that importing the CLI sets in a fresh
 interpreter."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,10 @@ from muonlab.cli import main
 from muonlab.linalg import Rng
 from muonlab.reports import read_run_csv
 from muonlab.tasks import QuadraticSpec, QuadraticTask
+
+
+TELESCOPE_AUDIT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts", "audit_telescope.py")
 
 
 def write_json(tmp_path, name, doc):
@@ -69,9 +74,12 @@ class TestBlasThreadDefault:
 
 def test_import_loads_no_network_modules():
     # `xml.sax.saxutils` would bring in urllib.request, http.client,
-    # email and ssl
+    # email and ssl; `concurrent.futures` belongs to no code path, since
+    # sweeps, ablations and telescopes train their groups in this process,
+    # one after another
     code = ("import sys, muonlab.cli; print(sorted({'xml.sax', 'urllib.request', "
-            "'http.client', 'email', 'ssl'} & set(sys.modules)))")
+            "'http.client', 'email', 'ssl', 'concurrent.futures'} "
+            "& set(sys.modules)))")
     assert fresh_interpreter_output(code) == "[]"
 
 
@@ -306,29 +314,6 @@ class TestSweepCommand:
         report = json.loads(read_bytes(os.path.join(out, "sweep_report.json")))
         assert set(report["ratios"]) == {"32", "128"}
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys,
-                                                monkeypatch):
-        out_a, out_b = str(tmp_path / "w1"), str(tmp_path / "w2")
-        cfg_a = write_json(tmp_path, "w1.json", self.doc(out_a))
-        cfg_b = write_json(tmp_path, "w2.json", self.doc(out_b))
-        monkeypatch.delenv("MUONLAB_WORKERS", raising=False)
-        assert main(["sweep", "--config", cfg_a]) == 0
-        monkeypatch.setenv("MUONLAB_WORKERS", "2")
-        assert main(["sweep", "--config", cfg_b]) == 0
-        names = sorted(os.listdir(out_a))
-        assert names == sorted(os.listdir(out_b))
-        for name in names:
-            assert read_bytes(os.path.join(out_a, name)) == \
-                read_bytes(os.path.join(out_b, name)), name
-        capsys.readouterr()
-
-    def test_invalid_worker_env_exit_2(self, tmp_path, capsys, monkeypatch):
-        cfg = write_json(tmp_path, "sweep.json", self.doc(str(tmp_path / "o")))
-        monkeypatch.setenv("MUONLAB_WORKERS", "many")
-        code = main(["sweep", "--config", cfg])
-        assert code == 2
-        assert "MUONLAB_WORKERS" in capsys.readouterr().err
-
 
 class TestAblateCommand:
     def doc(self, out_dir, axes):
@@ -404,25 +389,29 @@ class TestTelescopeCommand:
                                                     "telescope_report.json")))
         assert [s["width"] for s in report["stages"]] == [16, 32]
 
-    def test_diverging_grid_bytes_do_not_depend_on_workers(self, tmp_path,
-                                                           capsys, monkeypatch):
-        # f32 etas from 158 to 1.6e5: runs blow past 10x the initial loss,
-        # overflow to inf, or go non-finite in a step and leave the stack
-        doc = self.doc("")
+    def test_diverging_grid_ranks_every_run_as_inf(self, tmp_path, capsys):
+        # f32 etas from 158 to 1.6e5: every run blows past 10x the initial
+        # loss, overflows to inf, or goes non-finite in a step before its
+        # first eval row and keeps only its step-0 row. A diverged run
+        # ranks as +inf whatever its last row logged, so no stage has a
+        # finite winner, and the ties resolve to each grid's first cell.
+        out = str(tmp_path / "tele")
+        doc = self.doc(out)
         doc["precision"] = "f32"
         doc["telescope"]["grid"].update(eta_center=5000.0, eta_extent=1.5)
-        outs = {}
-        for workers in ("1", "2"):
-            outs[workers] = str(tmp_path / f"w{workers}")
-            cfg = write_json(tmp_path, f"w{workers}.json",
-                             dict(doc, out_dir=outs[workers]))
-            monkeypatch.setenv("MUONLAB_WORKERS", workers)
-            assert main(["telescope", "--config", cfg]) == 0
+        cfg = write_json(tmp_path, "tele.json", doc)
+        assert main(["telescope", "--config", cfg]) == 0
         capsys.readouterr()
-        names = sorted(os.listdir(outs["1"]))
-        assert names == sorted(os.listdir(outs["2"]))
-        for name in names:
-            assert read_bytes(os.path.join(outs["1"], name)) == \
-                read_bytes(os.path.join(outs["2"], name)), name
-        stages = read_bytes(os.path.join(outs["1"], "telescope_stages.csv"))
+        stages = read_bytes(os.path.join(out, "telescope_stages.csv"))
         assert b",inf," in stages
+        report = json.loads(read_bytes(os.path.join(out,
+                                                    "telescope_report.json")))
+        for stage in report["stages"]:
+            assert [v for row in stage["val_losses"] for v in row] == \
+                [math.inf] * 9
+            assert stage["best_val_loss"] == math.inf
+            assert (stage["best_eta"], stage["best_lambda"]) == \
+                (stage["etas"][0], stage["lambdas"][0])
+        audit = subprocess.run([sys.executable, TELESCOPE_AUDIT, out],
+                               capture_output=True, text=True, timeout=120)
+        assert audit.returncode == 0, audit.stdout

@@ -212,6 +212,22 @@ class TestEmitReports:
         self.assert_clean_dir(out, paths)
         assert read_run_csv(paths[0])[3] == rec.rows
 
+    def test_val_only_run_round_trips(self, tmp_path):
+        # val-only rows leave train_loss and grad_global_norm None, which
+        # the run CSV writes as empty cells
+        cfg = TrainConfig(task=MlpSpec(n_samples=256, input_dim=8, hidden=(16,),
+                                       classes=4, val_fraction=0.125),
+                          optimizer=OptimizerSpec(kind="muon", eta0=0.05),
+                          batch_size=32, total_steps=20, eval_every=10, seed=42)
+        (rec,) = train([cfg], val_only=True)
+        paths = emit_reports(rec, str(tmp_path / "out"))
+        with open(paths[0], encoding="utf-8") as fh:
+            assert fh.read().splitlines()[1].split(",")[5:8:2] == ["", ""]
+        assert read_run_csv(paths[0]) == ("mlp-muon-b32-s42", "muon", 32,
+                                          rec.rows)
+        assert all(r.train_loss is None and r.grad_global_norm is None
+                   for r in rec.rows)
+
     def test_emission_is_byte_stable(self, tmp_path):
         rec = train(self.quad_target_base())
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
