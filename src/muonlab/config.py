@@ -3,7 +3,8 @@
 Every key is checked: unknown keys are rejected with the full dotted path
 of the offender, and type mismatches name the key they occurred at. The
 optimizer block spells weight decay as "lambda", matching the usual symbol
-for it; the quadratic task's ridge term is "lambda_reg".
+for it; the quadratic task's ridge term is "lambda_reg". Under f32, a
+learning rate or weight decay that f32 cannot hold is rejected.
 """
 
 from __future__ import annotations
@@ -11,12 +12,16 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError
-from .harness import ABLATION_CELLS, TelescopeGrid, TrainConfig
+from .harness import (ABLATION_CELLS, ETA_TUNING_MULTIPLIERS, TelescopeGrid,
+                      TrainConfig, _log_grid)
 from .optim import OptimizerSpec
 from .tasks import MlpSpec, QuadraticSpec
 
 _MISSING = object()
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class StrictSection:
@@ -199,11 +204,23 @@ def _parse_base(root: StrictSection, overrides: dict) -> tuple[TrainConfig, str]
     return config, out_dir
 
 
+def _check_f32(config: TrainConfig, peaks: dict[str, float]) -> None:
+    """Under f32, reject a learning rate or weight decay that a cast to f32
+    turns into inf; ``peaks`` maps each source key to the largest value
+    the command trains with from it."""
+    for key, value in peaks.items():
+        if config.precision == "f32" and value > _F32_MAX:
+            raise ConfigError(f"trains with {value!r}, above the f32 maximum "
+                              f"{_F32_MAX!r}", key_path=key)
+
+
 def parse_train_config(doc: dict, overrides: dict | None = None,
                        ) -> tuple[TrainConfig, str]:
     root = StrictSection(doc)
     config, out_dir = _parse_base(root, overrides or {})
     root.finish()
+    _check_f32(config, {"optimizer.eta0": config.optimizer.eta0,
+                        "optimizer.lambda": config.optimizer.weight_decay})
     return config, out_dir
 
 
@@ -218,6 +235,9 @@ def parse_sweep_config(doc: dict, overrides: dict | None = None,
                           key_path="sweep.batch_grid")
     sweep.finish()
     root.finish()
+    _check_f32(config, {
+        "optimizer.eta0": config.optimizer.eta0 * max(ETA_TUNING_MULTIPLIERS),
+        "optimizer.lambda": config.optimizer.weight_decay})
     return config, [int(b) for b in grid], out_dir
 
 
@@ -237,6 +257,8 @@ def parse_ablate_config(doc: dict, overrides: dict | None = None,
                                   key_path="ablate.axes")
             axes = [str(a) for a in axes_val]
     root.finish()
+    _check_f32(config, {"optimizer.eta0": config.optimizer.eta0,
+                        "optimizer.lambda": config.optimizer.weight_decay})
     return config, axes, out_dir
 
 
@@ -260,6 +282,14 @@ def parse_telescope_config(doc: dict, overrides: dict | None = None,
     grid_sec.finish()
     sec.finish()
     root.finish()
+    # Each stage recenters on the winner, at most the top, at half the extents.
+    eta_top, lam_top, scale, width = grid.eta_center, grid.lambda_center, 1.0, start
+    while 0 < width <= end:
+        eta_top = _log_grid(eta_top, scale * grid.eta_extent, grid.points)[-1]
+        lam_top = _log_grid(lam_top, scale * grid.lambda_extent, grid.points)[-1]
+        scale, width = 0.5 * scale, 2 * width
+    _check_f32(config, {"telescope.grid.eta_center": eta_top,
+                        "telescope.grid.lambda_center": lam_top})
     return config, start, end, grid, out_dir
 
 

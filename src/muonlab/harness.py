@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -159,14 +159,6 @@ class RunRecord:
     config: TrainConfig
 
 
-def _make_bank(spec: OptimizerSpec, shapes: dict[str, tuple[int, ...]],
-               run_decays: Sequence[float], dtype) -> OptimizerBank:
-    muon = spec.muon_hyper() if spec.kind == "muon" else None
-    return OptimizerBank(shapes, spec.kind, muon=muon,
-                         beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps,
-                         dtype=dtype, run_decays=run_decays)
-
-
 def _spike_count(vals: Sequence[float], ratio: float) -> int:
     count = 0
     running_min = math.inf
@@ -202,26 +194,21 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     The group trains as one stack: every parameter and optimizer state
     gets a leading run axis, and each step makes one batch draw and
     gather, one stacked matmul per layer and per Newton-Schulz step, and
-    one optimizer step with a learning rate and decay per run. Clipping,
-    the finiteness checks and the eval snapshots stay per run, and a run
-    leaves the stack when it diverges or stops at its target, so each
-    record is byte-identical to its run trained alone.
+    one optimizer step with a learning rate and decay per run. Clipping
+    and the finiteness checks stay per run, and a run leaves the stack
+    when it diverges or stops at its target, so each record is
+    byte-identical to its run trained alone.
 
     Per step: draw a batch (or take the full set), compute the loss and
     gradients, inject task noise if configured, clip the global gradient
     norm, and apply one optimizer step. Every ``eval_every`` steps an eval
     row records the full train/val losses, the exact full-objective
-    gradient norm, the realized update RMS, and the learning rate used.
-    With ``record_wall_time`` its ``wall_ms`` is the time since the group
-    started, so it includes the other runs' work in a group.
-
-    ``val_only`` (MLP tasks only; a quadratic group is a ConfigError)
-    takes each snapshot as one stacked val-loss pass over the live runs
-    and leaves ``train_loss`` and ``grad_global_norm`` None: the rows,
-    verdicts and summaries are otherwise the bytes of full snapshots, at
-    the cost of a val forward pass instead of a train-set forward and
-    backward pass per run. With ``record_wall_time`` the live runs' rows
-    of one step then share one ``wall_ms``, taken after that pass.
+    gradient norm, the realized update RMS, and the learning rate used,
+    for all live runs from one `task.evaluate` pass over the stack.
+    ``val_only`` takes a `task.val_loss` pass instead and leaves
+    ``train_loss`` and ``grad_global_norm`` None; the rows are otherwise
+    the bytes of full snapshots. With ``record_wall_time`` the rows of an
+    eval step share one ``wall_ms``, the time since the group started.
 
     Divergence (non-finite loss/gradient/parameter, or an eval val loss
     that is NaN or above 10x the initial one) terminates the run with the
@@ -235,17 +222,18 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     if any(_group_key(c) != _group_key(first) for c in group[1:]):
         raise ConfigError("a training group may differ only in optimizer.eta0, "
                           "optimizer.weight_decay and run_id")
-    if val_only and not isinstance(first.task, MlpSpec):
-        # The quadratic's val loss sums a whole stack into one value.
-        raise ConfigError("val-only snapshots need an MLP task")
     dtype = dtype_of(first.precision)
     root = Rng(first.seed)
     task = build_task(first.task, root.child("data"))
     init = task.init_params(root.child("init"), dtype=dtype)
     batch_rng = root.child("batch")
     noise_rng = root.child("noise")
-    bank = _make_bank(first.optimizer, {name: arr.shape for name, arr in init.items()},
-                      [c.optimizer.weight_decay for c in group], dtype)
+    spec = first.optimizer
+    bank = OptimizerBank({name: arr.shape for name, arr in init.items()}, spec.kind,
+                         [c.optimizer.weight_decay for c in group],
+                         muon=spec.muon_hyper() if spec.kind == "muon" else None,
+                         beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps,
+                         dtype=dtype)
     scheds = [Schedule(eta0=c.optimizer.eta0, total_steps=first.total_steps,
                        warmup_fraction=first.warmup_fraction,
                        kind=first.schedule_kind,
@@ -259,27 +247,20 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     records: list[RunRecord | None] = [None] * len(group)
     t0 = time.perf_counter()
 
-    def measure(stack: dict[str, np.ndarray]) -> Iterator[tuple]:
-        """(train_loss, val_loss, grad_global_norm) of each run in a stack,
-        run by run: a full snapshot evaluates a run only when asked for
-        it, so each row's ``wall_ms`` stops after its own run's pass."""
-        if val_only:
-            with np.errstate(all="ignore"):
-                val_losses = task.val_loss(stack)
-            for val_loss in val_losses:
-                yield None, float(val_loss), None
-            return
-        for slot in range(len(next(iter(stack.values())))):
-            with np.errstate(all="ignore"):
-                train_loss, val_loss, grads = task.evaluate(
-                    {name: p[slot] for name, p in stack.items()})
-                norm = _global_norm(grads.values())
-            yield train_loss, val_loss, norm
-
-    def row(step: int, measured: tuple, update_rms: float, eta: float) -> EvalRow:
+    def snapshot(step: int, stack: dict[str, np.ndarray], update_rms,
+                 etas: Sequence[float]) -> list[EvalRow]:
+        """The eval rows of a stack's runs, measured in one pass over it."""
+        with np.errstate(all="ignore"):
+            if val_only:
+                measured = [(None, float(v), None) for v in task.val_loss(stack)]
+            else:
+                train_losses, val_losses, grads = task.evaluate(stack)
+                measured = [(float(t), float(v), _global_norm(g[r] for g in grads.values()))
+                            for r, (t, v) in enumerate(zip(train_losses, val_losses))]
         wall = (time.perf_counter() - t0) * 1e3 if first.record_wall_time else 0.0
-        return EvalRow(step, step * first.batch_size, *measured,
-                       update_rms=update_rms, eta_t=eta, wall_ms=wall)
+        return [EvalRow(step, step * first.batch_size, *m, update_rms=float(u),
+                        eta_t=eta, wall_ms=wall)
+                for m, u, eta in zip(measured, update_rms, etas)]
 
     def leave(ended: dict[int, str]) -> list[int]:
         """Close the runs in the ended stack slots; returns the kept slots."""
@@ -295,10 +276,11 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
         return keep
 
     # Every run starts from the same weights: one snapshot serves them all.
-    (measured,) = measure({name: arr[None] for name, arr in init.items()})
-    initial_val = measured[1]
+    (row0,) = snapshot(0, {name: arr[None] for name, arr in init.items()},
+                       [0.0], [0.0])
+    initial_val = row0.val_loss
     for run, sched in enumerate(scheds):
-        rows[run].append(row(0, measured, 0.0, schedule_eta(sched, 0)))
+        rows[run].append(replace(row0, eta_t=schedule_eta(sched, 0)))
     if first.target_loss is not None and initial_val <= first.target_loss:
         tokens_to_target = [0] * len(group)
         if first.stop_rule == "tokens-to-target":
@@ -308,7 +290,6 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     for step in range(1, first.total_steps + 1):
         if not live:
             break
-        etas = [schedule_eta(scheds[run], step) for run in live]
         idx = (None if first.full_batch
                else task.sample_batch(batch_rng, first.batch_size))
         with np.errstate(all="ignore"):
@@ -326,7 +307,6 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
             if not finite.all():
                 keep = leave({int(s): "diverged" for s in np.flatnonzero(~finite)})
                 grads = {name: g[keep] for name, g in grads.items()}
-                etas = [etas[slot] for slot in keep]
             for slot in range(len(live)):
                 run_grads = {name: g[slot] for name, g in grads.items()}
                 clipped, _ = _clip_grad_arrays(run_grads, first.clip_norm)
@@ -334,19 +314,20 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                     for name, g in clipped.items():
                         grads[name][slot] = g
             if live:
+                etas = [schedule_eta(scheds[run], step) for run in live]
                 params = bank.step(params, grads, etas)
                 finite = np.logical_and.reduce(
                     [_finite_per_run(p) for p in params.values()])
                 if not finite.all():
                     keep = leave({int(s): "diverged" for s in np.flatnonzero(~finite)})
                     etas = [etas[slot] for slot in keep]
-        if step % first.eval_every != 0:
+        if step % first.eval_every != 0 or not live:
             continue
-        update_rms = bank.last_update_rms
         ended: dict[int, str] = {}
-        for slot, (run, measured) in enumerate(zip(live, measure(params))):
-            rows[run].append(row(step, measured, float(update_rms[slot]), etas[slot]))
-            val_loss = measured[1]
+        new_rows = snapshot(step, params, bank.last_update_rms, etas)
+        for slot, (run, new_row) in enumerate(zip(live, new_rows)):
+            rows[run].append(new_row)
+            val_loss = new_row.val_loss
             if (not math.isfinite(val_loss)
                     or val_loss > _DIVERGENCE_FACTOR * initial_val):
                 ended[slot] = "diverged"
@@ -400,9 +381,10 @@ def rate_check(record: RunRecord) -> float:
     """Fitted slope of log running-mean squared gradient norm versus log step.
 
     Uses the exact full-objective gradient norms of the eval rows (step 0
-    excluded). Requires the inverse-sqrt schedule, because the decay-rate
-    statement this checks assumes eta_t = eta0 / sqrt(t); a run under
-    cosine decay would measure the schedule, not the optimizer.
+    excluded), so a val-only record, which has none, is a RangeError.
+    Requires the inverse-sqrt schedule, because the decay-rate statement
+    this checks assumes eta_t = eta0 / sqrt(t); a run under cosine decay
+    would measure the schedule, not the optimizer.
     """
     if record.config.schedule_kind != "inverse-sqrt":
         raise RangeError(
@@ -412,6 +394,9 @@ def rate_check(record: RunRecord) -> float:
     rows = [r for r in record.rows if r.step >= 1]
     if len(rows) < 20:
         raise RangeError(f"rate_check needs >= 20 eval rows, got {len(rows)}")
+    if any(r.grad_global_norm is None for r in rows):
+        raise RangeError("rate_check needs grad_global_norm on every eval row "
+                         "past step 0, which a val-only record lacks")
     g2 = np.array([r.grad_global_norm for r in rows], dtype=F64) ** 2
     running_mean = np.cumsum(g2) / np.arange(1, len(rows) + 1, dtype=F64)
     x = np.log(np.array([r.step for r in rows], dtype=F64))

@@ -1,9 +1,9 @@
 """Dense matrix type, seeded RNG, and the small linear-algebra kernels.
 
-Everything downstream (sign iterations, optimizers, tasks) goes through the
-`Matrix` wrapper so that shape and finiteness invariants are checked at one
-place. The SVD here is the exact-decomposition oracle the rest of the library
-is validated against.
+`Matrix` checks shape and finiteness on construction and carries the
+one-matrix API (the public kernels and the reference steps); the training
+path runs on raw numpy stacks through the array cores. The SVD here is the
+exact-decomposition oracle the rest of the library is validated against.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ class MuonHyper:
     'max' uses max(rows, cols). ``momentum_only`` and ``dynamic_rms`` exist
     for ablation cells: the former skips orthogonalization and uses the
     Frobenius-normalized momentum, the latter rescales each update so its
-    realized RMS equals ``rms_factor`` exactly.
+    realized RMS equals ``rms_factor`` exactly. ``weight_decay`` is the
+    decay of `muon_step`; `OptimizerBank` takes one decay per run instead.
     """
 
     eta0: float
@@ -370,37 +371,29 @@ def route_parameter(shape) -> Literal["muon", "adamw"]:
 
 
 class OptimizerBank:
-    """Per-parameter optimizer states with shape-based routing.
+    """Per-parameter optimizer states with shape-based routing, for a stack
+    of runs that share every hyperparameter but the learning rate and the
+    weight decay.
 
     ``matrix_rule`` picks the optimizer for 2-D parameters ('muon' or
-    'adamw'); vectors always run AdamW. Vector parameters take no weight
-    decay (biases are conventionally undecayed), matrix parameters take the
-    decay from their hyperparameters.
-
-    With ``run_decays`` the bank steps a stack of runs that share every
-    hyperparameter but the learning rate and the weight decay: run r's
-    matrices decay by ``run_decays[r]`` (in place of ``weight_decay`` and
-    ``muon.weight_decay``), every parameter, gradient and state carries a
-    leading run axis, ``step`` takes one ``eta_t`` per run, and
-    ``last_update_rms`` holds one value per run. Parameters must then carry
-    the bank's dtype. Each run's slices are the bytes that a bank of that
-    run alone produces.
+    'adamw'); vectors always run AdamW. Every parameter, gradient and
+    state carries a leading run axis and the bank's dtype, and `step`
+    takes one ``eta_t`` per run. Run r's matrices decay by
+    ``run_decays[r]`` (not by ``muon.weight_decay``); vectors (biases)
+    take no decay. Each run's slices are the bytes of a stack of one.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]],
                  matrix_rule: Literal["muon", "adamw"],
+                 run_decays: Sequence[float],
                  muon: MuonHyper | None = None,
-                 weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 dtype=F64, run_decays: Sequence[float] | None = None):
+                 dtype=F64):
         if matrix_rule not in ("muon", "adamw"):
             raise RangeError(f"matrix_rule must be 'muon' or 'adamw', got {matrix_rule!r}")
         if matrix_rule == "muon" and muon is None:
             raise RangeError("matrix_rule 'muon' requires MuonHyper")
-        self._single = run_decays is None
-        if self._single:
-            run_decays = [muon.weight_decay if matrix_rule == "muon" else weight_decay]
-        elif not run_decays or min(run_decays) < 0.0:
+        if not run_decays or min(run_decays) < 0.0:
             raise RangeError(f"run_decays must be nonempty and >= 0, got {run_decays}")
         self.muon = muon
         self._dtype = dtype
@@ -412,7 +405,8 @@ class OptimizerBank:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
-        self._rms = np.zeros(len(self._decay))
+        # Per run: the RMS of the last step's update over all parameters.
+        self.last_update_rms = np.zeros(len(self._decay))
         self._state_scalars = 0
         for name, shape in shapes.items():
             stacked = (len(self._decay), *shape)
@@ -429,19 +423,9 @@ class OptimizerBank:
                 self._t[name] = 0
                 self._state_scalars += 2 * math.prod(shape)
 
-    @property
-    def last_update_rms(self):
-        """RMS of the last step's update over all parameters (0 before any
-        step): a float, or one per run for a stack."""
-        return float(self._rms[0]) if self._single else self._rms
-
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             eta_t) -> dict[str, np.ndarray]:
-        """Apply one update to every parameter; returns the new parameter dict."""
-        if self._single:
-            params = {name: w[None] for name, w in params.items()}
-            grads = {name: g[None] for name, g in grads.items()}
-            eta_t = (eta_t,)
+             eta_t: Sequence[float]) -> dict[str, np.ndarray]:
+        """Apply one update to every parameter stack; returns the new dict."""
         beta1, beta2, eps = self._betas
         eta = np.array(eta_t, dtype=self._dtype)
         new_params: dict[str, np.ndarray] = {}
@@ -468,9 +452,7 @@ class OptimizerBank:
             update_sq += np.sum(update.astype(F64) ** 2,
                                 axis=tuple(range(1, update.ndim)))
             count += update[0].size
-        self._rms = np.sqrt(update_sq / count) if count else update_sq
-        if self._single:
-            return {name: w[0] for name, w in new_params.items()}
+        self.last_update_rms = np.sqrt(update_sq / count) if count else update_sq
         return new_params
 
     def select(self, keep: Sequence[int]) -> None:
@@ -479,7 +461,7 @@ class OptimizerBank:
             for name in bufs:
                 bufs[name] = bufs[name][keep]
         self._decay = self._decay[keep]
-        self._rms = self._rms[keep]
+        self.last_update_rms = self.last_update_rms[keep]
 
     def state_scalar_count(self) -> int:
         """Auxiliary scalars held per run: momentum entries plus both moments."""

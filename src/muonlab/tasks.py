@@ -98,6 +98,9 @@ class QuadraticTask:
 
     Rows of (A, B) act as the dataset: a minibatch subsamples rows and
     rescales so its gradient is an unbiased estimate of the full one.
+
+    As in `MlpTask`, the harness methods also take a stack of runs: one
+    loss per run, each run's values the bytes of that run alone.
     """
 
     a: Matrix
@@ -140,15 +143,16 @@ class QuadraticTask:
         loss, grad = self._objective(w.a)
         return loss, Matrix(grad)
 
-    def _objective(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        # Array core of `loss_grad`; an overflowed gradient returns, not raises.
+    def _objective(self, w: np.ndarray):
+        # Array core of `loss_grad`, for one W or a stack of runs; an
+        # overflowed gradient returns, not raises.
         resid = self.a.a @ w - self.b.a
-        loss = 0.5 * float(np.sum(resid * resid))
+        loss = 0.5 * np.sum(resid * resid, axis=(-2, -1))
         grad = self.a.a.T @ resid
         if self.lambda_reg > 0.0:
-            loss += 0.5 * self.lambda_reg * float(np.sum(w * w))
+            loss += 0.5 * self.lambda_reg * np.sum(w * w, axis=(-2, -1))
             grad = grad + self.lambda_reg * w
-        return loss, grad
+        return _per_run(loss), grad
 
     def minimizer(self) -> Matrix:
         """Closed-form argmin via the SVD oracle.
@@ -216,10 +220,10 @@ class QuadraticTask:
                 grad = grad + self.lambda_reg * w
         return _per_run(loss), {"w": grad.astype(w.dtype, copy=False)}
 
-    def train_loss(self, params: dict[str, np.ndarray]) -> float:
+    def train_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
         return self._objective(params["w"].astype(F64, copy=False))[0]
 
-    def val_loss(self, params: dict[str, np.ndarray]) -> float:
+    def val_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
         # No held-out split for the deterministic quadratic: the objective is
         # its own validation metric.
         return self.train_loss(params)
@@ -423,11 +427,7 @@ class GradCheckReport:
 def _probe_loss_fn(task):
     """A deterministic scalar loss over a fixed probe batch, plus its grads."""
     if isinstance(task, QuadraticTask):
-        def loss(p):
-            return task.train_loss(p)
-
-        def grads(p):
-            return task.objective_grads(p)
+        loss, grads = task.train_loss, task.objective_grads
     elif isinstance(task, MlpTask):
         rows = task.train_idx[: min(128, task.n_train)]
         xb, yb = task.x[rows], task.y[rows]

@@ -281,6 +281,23 @@ class TestTrainCommand:
         assert f"optimizer.{key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, optimizer", [
+        ("optimizer.eta0", {"kind": "muon", "eta0": 1e39}),
+        ("optimizer.lambda", {"kind": "adamw", "eta0": 0.02, "lambda": 1e39}),
+    ])
+    def test_f32_overflowing_hyper_exit_2_names_key(self, tmp_path, capsys,
+                                                    key, optimizer):
+        # cast to f32 the value overflows to inf; f64 holds it, and the
+        # same config trains (and diverges)
+        out = tmp_path / "out"
+        doc = self.doc(str(out), optimizer=optimizer, total_steps=20)
+        cfg = write_json(tmp_path, "big.json", doc)
+        assert main(["train", "--config", cfg, "--precision", "f32"]) == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["train", "--config", cfg]) == 3
+        assert "terminated=diverged" in capsys.readouterr().out
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.json")])
         assert code == 2
@@ -313,6 +330,16 @@ class TestSweepCommand:
         assert "ratio nondecreasing in B:" in stdout
         report = json.loads(read_bytes(os.path.join(out, "sweep_report.json")))
         assert set(report["ratios"]) == {"32", "128"}
+
+    def test_f32_overflowing_tuning_eta_exit_2_names_key(self, tmp_path, capsys):
+        # f32 holds eta0 1e38 but not the 4x tuning run's 4e38
+        out = tmp_path / "sweep"
+        doc = self.doc(str(out))
+        doc.update(precision="f32", optimizer={"kind": "muon", "eta0": 1e38})
+        cfg = write_json(tmp_path, "sweep.json", doc)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "optimizer.eta0: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblateCommand:
@@ -388,6 +415,26 @@ class TestTelescopeCommand:
         report = json.loads(read_bytes(os.path.join(out,
                                                     "telescope_report.json")))
         assert [s["width"] for s in report["stages"]] == [16, 32]
+
+    @pytest.mark.parametrize("key, grid", [
+        # the first grid's top point: lambda 3.2e40
+        ("telescope.grid.lambda_center", {"lambda_center": 1e40}),
+        # the first grid tops out at 3.2e38, which f32 holds, but a second
+        # stage recentered there reaches 5.6e38
+        ("telescope.grid.eta_center", {"eta_center": 1e38}),
+    ])
+    def test_f32_overflowing_grid_exit_2_names_key(self, tmp_path, capsys,
+                                                   key, grid):
+        out = tmp_path / "tele"
+        doc = self.doc(str(out))
+        doc["telescope"]["grid"].update(grid)
+        cfg = write_json(tmp_path, "tele.json", doc)
+        assert main(["telescope", "--config", cfg, "--precision", "f32"]) == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["telescope", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert out.exists()
 
     def test_diverging_grid_ranks_every_run_as_inf(self, tmp_path, capsys):
         # f32 etas from 158 to 1.6e5: every run blows past 10x the initial

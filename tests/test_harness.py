@@ -227,10 +227,10 @@ def _target_losses(task: str, seed: int) -> tuple[float, ...]:
 
 
 @st.composite
-def lockstep_groups(draw):
+def lockstep_groups(draw, tasks=tuple(sorted(LOCKSTEP_TASKS))):
     """A group of configs differing only in eta0, weight decay and run id;
     some eta0 values diverge on an eval row, some overflow mid-run."""
-    task = draw(st.sampled_from(sorted(LOCKSTEP_TASKS)))
+    task = draw(st.sampled_from(tasks))
     spec = LOCKSTEP_TASKS[task]
     if draw(st.booleans()):
         spec = dataclasses.replace(spec, noise_sigma=0.5)
@@ -334,8 +334,8 @@ def _val_only_view(record):
 
 
 class TestValOnlySnapshots:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(group=mlp_groups())
+    @settings(max_examples=90, deadline=None, derandomize=True)
+    @given(group=mlp_groups() | lockstep_groups(tasks=("quadratic",)))
     def test_val_only_records_equal_full_records(self, group):
         val_only = train(group, val_only=True)
         for got, full in zip(val_only, train(group)):
@@ -363,10 +363,6 @@ class TestValOnlySnapshots:
                     "diverged", "diverged", "target-reached", "completed"]
                 for got, full in zip(val_only, train(group)):
                     _assert_records_identical(got, _val_only_view(full))
-
-    def test_quadratic_group_rejected(self):
-        with pytest.raises(ConfigError):
-            train([quad_config()], val_only=True)
 
     def test_only_the_telescope_asks_for_val_only(self, monkeypatch):
         asked = []
@@ -424,6 +420,18 @@ class TestDiagnostics:
                                schedule_kind="cosine-with-linear-warmup")
         with pytest.raises(RangeError):
             rate_check(rec)
+
+    def test_rate_check_rejects_val_only_rows(self):
+        # a 200-step inverse-sqrt MLP run with val-only snapshots has no
+        # gradient norms to fit
+        config = TrainConfig(
+            task=LOCKSTEP_TASKS["mlp"], optimizer=OptimizerSpec(eta0=0.05),
+            batch_size=8, total_steps=200, eval_every=5,
+            schedule_kind="inverse-sqrt")
+        (record,) = train([config], val_only=True)
+        with pytest.raises(RangeError, match="grad_global_norm"):
+            rate_check(record)
+        assert math.isfinite(rate_check(train(config)))
 
     def test_rate_check_requires_enough_rows(self):
         rec = synthetic_record(grad_norms=[1.0] * 5, steps=list(range(1, 6)))

@@ -303,6 +303,13 @@ class TestRouting:
             route_parameter((2, 2, 2))
 
 
+def _step_one(bank, params, grads, eta_t):
+    """``bank.step`` on a stack of one run; returns that run's parameters."""
+    new = bank.step({n: p[None] for n, p in params.items()},
+                    {n: g[None] for n, g in grads.items()}, [eta_t])
+    return {n: p[0] for n, p in new.items()}
+
+
 class TestOptimizerBank:
     SHAPES = {"w0": (4, 8), "b0": (8,), "w1": (8, 3), "b1": (3,)}
 
@@ -315,9 +322,9 @@ class TestOptimizerBank:
         return params, grads
 
     def test_state_scalar_counts_halve_for_matrices(self):
-        muon_bank = OptimizerBank(self.SHAPES, "muon",
-                                  muon=MuonHyper(eta0=0.1), weight_decay=0.1)
-        adamw_bank = OptimizerBank(self.SHAPES, "adamw", weight_decay=0.1)
+        muon_bank = OptimizerBank(self.SHAPES, "muon", [0.1],
+                                  muon=MuonHyper(eta0=0.1))
+        adamw_bank = OptimizerBank(self.SHAPES, "adamw", [0.1])
         matrix_scalars = 4 * 8 + 8 * 3
         vector_scalars = 2 * (8 + 3)
         assert muon_bank.state_scalar_count() == matrix_scalars + vector_scalars
@@ -329,8 +336,8 @@ class TestOptimizerBank:
     def test_step_returns_new_dict_and_preserves_inputs(self):
         params, grads = self.make_params()
         frozen = {k: v.copy() for k, v in params.items()}
-        bank = OptimizerBank(self.SHAPES, "muon", muon=MuonHyper(eta0=0.1))
-        new_params = bank.step(params, grads, eta_t=0.05)
+        bank = OptimizerBank(self.SHAPES, "muon", [0.1], muon=MuonHyper(eta0=0.1))
+        new_params = _step_one(bank, params, grads, eta_t=0.05)
         assert set(new_params) == set(params)
         for name in params:
             np.testing.assert_array_equal(params[name], frozen[name])
@@ -340,8 +347,8 @@ class TestOptimizerBank:
         # zero gradient: matrix params shrink by decay, vectors stay put
         params = {"w": np.ones((3, 3)), "b": np.ones(3)}
         grads = {"w": np.zeros((3, 3)), "b": np.zeros(3)}
-        bank = OptimizerBank({"w": (3, 3), "b": (3,)}, "adamw", weight_decay=0.5)
-        out = bank.step(params, grads, eta_t=0.1)
+        bank = OptimizerBank({"w": (3, 3), "b": (3,)}, "adamw", [0.5])
+        out = _step_one(bank, params, grads, eta_t=0.1)
         np.testing.assert_allclose(out["w"], (1.0 - 0.1 * 0.5) * np.ones((3, 3)),
                                    atol=1e-15)
         np.testing.assert_allclose(out["b"], np.ones(3), atol=1e-15)
@@ -350,12 +357,12 @@ class TestOptimizerBank:
         # pure-decay muon bank: update on w is eta*lambda*w, zero on b
         params = {"w": np.full((2, 2), 2.0), "b": np.ones(2)}
         grads = {"w": np.zeros((2, 2)), "b": np.zeros(2)}
-        bank = OptimizerBank({"w": (2, 2), "b": (2,)}, "muon",
-                             muon=MuonHyper(eta0=1.0, weight_decay=0.1))
-        bank.step(params, grads, eta_t=0.5)
+        bank = OptimizerBank({"w": (2, 2), "b": (2,)}, "muon", [0.1],
+                             muon=MuonHyper(eta0=1.0))
+        _step_one(bank, params, grads, eta_t=0.5)
         per_entry = 0.5 * 0.1 * 2.0
         want = math.sqrt(4 * per_entry**2 / 6)
-        assert abs(bank.last_update_rms - want) < 1e-15
+        assert abs(bank.last_update_rms[0] - want) < 1e-15
 
     def test_spec_round_trip(self):
         spec = OptimizerSpec(kind="muon", eta0=0.07, weight_decay=0.02,
@@ -426,11 +433,9 @@ class TestStackedCores:
     def test_stacked_bank_matches_one_bank_per_run(self, matrix_rule, dtype):
         shapes = {"w0": (6, 8), "b0": (8,), "w1": (8, 1), "w2": (8, 3)}
         decays, etas = [0.0, 0.1, 0.3], [0.05, 0.01, 0.2]
-        hyper = MuonHyper(eta0=1.0, weight_decay=0.7)  # replaced per run
-        stacked = OptimizerBank(shapes, matrix_rule, muon=hyper, dtype=dtype,
-                                run_decays=decays)
-        solo = [OptimizerBank(shapes, matrix_rule, weight_decay=lam, dtype=dtype,
-                              muon=MuonHyper(eta0=1.0, weight_decay=lam))
+        hyper = MuonHyper(eta0=1.0, weight_decay=0.7)  # not read by the bank
+        stacked = OptimizerBank(shapes, matrix_rule, decays, muon=hyper, dtype=dtype)
+        solo = [OptimizerBank(shapes, matrix_rule, [lam], muon=hyper, dtype=dtype)
                 for lam in decays]
         root = Rng(3)
         params = {n: root.child(n).normal((3, *s)).astype(dtype)
@@ -440,18 +445,18 @@ class TestStackedCores:
             grads = {n: root.child(f"{n}-{step}").normal((3, *s)).astype(dtype)
                      for n, s in shapes.items()}
             params = stacked.step(params, grads, etas)
-            solo_params = [bank.step(p, {n: g[r] for n, g in grads.items()}, eta)
+            solo_params = [_step_one(bank, p, {n: g[r] for n, g in grads.items()}, eta)
                            for r, (bank, p, eta)
                            in enumerate(zip(solo, solo_params, etas))]
             for r, bank in enumerate(solo):
-                assert stacked.last_update_rms[r] == bank.last_update_rms
+                assert stacked.last_update_rms[r] == bank.last_update_rms[0]
                 for n in shapes:
                     assert params[n].dtype == dtype
                     assert np.array_equal(params[n][r], solo_params[r][n])
         assert stacked.state_scalar_count() == solo[0].state_scalar_count()
         stacked.select([2, 0])
-        assert list(stacked.last_update_rms) == [solo[2].last_update_rms,
-                                                 solo[0].last_update_rms]
+        assert list(stacked.last_update_rms) == [solo[2].last_update_rms[0],
+                                                 solo[0].last_update_rms[0]]
 
     def test_run_decays_must_be_nonnegative(self):
         with pytest.raises(RangeError):

@@ -241,6 +241,55 @@ class TestStackedBatches:
         self.assert_matches_each_run(task, stack, task.sample_batch(Rng(56), 32))
 
 
+class TestStackedEvals:
+    """The eval methods on a stack of runs give each run the bits of the
+    same call on its slice alone."""
+
+    @staticmethod
+    def assert_matches_each_run(task, stack):
+        runs = len(next(iter(stack.values())))
+        slices = [{name: p[r] for name, p in stack.items()} for r in range(runs)]
+        train_losses, val_losses, grads = task.evaluate(stack)
+        for got, method in ((train_losses, task.train_loss),
+                            (val_losses, task.val_loss),
+                            (task.train_loss(stack), task.train_loss),
+                            (task.val_loss(stack), task.val_loss)):
+            assert got.shape == (runs,)
+            assert [float(v) for v in got] == [method(p) for p in slices]
+        for stacked in (grads, task.objective_grads(stack)):
+            for r, params in enumerate(slices):
+                solo = task.objective_grads(params)
+                assert list(stacked) == list(solo)
+                for name, grad in solo.items():
+                    assert stacked[name][r].dtype == grad.dtype, name
+                    assert np.array_equal(stacked[name][r], grad), name
+
+    @pytest.mark.parametrize("lambda_reg", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_quadratic(self, dtype, lambda_reg):
+        task = make_quadratic(seed=60, lambda_reg=lambda_reg, reg_in_gradient=False)
+        stack = {"w": Rng(61).normal((6, task.a.cols, task.b.cols)).astype(dtype)}
+        self.assert_matches_each_run(task, stack)
+        # the objective as written for one run, every reduction a Python float
+        a, b = task.a.a, task.b.a
+        for w, loss in zip(stack["w"], task.train_loss(stack)):
+            w = w.astype(np.float64)
+            resid = a @ w - b
+            want = 0.5 * float(np.sum(resid * resid))
+            if lambda_reg > 0.0:
+                want += 0.5 * lambda_reg * float(np.sum(w * w))
+            assert loss == want
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mlp(self, activation, dtype):
+        task = make_mlp(seed=62, activation=activation, hidden=(16, 12))
+        root = Rng(63)
+        stack = {name: root.child(name).normal((5, *p.shape)).astype(dtype)
+                 for name, p in task.init_params(Rng(64), dtype=dtype).items()}
+        self.assert_matches_each_run(task, stack)
+
+
 class TestMlpTask:
     def test_split_is_disjoint_and_complete(self):
         task = make_mlp(seed=1)
