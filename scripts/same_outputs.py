@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Check that two muonlab source trees write the same bytes on the benchmark.
+
+Usage (from the repository root):
+
+    python3 scripts/same_outputs.py PARENT_SRC CHANGE_SRC
+
+Each ``*_SRC`` is a ``src/`` directory holding a ``muonlab`` package, say
+that of a checkout of the parent commit and that of the working tree. The
+script makes the config of every benchmark workload at every config seed of
+``bench/reference.json`` (3 workloads x 8 seeds), runs it through
+``python3 -m muonlab.cli`` once under each tree, and compares the exit
+code, the standard output and every file of the output directory byte for
+byte. Both sides run in directories of the same shape, with a relative
+output path, so their standard outputs name the same files.
+
+It prints one line per config and exits 0 when all are identical. At the
+first difference it names the config and the first differing item (the
+exit code, stdout, or an output file) and exits 1.
+
+Only the standard library is used, plus read-only use of
+``bench/workloads.make_config`` and the sweep targets in
+``bench/reference.json``: the comparison shares no code with the package
+it compares.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+sys.path.insert(0, BENCH)
+sys.dont_write_bytecode = True  # leave bench/ as it is
+
+from workloads import WORKLOADS, make_config  # noqa: E402
+
+
+def run_side(src: str, side_dir: str, workload, doc: dict):
+    """Run one config under the package in ``src``; returns (code, stdout)."""
+    os.makedirs(side_dir)
+    cfg = os.path.join(side_dir, "config.json")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "muonlab.cli", workload.command, "--config", cfg],
+        cwd=side_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if proc.stderr:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+    return proc.returncode, proc.stdout
+
+
+def files_under(directory: str) -> list:
+    """Every file below ``directory``, as sorted relative paths."""
+    found = []
+    for base, _dirs, names in os.walk(directory):
+        for name in names:
+            found.append(os.path.relpath(os.path.join(base, name), directory))
+    return sorted(found)
+
+
+def first_difference(a_dir: str, b_dir: str, a_run, b_run):
+    """The first item that differs between two sides, or None."""
+    if a_run[0] != b_run[0]:
+        return f"exit code ({a_run[0]} against {b_run[0]})"
+    if a_run[1] != b_run[1]:
+        return "stdout"
+    a_out, b_out = os.path.join(a_dir, "out"), os.path.join(b_dir, "out")
+    a_files, b_files = files_under(a_out), files_under(b_out)
+    one_side = sorted(set(a_files) ^ set(b_files))
+    if one_side:
+        return f"{one_side[0]} (written on one side only)"
+    for name in a_files:
+        with open(os.path.join(a_out, name), "rb") as fa, \
+                open(os.path.join(b_out, name), "rb") as fb:
+            if fa.read() != fb.read():
+                return name
+    return None
+
+
+def package_dir(src: str) -> str:
+    """Where ``import muonlab`` resolves with ``src`` on the path."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import muonlab, os; "
+         "print(os.path.dirname(os.path.abspath(muonlab.__file__)))"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, check=True)
+    return out.stdout.decode().strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", help="src/ tree of the parent")
+    parser.add_argument("change_src", help="src/ tree of the change")
+    args = parser.parse_args(argv)
+    sides = [os.path.abspath(p) for p in (args.parent_src, args.change_src)]
+    for src in sides:
+        want = os.path.join(src, "muonlab")
+        if package_dir(src) != want:
+            print(f"error: muonlab does not import from {want}", file=sys.stderr)
+            return 2
+    with open(os.path.join(BENCH, "reference.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)
+
+    work = tempfile.mkdtemp(prefix="same_outputs-")  # under $TMPDIR
+    try:
+        checked = 0
+        for name, workload in WORKLOADS.items():
+            for seed in reference["seeds"]:
+                target = reference["sweep_targets"].get(str(seed))
+                doc = make_config(name, seed, "out", target)
+                config_dir = os.path.join(work, f"{name}-{seed}")
+                a_dir, b_dir = (os.path.join(config_dir, s) for s in ("a", "b"))
+                a_run = run_side(sides[0], a_dir, workload, doc)
+                b_run = run_side(sides[1], b_dir, workload, doc)
+                diff = first_difference(a_dir, b_dir, a_run, b_run)
+                if diff is not None:
+                    print(f"DIFFERS {name} seed {seed}: {diff}")
+                    return 1
+                count = len(files_under(os.path.join(a_dir, "out")))
+                print(f"same {name} seed {seed}: exit {a_run[0]}, stdout, "
+                      f"{count} files")
+                shutil.rmtree(config_dir)
+                checked += 1
+        print(f"all {checked} configs byte-identical")
+        return 0
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,14 +11,8 @@ one after another in this process; each record is byte-identical to its
 run trained alone.
 
 Importing this module runs the package ``__init__``, which pins OpenBLAS
-to one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set; set one of them to override. With one thread the
-run CSVs of MLP tasks no longer depend on the host's core count. On glibc
-it also keeps freed heap pages mapped (mmap threshold 32 MiB, trim
-threshold 64 MiB) so large temporaries are not page-faulted in on every
-call, unless MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_,
-MALLOC_TOP_PAD_, MALLOC_MMAP_MAX_ or GLIBC_TUNABLES is set; the outputs
-are the same bytes either way.
+to one thread and, on glibc, keeps freed heap pages mapped; its docstring
+says how to override either.
 """
 
 from __future__ import annotations

@@ -233,6 +233,9 @@ def parse_sweep_config(doc: dict, overrides: dict | None = None,
     if not all(isinstance(b, int) and not isinstance(b, bool) for b in grid):
         raise ConfigError("batch_grid entries must be integers",
                           key_path="sweep.batch_grid")
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"batch sizes must not repeat, got {grid}",
+                          key_path="sweep.batch_grid")
     sweep.finish()
     root.finish()
     _check_f32(config, {
@@ -254,6 +257,9 @@ def parse_ablate_config(doc: dict, overrides: dict | None = None,
             bad = [a for a in axes_val if a not in ABLATION_CELLS]
             if bad:
                 raise ConfigError(f"unknown ablation cells {bad}",
+                                  key_path="ablate.axes")
+            if len(set(axes_val)) < len(axes_val):
+                raise ConfigError(f"cells must not repeat, got {axes_val}",
                                   key_path="ablate.axes")
             axes = [str(a) for a in axes_val]
     root.finish()

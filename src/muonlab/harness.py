@@ -30,8 +30,8 @@ from .optim import (
     SCHEDULE_KINDS,
     Schedule,
     _clip_grad_arrays,
-    _global_norm,
     _sum_left,
+    _sum_squares,
     schedule_eta,
 )
 from .tasks import MlpSpec, QuadraticSpec, TaskSpec, build_task
@@ -228,12 +228,9 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     init = task.init_params(root.child("init"), dtype=dtype)
     batch_rng = root.child("batch")
     noise_rng = root.child("noise")
-    spec = first.optimizer
-    bank = OptimizerBank({name: arr.shape for name, arr in init.items()}, spec.kind,
-                         [c.optimizer.weight_decay for c in group],
-                         muon=spec.muon_hyper() if spec.kind == "muon" else None,
-                         beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps,
-                         dtype=dtype)
+    bank = OptimizerBank({name: arr.shape for name, arr in init.items()},
+                         first.optimizer,
+                         [c.optimizer.weight_decay for c in group], dtype)
     scheds = [Schedule(eta0=c.optimizer.eta0, total_steps=first.total_steps,
                        warmup_fraction=first.warmup_fraction,
                        kind=first.schedule_kind,
@@ -255,8 +252,9 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                 measured = [(None, float(v), None) for v in task.val_loss(stack)]
             else:
                 train_losses, val_losses, grads = task.evaluate(stack)
-                measured = [(float(t), float(v), _global_norm(g[r] for g in grads.values()))
-                            for r, (t, v) in enumerate(zip(train_losses, val_losses))]
+                norms = np.sqrt(_sum_squares(grads.values()))
+                measured = [(float(t), float(v), float(n))
+                            for t, v, n in zip(train_losses, val_losses, norms)]
         wall = (time.perf_counter() - t0) * 1e3 if first.record_wall_time else 0.0
         return [EvalRow(step, step * first.batch_size, *m, update_rms=float(u),
                         eta_t=eta, wall_ms=wall)
@@ -495,6 +493,8 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
         raise RangeError("batch_grid must be nonempty")
     if any(b < 1 for b in batch_grid):
         raise RangeError(f"batch sizes must be >= 1, got {tuple(batch_grid)}")
+    if len(set(batch_grid)) < len(batch_grid):
+        raise RangeError(f"batch sizes must not repeat, got {tuple(batch_grid)}")
     if base.target_loss is None:
         raise ConfigError("batch_sweep requires target_loss in the base config")
     grid = tuple(int(b) for b in batch_grid)
@@ -656,6 +656,8 @@ def ablate(base: TrainConfig, axes: Sequence[str] | None = None) -> AblationTabl
     unknown = [n for n in names if n not in ABLATION_CELLS]
     if unknown:
         raise ConfigError(f"unknown ablation cells {unknown}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"ablation cells must not repeat, got {list(names)}")
     configs = [_ablation_config(base, name) for name in names]
     results = _run_many(configs)
     cells = []

@@ -43,7 +43,7 @@ class MuonHyper:
     for ablation cells: the former skips orthogonalization and uses the
     Frobenius-normalized momentum, the latter rescales each update so its
     realized RMS equals ``rms_factor`` exactly. ``weight_decay`` is the
-    decay of `muon_step`; `OptimizerBank` takes one decay per run instead.
+    decay of `muon_step`; `OptimizerBank` reads neither it nor ``eta0``.
     """
 
     eta0: float
@@ -323,18 +323,23 @@ def _sum_left(values: Iterable[float]) -> float:
     return total
 
 
-def _global_norm(arrays: Iterable[np.ndarray]) -> float:
-    """L2 norm of all entries together, accumulated in f64 array by array."""
-    return math.sqrt(_sum_left(float(np.sum(g.astype(F64) ** 2)) for g in arrays))
+def _sum_squares(stacks: Iterable[np.ndarray]) -> np.ndarray:
+    """Per run of (R, ...) stacks, the f64 sum of squares of its entries:
+    each run's sum over a stack (a fresh C-contiguous copy) is its slice's
+    ``np.sum`` bit for bit, and the stacks fold left to right."""
+    total = 0.0
+    for g in stacks:
+        total = total + np.sum(g.astype(F64) ** 2, axis=tuple(range(1, g.ndim)))
+    return total
 
 
 def _clip_grad_arrays(grads: dict[str, np.ndarray], max_norm: float,
                       ) -> tuple[dict[str, np.ndarray], float]:
-    """Array-core global clip; returns (clipped grads, pre-clip global norm).
+    """Global clip of one run's gradients; returns (clipped, pre-clip norm).
 
     Unclipped gradients come back as the same dict object.
     """
-    total = _global_norm(grads.values())
+    total = math.sqrt(_sum_squares(g[None] for g in grads.values())[0])
     if total <= max_norm or total == 0.0:
         return grads, total
     factor = max_norm / total
@@ -375,52 +380,39 @@ class OptimizerBank:
     of runs that share every hyperparameter but the learning rate and the
     weight decay.
 
-    ``matrix_rule`` picks the optimizer for 2-D parameters ('muon' or
-    'adamw'); vectors always run AdamW. Every parameter, gradient and
-    state carries a leading run axis and the bank's dtype, and `step`
-    takes one ``eta_t`` per run. Run r's matrices decay by
-    ``run_decays[r]`` (not by ``muon.weight_decay``); vectors (biases)
-    take no decay. Each run's slices are the bytes of a stack of one.
+    The matrices `route_parameter` sends to Muon run ``spec.kind``
+    (Muon with ``spec.muon_hyper()``); the rest run AdamW with the spec's
+    betas and eps. Every parameter, gradient and state carries a leading
+    run axis and the bank's dtype, and `step` takes one ``eta_t`` per
+    run. Run r's Muon-routable matrices decay by ``run_decays[r]``; the
+    rest take no decay. Each run's slices are the bytes of a stack of one.
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]],
-                 matrix_rule: Literal["muon", "adamw"],
-                 run_decays: Sequence[float],
-                 muon: MuonHyper | None = None,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 dtype=F64):
-        if matrix_rule not in ("muon", "adamw"):
-            raise RangeError(f"matrix_rule must be 'muon' or 'adamw', got {matrix_rule!r}")
-        if matrix_rule == "muon" and muon is None:
-            raise RangeError("matrix_rule 'muon' requires MuonHyper")
+    def __init__(self, shapes: dict[str, tuple[int, ...]], spec: OptimizerSpec,
+                 run_decays: Sequence[float], dtype=F64):
         if not run_decays or min(run_decays) < 0.0:
             raise RangeError(f"run_decays must be nonempty and >= 0, got {run_decays}")
-        self.muon = muon
+        self._muon = spec.muon_hyper() if spec.kind == "muon" else None
+        self._betas = (spec.beta1, spec.beta2, spec.eps)
         self._dtype = dtype
-        self._betas = (beta1, beta2, eps)
         self._decay = np.array(run_decays, dtype=dtype)
-        self._route: dict[str, str] = {}
-        self._decayed: set[str] = set()
+        self._decayed = {name for name, shape in shapes.items()
+                         if route_parameter(shape) == "muon"}
         self._mom: dict[str, np.ndarray] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
+        self._t = 0  # steps taken; every AdamW parameter steps on each one
         # Per run: the RMS of the last step's update over all parameters.
         self.last_update_rms = np.zeros(len(self._decay))
         self._state_scalars = 0
         for name, shape in shapes.items():
             stacked = (len(self._decay), *shape)
-            if len(shape) == 2 and min(shape) >= 2:
-                self._decayed.add(name)
-            if route_parameter(shape) == "muon" and matrix_rule == "muon":
-                self._route[name] = "muon"
+            if name in self._decayed and self._muon is not None:
                 self._mom[name] = np.zeros(stacked, dtype=dtype)
                 self._state_scalars += math.prod(shape)
             else:
-                self._route[name] = "adamw"
                 self._m[name] = np.zeros(stacked, dtype=dtype)
                 self._v[name] = np.zeros(stacked, dtype=dtype)
-                self._t[name] = 0
                 self._state_scalars += 2 * math.prod(shape)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -428,31 +420,29 @@ class OptimizerBank:
         """Apply one update to every parameter stack; returns the new dict."""
         beta1, beta2, eps = self._betas
         eta = np.array(eta_t, dtype=self._dtype)
+        t = self._t
+        self._t += 1
         new_params: dict[str, np.ndarray] = {}
-        update_sq = np.zeros(len(eta))
-        count = 0
+        updates = []
         for name, w in params.items():
             g = grads[name]
             # Per-run scalars shaped to broadcast against the (R, ...) stack.
             col = (-1,) + (1,) * (w.ndim - 1)
             decay = self._decay.reshape(col) if name in self._decayed else 0.0
-            if self._route[name] == "muon":
-                new_w, new_mom, update = _muon_core(w, g, self._mom[name], self.muon,
+            if name in self._mom:
+                new_w, new_mom, update = _muon_core(w, g, self._mom[name], self._muon,
                                                     eta.reshape(col), decay)
                 self._mom[name] = new_mom
             else:
-                new_w, m, v, t, update = _adamw_core(
-                    w, g, self._m[name], self._v[name], self._t[name],
+                new_w, self._m[name], self._v[name], _, update = _adamw_core(
+                    w, g, self._m[name], self._v[name], t,
                     beta1, beta2, eps, eta.reshape(col), decay,
                 )
-                self._m[name], self._v[name], self._t[name] = m, v, t
             new_params[name] = new_w
-            # A fresh C-contiguous stack: each run's sum is its slice's
-            # np.sum, bit for bit.
-            update_sq += np.sum(update.astype(F64) ** 2,
-                                axis=tuple(range(1, update.ndim)))
-            count += update[0].size
-        self.last_update_rms = np.sqrt(update_sq / count) if count else update_sq
+            updates.append(update)
+        count = sum(u[0].size for u in updates)
+        self.last_update_rms = (np.sqrt(_sum_squares(updates) / count) if count
+                                else np.zeros(len(eta)))
         return new_params
 
     def select(self, keep: Sequence[int]) -> None:

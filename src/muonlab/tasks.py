@@ -101,6 +101,10 @@ class QuadraticTask:
 
     As in `MlpTask`, the harness methods also take a stack of runs: one
     loss per run, each run's values the bytes of that run alone.
+
+    One array core computes every loss and gradient: on a minibatch for
+    `batch_loss_grad`, on the full batch with the regularizer always in the
+    gradient for `loss_grad` and the eval methods (which cast W to f64).
     """
 
     a: Matrix
@@ -140,19 +144,8 @@ class QuadraticTask:
             raise ShapeError(
                 f"w must be {self.a.cols}x{self.b.cols}, got {w.rows}x{w.cols}"
             )
-        loss, grad = self._objective(w.a)
+        loss, grad = self._loss_grad(w.a)
         return loss, Matrix(grad)
-
-    def _objective(self, w: np.ndarray):
-        # Array core of `loss_grad`, for one W or a stack of runs; an
-        # overflowed gradient returns, not raises.
-        resid = self.a.a @ w - self.b.a
-        loss = 0.5 * np.sum(resid * resid, axis=(-2, -1))
-        grad = self.a.a.T @ resid
-        if self.lambda_reg > 0.0:
-            loss += 0.5 * self.lambda_reg * np.sum(w * w, axis=(-2, -1))
-            grad = grad + self.lambda_reg * w
-        return _per_run(loss), grad
 
     def minimizer(self) -> Matrix:
         """Closed-form argmin via the SVD oracle.
@@ -200,6 +193,13 @@ class QuadraticTask:
         per run, each the bytes of that run alone.
         """
         w = params["w"]
+        loss, grad = self._loss_grad(w, idx, self.reg_in_gradient)
+        return loss, {"w": grad.astype(w.dtype, copy=False)}
+
+    def _loss_grad(self, w: np.ndarray, idx: np.ndarray | None = None,
+                   reg_in_gradient: bool = True):
+        # The array core of the objective and its f64 gradient, for one W or
+        # a stack of runs; an overflowed gradient returns, not raises.
         a, b = self.a.a, self.b.a
         if idx is None:
             scale = 1.0
@@ -216,12 +216,12 @@ class QuadraticTask:
         loss = 0.5 * scale * np.sum(resid, axis=(-2, -1))
         if self.lambda_reg > 0.0:
             loss += 0.5 * self.lambda_reg * np.sum(w * w, axis=(-2, -1)).astype(F64)
-            if self.reg_in_gradient:
+            if reg_in_gradient:
                 grad = grad + self.lambda_reg * w
-        return _per_run(loss), {"w": grad.astype(w.dtype, copy=False)}
+        return _per_run(loss), grad
 
     def train_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
-        return self._objective(params["w"].astype(F64, copy=False))[0]
+        return self._loss_grad(params["w"].astype(F64, copy=False))[0]
 
     def val_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
         # No held-out split for the deterministic quadratic: the objective is
@@ -230,7 +230,7 @@ class QuadraticTask:
 
     def objective_grads(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Exact full-objective gradient (regularizer always included)."""
-        return {"w": self._objective(params["w"].astype(F64, copy=False))[1]}
+        return {"w": self._loss_grad(params["w"].astype(F64, copy=False))[1]}
 
     def evaluate(self, params: dict[str, np.ndarray],
                  ) -> tuple[float, float, dict[str, np.ndarray]]:
@@ -238,7 +238,7 @@ class QuadraticTask:
 
         The val loss is the train loss, as in `val_loss`.
         """
-        loss, grad = self._objective(params["w"].astype(F64, copy=False))
+        loss, grad = self._loss_grad(params["w"].astype(F64, copy=False))
         return loss, loss, {"w": grad}
 
 

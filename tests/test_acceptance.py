@@ -360,9 +360,10 @@ def test_07_state_size_halving():
     checked = []
     ok = True
     for shapes in shape_sets:
-        muon_count = OptimizerBank(shapes, "muon", [0.1],
-                                   muon=MuonHyper(eta0=0.1)).state_scalar_count()
-        adamw_count = OptimizerBank(shapes, "adamw", [0.0]).state_scalar_count()
+        muon_count = OptimizerBank(shapes, OptimizerSpec(kind="muon", eta0=0.1),
+                                   [0.1]).state_scalar_count()
+        adamw_count = OptimizerBank(shapes, OptimizerSpec(kind="adamw"),
+                                    [0.0]).state_scalar_count()
         checked.append(f"{muon_count}x2=={adamw_count}")
         ok = ok and (2 * muon_count == adamw_count)
     _verdict(

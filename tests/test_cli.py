@@ -341,6 +341,15 @@ class TestSweepCommand:
         assert "optimizer.eta0: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_batch_size_exit_2_names_key(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        doc = self.doc(str(out))
+        doc["sweep"]["batch_grid"] = [32, 32]
+        cfg = write_json(tmp_path, "sweep.json", doc)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "sweep.batch_grid: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblateCommand:
     def doc(self, out_dir, axes):
@@ -378,11 +387,14 @@ class TestAblateCommand:
         assert full_rows == unit_rows
 
     def test_unknown_axis_exit_2(self, tmp_path, capsys):
-        doc = self.doc(str(tmp_path / "o"), ["full", "fp16"])
-        cfg = write_json(tmp_path, "bad.json", doc)
-        code = main(["ablate", "--config", cfg])
-        assert code == 2
-        assert "ablate.axes" in capsys.readouterr().err
+        # a repeated cell would train twice and fill two table rows
+        out = tmp_path / "o"
+        for axes in (["full", "fp16"], ["full", "full"]):
+            cfg = write_json(tmp_path, "bad.json", self.doc(str(out), axes))
+            code = main(["ablate", "--config", cfg])
+            assert code == 2
+            assert "ablate.axes" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestTelescopeCommand:

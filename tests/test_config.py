@@ -203,11 +203,13 @@ class TestParseSweep:
         assert exc.value.key_path == "sweep"
 
     def test_grid_entries_must_be_ints(self):
-        doc = {"task": {"kind": "quadratic"},
-               "sweep": {"batch_grid": [32, 64.0]}}
-        with pytest.raises(ConfigError) as exc:
-            parse_sweep_config(doc)
-        assert exc.value.key_path == "sweep.batch_grid"
+        # a repeated batch size would train its cells twice and write each
+        # of their files twice
+        for grid in ([32, 64.0], [32, 128, 32]):
+            doc = {"task": {"kind": "quadratic"}, "sweep": {"batch_grid": grid}}
+            with pytest.raises(ConfigError) as exc:
+                parse_sweep_config(doc)
+            assert exc.value.key_path == "sweep.batch_grid"
 
 
 class TestParseAblate:
@@ -223,11 +225,11 @@ class TestParseAblate:
         assert axes == ["full", "no-weight-decay"]
 
     def test_unknown_axis_rejected(self):
-        doc = {"task": {"kind": "quadratic"},
-               "ablate": {"axes": ["full", "fp16"]}}
-        with pytest.raises(ConfigError) as exc:
-            parse_ablate_config(doc)
-        assert exc.value.key_path == "ablate.axes"
+        for axes in (["full", "fp16"], ["full", "full"]):
+            doc = {"task": {"kind": "quadratic"}, "ablate": {"axes": axes}}
+            with pytest.raises(ConfigError) as exc:
+                parse_ablate_config(doc)
+            assert exc.value.key_path == "ablate.axes"
 
 
 class TestParseTelescope:

@@ -535,6 +535,8 @@ class TestBatchSweep:
             batch_sweep(self.small_base(), ())
         with pytest.raises(RangeError):
             batch_sweep(self.small_base(), (0,))
+        with pytest.raises(RangeError):
+            batch_sweep(self.small_base(), (32, 32))
 
 
 def _mlp_f32_config(**overrides):
@@ -670,6 +672,8 @@ class TestAblation:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             ablate(self.base(), axes=("full", "half-precision"))
+        with pytest.raises(ConfigError):
+            ablate(self.base(), axes=("full", "batch-1x", "full"))
 
 
 class TestTelescope:

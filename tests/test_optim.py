@@ -24,7 +24,8 @@ from muonlab.optim import (
     shampoo_direction,
     shampoo_step_oracle,
 )
-from muonlab.optim import _global_norm, _muon_core, _muon_direction, _sum_left
+from muonlab.optim import (_clip_grad_arrays, _muon_core, _muon_direction, _sum_left,
+                           _sum_squares)
 
 
 def rms(arr: np.ndarray) -> float:
@@ -278,8 +279,38 @@ class TestClip:
         # sum compensates from Python 3.12 on and gives 1e16 + 2, whose
         # root rounds to the next float above 1e8
         assert _sum_left([1e16, 1.0, 1.0]) == 1e16
-        assert _global_norm([np.array([1e8]), np.array([1.0]),
-                             np.array([1.0])]) == 1e8
+        sums = _sum_squares([np.array([[1e8]]), np.array([[1.0]]),
+                             np.array([[1.0]])])
+        assert list(sums) == [1e16]
+        assert math.sqrt(sums[0]) == 1e8
+
+    QUADRATIC_SHAPES = [(16, 8)]
+    MLP_SHAPES = [(64, 128), (128,), (128, 128), (128,), (128, 8), (8,)]
+
+    @pytest.mark.parametrize("runs", [1, 5, 9])
+    @pytest.mark.parametrize("shapes", [QUADRATIC_SHAPES, MLP_SHAPES],
+                             ids=["quadratic", "mlp"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sum_squares_matches_per_slice_fold(self, dtype, shapes, runs):
+        # The stacked core against the fold it replaced: per run, math.sqrt
+        # of a left fold of each slice's f64 np.sum of squares.
+        root = Rng(runs)
+        stacks = [root.child(i).normal((runs, *shape)).astype(dtype)
+                  for i, shape in enumerate(shapes)]
+        if runs > 1:
+            stacks[0][1].flat[3] = np.inf
+            stacks[-1][runs - 1].flat[0] = np.nan
+        norms = np.sqrt(_sum_squares(stacks))
+        assert norms.shape == (runs,)
+        for r in range(runs):
+            want = math.sqrt(_sum_left(float(np.sum(g[r].astype(np.float64) ** 2))
+                                       for g in stacks))
+            clip_norm = _clip_grad_arrays({i: g[r] for i, g in enumerate(stacks)},
+                                          math.inf)[1]
+            for got in (float(norms[r]), clip_norm):
+                assert got == want or (math.isnan(got) and math.isnan(want))
+        if runs > 1:
+            assert norms[1] == np.inf and np.isnan(norms[runs - 1])
 
 
 class TestRouting:
@@ -322,9 +353,9 @@ class TestOptimizerBank:
         return params, grads
 
     def test_state_scalar_counts_halve_for_matrices(self):
-        muon_bank = OptimizerBank(self.SHAPES, "muon", [0.1],
-                                  muon=MuonHyper(eta0=0.1))
-        adamw_bank = OptimizerBank(self.SHAPES, "adamw", [0.1])
+        muon_bank = OptimizerBank(self.SHAPES, OptimizerSpec(kind="muon", eta0=0.1),
+                                  [0.1])
+        adamw_bank = OptimizerBank(self.SHAPES, OptimizerSpec(kind="adamw"), [0.1])
         matrix_scalars = 4 * 8 + 8 * 3
         vector_scalars = 2 * (8 + 3)
         assert muon_bank.state_scalar_count() == matrix_scalars + vector_scalars
@@ -336,7 +367,7 @@ class TestOptimizerBank:
     def test_step_returns_new_dict_and_preserves_inputs(self):
         params, grads = self.make_params()
         frozen = {k: v.copy() for k, v in params.items()}
-        bank = OptimizerBank(self.SHAPES, "muon", [0.1], muon=MuonHyper(eta0=0.1))
+        bank = OptimizerBank(self.SHAPES, OptimizerSpec(kind="muon", eta0=0.1), [0.1])
         new_params = _step_one(bank, params, grads, eta_t=0.05)
         assert set(new_params) == set(params)
         for name in params:
@@ -347,7 +378,7 @@ class TestOptimizerBank:
         # zero gradient: matrix params shrink by decay, vectors stay put
         params = {"w": np.ones((3, 3)), "b": np.ones(3)}
         grads = {"w": np.zeros((3, 3)), "b": np.zeros(3)}
-        bank = OptimizerBank({"w": (3, 3), "b": (3,)}, "adamw", [0.5])
+        bank = OptimizerBank({"w": (3, 3), "b": (3,)}, OptimizerSpec(kind="adamw"), [0.5])
         out = _step_one(bank, params, grads, eta_t=0.1)
         np.testing.assert_allclose(out["w"], (1.0 - 0.1 * 0.5) * np.ones((3, 3)),
                                    atol=1e-15)
@@ -357,8 +388,8 @@ class TestOptimizerBank:
         # pure-decay muon bank: update on w is eta*lambda*w, zero on b
         params = {"w": np.full((2, 2), 2.0), "b": np.ones(2)}
         grads = {"w": np.zeros((2, 2)), "b": np.zeros(2)}
-        bank = OptimizerBank({"w": (2, 2), "b": (2,)}, "muon", [0.1],
-                             muon=MuonHyper(eta0=1.0))
+        bank = OptimizerBank({"w": (2, 2), "b": (2,)},
+                             OptimizerSpec(kind="muon", eta0=1.0), [0.1])
         _step_one(bank, params, grads, eta_t=0.5)
         per_entry = 0.5 * 0.1 * 2.0
         want = math.sqrt(4 * per_entry**2 / 6)
@@ -433,10 +464,10 @@ class TestStackedCores:
     def test_stacked_bank_matches_one_bank_per_run(self, matrix_rule, dtype):
         shapes = {"w0": (6, 8), "b0": (8,), "w1": (8, 1), "w2": (8, 3)}
         decays, etas = [0.0, 0.1, 0.3], [0.05, 0.01, 0.2]
-        hyper = MuonHyper(eta0=1.0, weight_decay=0.7)  # not read by the bank
-        stacked = OptimizerBank(shapes, matrix_rule, decays, muon=hyper, dtype=dtype)
-        solo = [OptimizerBank(shapes, matrix_rule, [lam], muon=hyper, dtype=dtype)
-                for lam in decays]
+        # eta0 and weight_decay are not read by the bank
+        spec = OptimizerSpec(kind=matrix_rule, eta0=1.0, weight_decay=0.7)
+        stacked = OptimizerBank(shapes, spec, decays, dtype)
+        solo = [OptimizerBank(shapes, spec, [lam], dtype) for lam in decays]
         root = Rng(3)
         params = {n: root.child(n).normal((3, *s)).astype(dtype)
                   for n, s in shapes.items()}
@@ -459,7 +490,8 @@ class TestStackedCores:
                                                  solo[0].last_update_rms[0]]
 
     def test_run_decays_must_be_nonnegative(self):
+        adamw = OptimizerSpec(kind="adamw")
         with pytest.raises(RangeError):
-            OptimizerBank({"w": (2, 2)}, "adamw", run_decays=[0.1, -0.1])
+            OptimizerBank({"w": (2, 2)}, adamw, run_decays=[0.1, -0.1])
         with pytest.raises(RangeError):
-            OptimizerBank({"w": (2, 2)}, "adamw", run_decays=[])
+            OptimizerBank({"w": (2, 2)}, adamw, run_decays=[])

@@ -264,12 +264,30 @@ class TestStackedEvals:
                     assert stacked[name][r].dtype == grad.dtype, name
                     assert np.array_equal(stacked[name][r], grad), name
 
-    @pytest.mark.parametrize("lambda_reg", [0.0, 0.3])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_quadratic(self, dtype, lambda_reg):
-        task = make_quadratic(seed=60, lambda_reg=lambda_reg, reg_in_gradient=False)
+    @pytest.mark.parametrize("dtype,lambda_reg,reg_in_gradient", [
+        pytest.param(np.float64, 0.0, False, id="float64-0.0"),
+        pytest.param(np.float64, 0.3, False, id="float64-0.3"),
+        pytest.param(np.float32, 0.0, False, id="float32-0.0"),
+        pytest.param(np.float32, 0.3, False, id="float32-0.3"),
+        pytest.param(np.float64, 0.0, True, id="float64-0.0-reg_in_gradient"),
+        pytest.param(np.float64, 0.3, True, id="float64-0.3-reg_in_gradient"),
+    ])
+    def test_quadratic(self, dtype, lambda_reg, reg_in_gradient):
+        task = make_quadratic(seed=60, lambda_reg=lambda_reg,
+                              reg_in_gradient=reg_in_gradient)
         stack = {"w": Rng(61).normal((6, task.a.cols, task.b.cols)).astype(dtype)}
         self.assert_matches_each_run(task, stack)
+        if reg_in_gradient:
+            # The eval methods run the minibatch core on the full batch with
+            # the regularizer in the gradient, so in f64 a full-batch
+            # batch_loss_grad is the objective and its exact gradient.
+            loss, grads = task.batch_loss_grad(stack, None)
+            assert np.array_equal(loss, task.train_loss(stack))
+            assert np.array_equal(grads["w"], task.objective_grads(stack)["w"])
+            one = {"w": stack["w"][0]}
+            loss, grads = task.batch_loss_grad(one, None)
+            assert loss == task.train_loss(one)
+            assert np.array_equal(grads["w"], task.objective_grads(one)["w"])
         # the objective as written for one run, every reduction a Python float
         a, b = task.a.a, task.b.a
         for w, loss in zip(stack["w"], task.train_loss(stack)):
