@@ -20,9 +20,12 @@ must run before any submodule imports numpy.
 On glibc, importing the package also raises malloc's mmap threshold to
 32 MiB and its trim threshold to 64 MiB, so large numpy temporaries (eval
 activations, big minibatch gathers) reuse heap pages that stay mapped
-instead of being page-faulted in afresh on every call. This moves no byte
-of any result. Setting any of MALLOC_MMAP_THRESHOLD_,
-MALLOC_TRIM_THRESHOLD_, MALLOC_TOP_PAD_, MALLOC_MMAP_MAX_ or GLIBC_TUNABLES
+instead of being page-faulted in afresh on every call. It also caps malloc
+at one arena, so the thread that evaluates a snapshot while training steps
+on (see `harness.train`) allocates from those same pages instead of
+mapping an arena of its own. None of this moves a byte of any result.
+Setting any of MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_,
+MALLOC_TOP_PAD_, MALLOC_MMAP_MAX_, MALLOC_ARENA_MAX or GLIBC_TUNABLES
 leaves glibc's policy as the user chose it.
 """
 
@@ -41,7 +44,9 @@ def _keep_heap_mapped() -> None:
     back to the kernel past twice the threshold. So by default each large
     numpy temporary is faulted in page by page on every call. The largest
     mmap threshold (32 MiB) and a trim threshold of twice that (glibc's own
-    dynamic rule) stop both. Any of glibc's own malloc variables wins.
+    dynamic rule) stop both. A second thread would get an arena of its own,
+    faulted in apart from the main heap; one arena serves every thread from
+    the pages already mapped. Any of glibc's own malloc variables wins.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
@@ -49,7 +54,8 @@ def _keep_heap_mapped() -> None:
         return
     if not libc.startswith("glibc") or any(name in os.environ for name in (
             "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
-            "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")):
+            "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "MALLOC_ARENA_MAX",
+            "GLIBC_TUNABLES")):
         return
     import ctypes
     mallopt = ctypes.CDLL(None).mallopt
@@ -57,6 +63,7 @@ def _keep_heap_mapped() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _keep_heap_mapped()

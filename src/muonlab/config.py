@@ -230,8 +230,13 @@ def parse_sweep_config(doc: dict, overrides: dict | None = None,
     config, out_dir = _parse_base(root, overrides or {})
     sweep = root.section("sweep", required=True)
     grid = sweep.take("batch_grid", kind=list)
+    if not grid:
+        raise ConfigError("must be nonempty", key_path="sweep.batch_grid")
     if not all(isinstance(b, int) and not isinstance(b, bool) for b in grid):
         raise ConfigError("batch_grid entries must be integers",
+                          key_path="sweep.batch_grid")
+    if min(grid) < 1:
+        raise ConfigError(f"batch sizes must be >= 1, got {grid}",
                           key_path="sweep.batch_grid")
     if len(set(grid)) < len(grid):
         raise ConfigError(f"batch sizes must not repeat, got {grid}",
@@ -254,6 +259,8 @@ def parse_ablate_config(doc: dict, overrides: dict | None = None,
         axes_val = sec.take("axes", None, kind=list)
         sec.finish()
         if axes_val is not None:
+            if not axes_val:
+                raise ConfigError("must be nonempty", key_path="ablate.axes")
             bad = [a for a in axes_val if a not in ABLATION_CELLS]
             if bad:
                 raise ConfigError(f"unknown ablation cells {bad}",

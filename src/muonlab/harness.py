@@ -16,6 +16,8 @@ group's records are byte-identical to its runs trained alone.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -182,6 +184,45 @@ def _finite_per_run(stack: np.ndarray) -> np.ndarray:
     return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
 
 
+def _overlaps(task, config: TrainConfig, val_only: bool) -> bool:
+    """Whether `train` hands its eval snapshots to a worker thread.
+
+    Only where it pays: a second CPU must be usable, and the snapshot must
+    be a full one whose train pass covers more rows than the minibatch
+    steps it hides behind (under ``full_batch`` each step covers them
+    all, so it never does). Overlapping the snapshots of the benchmark's
+    quadratic sweep (256 train rows behind 10 steps of 32) made it slower,
+    0.58 -> 0.85 s on a 2-vCPU Xeon: they cost less than the hand-offs of
+    the interpreter lock between the threads.
+    """
+    if val_only or config.full_batch or not hasattr(os, "sched_getaffinity"):
+        return False
+    return (len(os.sched_getaffinity(0)) > 1
+            and task.n_train > config.eval_every * config.batch_size)
+
+
+class _Snapshot(threading.Thread):
+    """An eval snapshot measured on a worker thread; `rows` waits for it."""
+
+    def __init__(self, measure, *args):
+        super().__init__(name="muonlab-snapshot", daemon=True)
+        self._measure, self._args = measure, args
+        self._rows = self._error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._rows = self._measure(*self._args)
+        except BaseException as exc:  # re-raised on the training thread
+            self._error = exc
+
+    def rows(self) -> list[EvalRow]:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._rows
+
+
 def train(configs: TrainConfig | Sequence[TrainConfig], *,
           val_only: bool = False) -> RunRecord | list[RunRecord]:
     """Train one run, or a group of runs in lockstep; deterministic given
@@ -208,7 +249,18 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     ``val_only`` takes a `task.val_loss` pass instead and leaves
     ``train_loss`` and ``grad_global_norm`` None; the rows are otherwise
     the bytes of full snapshots. With ``record_wall_time`` the rows of an
-    eval step share one ``wall_ms``, the time since the group started.
+    eval step share one ``wall_ms``, the time since the group started,
+    taken when the snapshot's pass ends.
+
+    Where it pays (see `_overlaps`), a full snapshot of step k runs on a
+    worker thread, one run at a time, while the stack trains on. A
+    snapshot reads only the weights of step k and can only end runs, so
+    its rows and verdicts are applied later: before the next snapshot,
+    before any run leaves at a step, and after the last step. A run it
+    ends leaves then, with its rows cut at step k, and the steps it took
+    meanwhile are dropped; the other runs' slices are untouched, so every
+    record is the bytes of the inline path. The worker is joined before
+    `train` returns or raises, and its exception is raised here.
 
     Divergence (non-finite loss/gradient/parameter, or an eval val loss
     that is NaN or above 10x the initial one) terminates the run with the
@@ -242,19 +294,27 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     rows: list[list[EvalRow]] = [[] for _ in group]
     tokens_to_target: list[int | None] = [None] * len(group)
     records: list[RunRecord | None] = [None] * len(group)
+    overlap = _overlaps(task, first, val_only)
+    pending: _Snapshot | None = None
     t0 = time.perf_counter()
 
     def snapshot(step: int, stack: dict[str, np.ndarray], update_rms,
-                 etas: Sequence[float]) -> list[EvalRow]:
-        """The eval rows of a stack's runs, measured in one pass over it."""
+                 etas: Sequence[float], by_run: bool = False) -> list[EvalRow]:
+        """The eval rows of a stack's runs, measured in one pass over it, or
+        ``by_run`` in one pass per run, which holds the train-set
+        activations of one run at a time."""
+        parts = ([{name: p[r:r + 1] for name, p in stack.items()}
+                  for r in range(len(etas))] if by_run else [stack])
+        measured = []
         with np.errstate(all="ignore"):
-            if val_only:
-                measured = [(None, float(v), None) for v in task.val_loss(stack)]
-            else:
-                train_losses, val_losses, grads = task.evaluate(stack)
-                norms = np.sqrt(_sum_squares(grads.values()))
-                measured = [(float(t), float(v), float(n))
-                            for t, v, n in zip(train_losses, val_losses, norms)]
+            for part in parts:
+                if val_only:
+                    measured += [(None, float(v), None) for v in task.val_loss(part)]
+                else:
+                    train_losses, val_losses, grads = task.evaluate(part)
+                    norms = np.sqrt(_sum_squares(grads.values()))
+                    measured += [(float(t), float(v), float(n))
+                                 for t, v, n in zip(train_losses, val_losses, norms)]
         wall = (time.perf_counter() - t0) * 1e3 if first.record_wall_time else 0.0
         return [EvalRow(step, step * first.batch_size, *m, update_rms=float(u),
                         eta_t=eta, wall_ms=wall)
@@ -273,6 +333,42 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
         live = [live[slot] for slot in keep]
         return keep
 
+    def settle(new_rows: list[EvalRow]) -> list[int]:
+        """Append a snapshot's rows to its runs and close the runs it ends
+        (a val loss that diverged, a target crossing that stops); returns
+        the kept slots."""
+        ended: dict[int, str] = {}
+        for slot, (run, new_row) in enumerate(zip(live, new_rows)):
+            rows[run].append(new_row)
+            val_loss = new_row.val_loss
+            if (not math.isfinite(val_loss)
+                    or val_loss > _DIVERGENCE_FACTOR * initial_val):
+                ended[slot] = "diverged"
+            elif first.target_loss is not None and tokens_to_target[run] is None:
+                window = rows[run][-first.smooth_window:]
+                smoothed = _sum_left(r.val_loss for r in window) / len(window)
+                if smoothed <= first.target_loss:
+                    tokens_to_target[run] = new_row.tokens_seen
+                    if first.stop_rule == "tokens-to-target":
+                        ended[slot] = "target-reached"
+        return leave(ended) if ended else list(range(len(live)))
+
+    def collect() -> list[int]:
+        """Settle the snapshot on the worker, if one is out; returns the
+        kept slots."""
+        nonlocal pending
+        if pending is None:
+            return list(range(len(live)))
+        done, pending = pending, None
+        return settle(done.rows())
+
+    def leave_diverged(finite: np.ndarray) -> list[int]:
+        """Close the runs of the slots not ``finite``, after the endings of
+        the snapshot on the worker; returns the kept slots."""
+        keep = collect()
+        kept = leave({int(s): "diverged" for s in np.flatnonzero(~finite[keep])})
+        return [keep[slot] for slot in kept]
+
     # Every run starts from the same weights: one snapshot serves them all.
     (row0,) = snapshot(0, {name: arr[None] for name, arr in init.items()},
                        [0.0], [0.0])
@@ -285,59 +381,57 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
             leave(dict.fromkeys(range(len(live)), "target-reached"))
 
     noise_sigma = float(task.noise_sigma)
-    for step in range(1, first.total_steps + 1):
-        if not live:
-            break
-        idx = (None if first.full_batch
-               else task.sample_batch(batch_rng, first.batch_size))
-        with np.errstate(all="ignore"):
-            loss, grads = task.batch_loss_grad(params, idx)
-            if noise_sigma > 0.0:
-                # Every run draws the same noise: one draw serves the stack.
-                for name in grads:
-                    g = grads[name]
-                    grads[name] = (g + noise_sigma
-                                   * noise_rng.normal(g.shape[1:])).astype(g.dtype,
-                                                                           copy=False)
-            finite = np.isfinite(loss)
-            for g in grads.values():
-                finite &= _finite_per_run(g)
-            if not finite.all():
-                keep = leave({int(s): "diverged" for s in np.flatnonzero(~finite)})
-                grads = {name: g[keep] for name, g in grads.items()}
-            for slot in range(len(live)):
-                run_grads = {name: g[slot] for name, g in grads.items()}
-                clipped, _ = _clip_grad_arrays(run_grads, first.clip_norm)
-                if clipped is not run_grads:
-                    for name, g in clipped.items():
-                        grads[name][slot] = g
-            if live:
-                etas = [schedule_eta(scheds[run], step) for run in live]
-                params = bank.step(params, grads, etas)
-                finite = np.logical_and.reduce(
-                    [_finite_per_run(p) for p in params.values()])
+    try:
+        for step in range(1, first.total_steps + 1):
+            if not live:
+                break
+            idx = (None if first.full_batch
+                   else task.sample_batch(batch_rng, first.batch_size))
+            with np.errstate(all="ignore"):
+                loss, grads = task.batch_loss_grad(params, idx)
+                if noise_sigma > 0.0:
+                    # Every run draws the same noise: one draw serves the stack.
+                    for name in grads:
+                        g = grads[name]
+                        grads[name] = (g + noise_sigma
+                                       * noise_rng.normal(g.shape[1:])).astype(
+                                           g.dtype, copy=False)
+                finite = np.isfinite(loss)
+                for g in grads.values():
+                    finite &= _finite_per_run(g)
                 if not finite.all():
-                    keep = leave({int(s): "diverged" for s in np.flatnonzero(~finite)})
-                    etas = [etas[slot] for slot in keep]
-        if step % first.eval_every != 0 or not live:
-            continue
-        ended: dict[int, str] = {}
-        new_rows = snapshot(step, params, bank.last_update_rms, etas)
-        for slot, (run, new_row) in enumerate(zip(live, new_rows)):
-            rows[run].append(new_row)
-            val_loss = new_row.val_loss
-            if (not math.isfinite(val_loss)
-                    or val_loss > _DIVERGENCE_FACTOR * initial_val):
-                ended[slot] = "diverged"
-            elif first.target_loss is not None and tokens_to_target[run] is None:
-                window = rows[run][-first.smooth_window:]
-                smoothed = _sum_left(r.val_loss for r in window) / len(window)
-                if smoothed <= first.target_loss:
-                    tokens_to_target[run] = step * first.batch_size
-                    if first.stop_rule == "tokens-to-target":
-                        ended[slot] = "target-reached"
-        if ended:
-            leave(ended)
+                    keep = leave_diverged(finite)
+                    grads = {name: g[keep] for name, g in grads.items()}
+                for slot in range(len(live)):
+                    run_grads = {name: g[slot] for name, g in grads.items()}
+                    clipped, _ = _clip_grad_arrays(run_grads, first.clip_norm)
+                    if clipped is not run_grads:
+                        for name, g in clipped.items():
+                            grads[name][slot] = g
+                if live:
+                    etas = [schedule_eta(scheds[run], step) for run in live]
+                    params = bank.step(params, grads, etas)
+                    finite = np.logical_and.reduce(
+                        [_finite_per_run(p) for p in params.values()])
+                    if not finite.all():
+                        keep = leave_diverged(finite)
+                        etas = [etas[slot] for slot in keep]
+            if step % first.eval_every != 0 or not live:
+                continue
+            # The previous snapshot's endings first: the next one measures
+            # only the runs that stay, with their learning rates.
+            etas = [etas[slot] for slot in collect()]
+            if not live:
+                continue
+            if overlap:
+                pending = _Snapshot(snapshot, step, params, bank.last_update_rms,
+                                    etas, True)
+            else:
+                settle(snapshot(step, params, bank.last_update_rms, etas))
+        collect()
+    finally:
+        if pending is not None:
+            pending.join()
 
     leave(dict.fromkeys(range(len(live)), "completed"))
     return records[0] if single else records

@@ -253,10 +253,10 @@ def _activation(name: str, z: np.ndarray) -> np.ndarray:
 
 def _activation_grad(name: str, h: np.ndarray) -> np.ndarray:
     """The activation's derivative, from its output (relu's h > 0 exactly
-    where its input z > 0)."""
+    where its input z > 0). tanh's is written over ``h``."""
     if name == "tanh":
-        g = h * h
-        return np.subtract(1.0, g, out=g)
+        h *= h
+        return np.subtract(1.0, h, out=h)
     return (h > 0.0).astype(h.dtype)
 
 
@@ -345,17 +345,21 @@ class MlpTask:
                                 axis=-1))
         if not want_grads:
             return loss, {}
-        probs = expz / sumexp
-        dz = probs
+        # In place: the softmax over expz, and each activation's derivative
+        # over the activation once its weight gradient is taken. Nothing
+        # reads them again, and an eval running beside the steps (see
+        # `harness.train`) then adds less to the peak memory.
+        dz = np.divide(expz, sumexp, out=expz)
         dz[..., rows, yb] -= 1.0
         dz /= n
         grads: dict[str, np.ndarray] = {}
         for i in range(len(hs) - 1, -1, -1):
-            grads[f"w{i}"] = hs[i].swapaxes(-1, -2) @ dz
+            h = hs.pop()
+            grads[f"w{i}"] = h.swapaxes(-1, -2) @ dz
             grads[f"b{i}"] = dz.sum(axis=-2)
             if i > 0:
                 dz = dz @ params[f"w{i}"].swapaxes(-1, -2)
-                dz *= _activation_grad(self.activation, hs[i])
+                dz *= _activation_grad(self.activation, h)
         return loss, grads
 
     def sample_batch(self, rng: Rng, batch_size: int) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 import muonlab
-from muonlab.config import parse_sweep_config
+from muonlab.config import parse_sweep_config, parse_train_config
 from muonlab.harness import (
     ABLATION_CELLS,
     TelescopeGrid,
@@ -571,12 +571,43 @@ def test_10_byte_determinism(sweep_artifacts, tmp_path):
         timeout=600)
     count, sweep_identical = _same_files(in_process_dir, cli_dir)
     ok = train_identical and proc.returncode == 0 and sweep_identical
-    _verdict(
-        "10", ok,
-        f"repeat train emission byte-identical ({train_identical}); "
-        f"in-process sweep and fresh-interpreter CLI sweep (exit "
-        f"{proc.returncode}) byte-identical across {count} files "
-        f"({sweep_identical})")
+    detail = (f"repeat train emission byte-identical ({train_identical}); "
+              f"in-process sweep and fresh-interpreter CLI sweep (exit "
+              f"{proc.returncode}) byte-identical across {count} files "
+              f"({sweep_identical})")
+
+    # An MLP run whose eval snapshots overlap its steps in this process
+    # (2 usable CPUs, 461 train rows behind 10 steps of 16), against the
+    # same run as a fresh-interpreter CLI pinned to one CPU, which
+    # evaluates inline.
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) >= 2:
+        mlp_doc = {
+            "task": {"kind": "mlp", "n_samples": 512, "input_dim": 16,
+                     "hidden": [32, 32], "classes": 4},
+            "optimizer": {"kind": "muon", "eta0": 0.02, "lambda": 0.1},
+            "batch_size": 16, "total_steps": 100, "eval_every": 10, "seed": 11,
+            "out_dir": str(tmp_path / "mlp-cli"),
+        }
+        mlp_cfg, mlp_cli_dir = parse_train_config(mlp_doc)
+        emit_reports(train(mlp_cfg), str(tmp_path / "mlp-in-process"))
+        mlp_path = tmp_path / "mlp.json"
+        mlp_path.write_text(json.dumps(mlp_doc))
+        pinned = ("import os, sys\n"
+                  f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
+                  "from muonlab.cli import main\n"
+                  f"sys.exit(main(['train', '--config', {str(mlp_path)!r}]))\n")
+        mlp_proc = subprocess.run([sys.executable, "-c", pinned], env=env,
+                                  capture_output=True, text=True, timeout=600)
+        mlp_count, mlp_identical = _same_files(str(tmp_path / "mlp-in-process"),
+                                               mlp_cli_dir)
+        ok = ok and mlp_proc.returncode == 0 and mlp_identical
+        detail += (f"; overlapped in-process MLP train and 1-CPU CLI train "
+                   f"(exit {mlp_proc.returncode}) byte-identical across "
+                   f"{mlp_count} files ({mlp_identical})")
+    else:
+        detail += "; overlapped MLP train skipped (1 usable CPU)"
+    _verdict("10", ok, detail)
 
 
 def test_11_ablation_grid():

@@ -97,7 +97,8 @@ class TestHeapStaysMapped:
     then served from pages already faulted in."""
 
     MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
-                   "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
+                   "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_", "MALLOC_ARENA_MAX",
+                   "GLIBC_TUNABLES")
     CODE = (
         "import resource, muonlab.cli, numpy as np\n"
         "h = np.full((1843, 128), 0.5)\n"
@@ -108,17 +109,41 @@ class TestHeapStaysMapped:
         "    1.0 - h * h\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
+    # The same loop on a second thread, after the main thread's warm-up:
+    # the eval snapshot's worker in `harness.train`.
+    THREAD_CODE = (
+        "import resource, threading, muonlab.cli, numpy as np\n"
+        "h = np.full((1843, 128), 0.5)\n"
+        "for _ in range(5):\n"
+        "    1.0 - h * h\n"
+        "def work():\n"
+        "    for _ in range(50):\n"
+        "        1.0 - h * h\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "worker = threading.Thread(target=work)\n"
+        "worker.start()\n"
+        "worker.join()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
 
     @classmethod
-    def minor_faults(cls, **malloc_vars):
-        return int(fresh_interpreter_output(cls.CODE, cls.MALLOC_VARS,
-                                            **malloc_vars))
+    def minor_faults(cls, code=CODE, **malloc_vars):
+        return int(fresh_interpreter_output(code, cls.MALLOC_VARS, **malloc_vars))
 
     def test_default_reuses_mapped_pages(self):
         assert self.minor_faults() < 2_000
 
+    def test_worker_thread_reuses_mapped_pages(self):
+        # with an arena of its own, the worker faulted ~900 pages in
+        assert self.minor_faults(self.THREAD_CODE) < 500
+
     def test_glibc_variable_wins(self):
         assert self.minor_faults(MALLOC_TRIM_THRESHOLD_="131072") > 20_000
+
+    def test_arena_variable_wins(self):
+        # setting the arena count leaves all of glibc's policy to the user,
+        # the mmap threshold included
+        assert self.minor_faults(self.THREAD_CODE, MALLOC_ARENA_MAX="2") > 20_000
 
 
 class TestBenchTracingSeams:
@@ -350,6 +375,17 @@ class TestSweepCommand:
         assert "sweep.batch_grid: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_or_nonpositive_batch_grid_exit_2_names_key(self, tmp_path,
+                                                               capsys):
+        out = tmp_path / "sweep"
+        for grid in ([], [0, 32]):
+            doc = self.doc(str(out))
+            doc["sweep"]["batch_grid"] = grid
+            cfg = write_json(tmp_path, "sweep.json", doc)
+            assert main(["sweep", "--config", cfg]) == 2
+            assert "sweep.batch_grid: " in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestAblateCommand:
     def doc(self, out_dir, axes):
@@ -389,7 +425,7 @@ class TestAblateCommand:
     def test_unknown_axis_exit_2(self, tmp_path, capsys):
         # a repeated cell would train twice and fill two table rows
         out = tmp_path / "o"
-        for axes in (["full", "fp16"], ["full", "full"]):
+        for axes in (["full", "fp16"], ["full", "full"], []):
             cfg = write_json(tmp_path, "bad.json", self.doc(str(out), axes))
             code = main(["ablate", "--config", cfg])
             assert code == 2

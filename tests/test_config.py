@@ -204,8 +204,9 @@ class TestParseSweep:
 
     def test_grid_entries_must_be_ints(self):
         # a repeated batch size would train its cells twice and write each
-        # of their files twice
-        for grid in ([32, 64.0], [32, 128, 32]):
+        # of their files twice; an empty grid has no cell, a size below 1
+        # no batch
+        for grid in ([32, 64.0], [32, 128, 32], [], [0, 32], [-4]):
             doc = {"task": {"kind": "quadratic"}, "sweep": {"batch_grid": grid}}
             with pytest.raises(ConfigError) as exc:
                 parse_sweep_config(doc)
@@ -225,7 +226,7 @@ class TestParseAblate:
         assert axes == ["full", "no-weight-decay"]
 
     def test_unknown_axis_rejected(self):
-        for axes in (["full", "fp16"], ["full", "full"]):
+        for axes in (["full", "fp16"], ["full", "full"], []):
             doc = {"task": {"kind": "quadratic"}, "ablate": {"axes": axes}}
             with pytest.raises(ConfigError) as exc:
                 parse_ablate_config(doc)

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from muonlab.harness import (
     train,
 )
 from muonlab.optim import OptimizerSpec
-from muonlab.tasks import MlpSpec, QuadraticSpec
+from muonlab.tasks import MlpSpec, MlpTask, QuadraticSpec
 
 
 def quad_config(**overrides):
@@ -382,6 +384,122 @@ class TestValOnlySnapshots:
         batch_sweep(dataclasses.replace(TestBatchSweep().small_base(),
                                         total_steps=20), (32,))
         assert asked == [{"val_only": False}] * 4
+
+
+class TestSnapshotOverlap:
+    """Where `train` hands its full snapshots to a worker thread while the
+    stack trains on (2 usable CPUs and a train split larger than the rows
+    of the steps between evals), every record is the bytes of the inline
+    path, which one usable CPU selects."""
+
+    BIG_ETA = {"f64": 1e150, "f32": 1e20}  # non-finite at step 2 with relu
+
+    @staticmethod
+    def group(etas, precision, activation="tanh", **overrides):
+        fields = dict(
+            task=dataclasses.replace(LOCKSTEP_TASKS["mlp"], activation=activation),
+            optimizer=OptimizerSpec(kind="adamw"), batch_size=8, total_steps=40,
+            eval_every=2, seed=1, precision=precision, clip_norm=1e300)
+        base = TrainConfig(**{**fields, **overrides})
+        return [dataclasses.replace(
+            base, run_id=f"run{i}",
+            optimizer=dataclasses.replace(base.optimizer, eta0=eta))
+            for i, eta in enumerate(etas)]
+
+    @staticmethod
+    def train_both(monkeypatch, group):
+        """The records of ``group`` trained with its snapshots overlapped,
+        after asserting that they equal those of the inline path. The
+        overlapped run switches threads every 10 us, so that a worker
+        reading an array the training thread still changes would show."""
+        overlapped = []
+
+        class Counted(harness._Snapshot):
+            def __init__(self, measure, step, *args):
+                overlapped.append(step)
+                super().__init__(measure, step, *args)
+
+        monkeypatch.setattr(harness, "_Snapshot", Counted)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            records = train(group)
+        finally:
+            sys.setswitchinterval(interval)
+        assert overlapped, "no snapshot overlapped"
+        count = len(overlapped)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        inline = train(group)
+        assert len(overlapped) == count, "one CPU overlapped a snapshot"
+        for got, want in zip(records, inline):
+            _assert_records_identical(got, want)
+        return records
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_divergence_at_an_eval_and_at_a_pending_step(self, monkeypatch,
+                                                         precision):
+        # run0's step-1 snapshot ends it, and it goes non-finite at step 2
+        # before that snapshot is settled; run1 blows up on its first eval
+        # row while the other two train on
+        finite_steps = []
+        real = MlpTask.batch_loss_grad
+
+        def recording(task, params, idx):
+            loss, grads = real(task, params, idx)
+            finite_steps.append(bool(np.isfinite(loss).all()))
+            return loss, grads
+
+        monkeypatch.setattr(MlpTask, "batch_loss_grad", recording)
+        group = self.group((self.BIG_ETA[precision], 20.0, 0.05, 0.005), precision,
+                           activation="relu", eval_every=1)
+        records = self.train_both(monkeypatch, group)
+        assert [(r.terminated, len(r.rows)) for r in records] == [
+            ("diverged", 2), ("diverged", 2), ("completed", 41), ("completed", 41)]
+        assert records[1].rows[-1].val_loss > 10.0 * records[1].rows[0].val_loss
+        assert finite_steps[1] is False  # the overlapped path's step 2
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_target_stop(self, monkeypatch, precision):
+        group = self.group((0.05, 0.005, 20.0), precision, target_loss=1.0,
+                           stop_rule="tokens-to-target")
+        records = self.train_both(monkeypatch, group)
+        assert [r.terminated for r in records] == [
+            "target-reached", "completed", "diverged"]
+        assert records[0].tokens_to_target == records[0].rows[-1].tokens_seen
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("etas, terminated", [
+        ((0.05, 0.05, 0.05), "target-reached"), ((20.0, 50.0), "diverged")])
+    def test_every_run_ends_at_one_eval(self, monkeypatch, precision, etas,
+                                        terminated):
+        group = self.group(etas, precision, target_loss=1.0,
+                           stop_rule="tokens-to-target")
+        records = self.train_both(monkeypatch, group)
+        assert {(r.terminated, r.rows[-1].step) for r in records} == {
+            (terminated, records[0].rows[-1].step)}
+        assert records[0].rows[-1].step < 40
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        group = self.group((0.05, 0.005), "f64")
+        before = threading.active_count()
+        train(group)
+        assert threading.active_count() == before
+        real = MlpTask.evaluate
+
+        def failing(task, params):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("snapshot failed")
+            return real(task, params)
+
+        monkeypatch.setattr(MlpTask, "evaluate", failing)
+        with pytest.raises(RuntimeError, match="snapshot failed"):
+            train(group)
+        assert threading.active_count() == before
 
 
 class TestDiagnostics:
