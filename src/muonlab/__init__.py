@@ -23,10 +23,12 @@ activations, big minibatch gathers) reuse heap pages that stay mapped
 instead of being page-faulted in afresh on every call. It also caps malloc
 at one arena, so the thread that evaluates a snapshot while training steps
 on (see `harness.train`) allocates from those same pages instead of
-mapping an arena of its own. None of this moves a byte of any result.
-Setting any of MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_,
-MALLOC_TOP_PAD_, MALLOC_MMAP_MAX_, MALLOC_ARENA_MAX or GLIBC_TUNABLES
-leaves glibc's policy as the user chose it.
+mapping an arena of its own. The cap is process-wide: every thread of a
+program that imports the package allocates under that one arena's lock.
+None of this moves a byte of any result. Setting any of
+MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_, MALLOC_TOP_PAD_,
+MALLOC_MMAP_MAX_, MALLOC_ARENA_MAX or GLIBC_TUNABLES leaves all of glibc's
+policy as the user chose it; MALLOC_ARENA_MAX, say, lifts the arena cap.
 """
 
 import os

@@ -184,21 +184,42 @@ def _finite_per_run(stack: np.ndarray) -> np.ndarray:
     return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
 
 
-def _overlaps(task, config: TrainConfig, val_only: bool) -> bool:
-    """Whether `train` hands its eval snapshots to a worker thread.
+# A full snapshot at least this large (train rows x parameters per run, the
+# multiply-adds of its forward pass) is evaluated one run at a time, and on
+# a worker thread where a second CPU is usable. See `train`.
+_LARGE_SNAPSHOT = 1 << 24
 
-    Only where it pays: a second CPU must be usable, and the snapshot must
-    be a full one whose train pass covers more rows than the minibatch
-    steps it hides behind (under ``full_batch`` each step covers them
-    all, so it never does). Overlapping the snapshots of the benchmark's
-    quadratic sweep (256 train rows behind 10 steps of 32) made it slower,
-    0.58 -> 0.85 s on a 2-vCPU Xeon: they cost less than the hand-offs of
-    the interpreter lock between the threads.
-    """
-    if val_only or config.full_batch or not hasattr(os, "sched_getaffinity"):
-        return False
-    return (len(os.sched_getaffinity(0)) > 1
-            and task.n_train > config.eval_every * config.batch_size)
+
+def _cpu_quota(cgroup: str = "/sys/fs/cgroup") -> float | None:
+    """The CPUs' worth of time per second that the cgroup mounted at
+    ``cgroup`` grants (v2 ``cpu.max``, v1 ``cpu/cpu.cfs_quota_us`` over
+    ``cpu.cfs_period_us``), or None where it sets no quota."""
+    try:
+        with open(os.path.join(cgroup, "cpu.max"), encoding="ascii") as fh:
+            quota, period = fh.read().split()
+    except (OSError, ValueError):
+        v1 = os.path.join(cgroup, "cpu", "cpu.cfs_")
+        try:
+            with open(v1 + "quota_us", encoding="ascii") as fh:
+                quota = fh.read().strip()
+            with open(v1 + "period_us", encoding="ascii") as fh:
+                period = fh.read().strip()
+        except OSError:
+            return None
+    try:
+        return None if quota in ("max", "-1") else int(quota) / int(period)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _usable_cpus() -> float:
+    """The CPUs this process can keep busy: its affinity mask, capped by a
+    cgroup CPU quota. One where the platform shows no affinity mask."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 class _Snapshot(threading.Thread):
@@ -252,15 +273,23 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     eval step share one ``wall_ms``, the time since the group started,
     taken when the snapshot's pass ends.
 
-    Where it pays (see `_overlaps`), a full snapshot of step k runs on a
-    worker thread, one run at a time, while the stack trains on. A
-    snapshot reads only the weights of step k and can only end runs, so
-    its rows and verdicts are applied later: before the next snapshot,
-    before any run leaves at a step, and after the last step. A run it
-    ends leaves then, with its rows cut at step k, and the steps it took
-    meanwhile are dropped; the other runs' slices are untouched, so every
-    record is the bytes of the inline path. The worker is joined before
-    `train` returns or raises, and its exception is raised here.
+    A large full snapshot (train rows x parameters of one run at least
+    `_LARGE_SNAPSHOT`, 2**24) is measured one run at a time, so that the
+    train-set activations of one run are alive at once; its rows are the
+    bytes of the stacked pass. Where a second CPU is also usable (the
+    affinity mask, capped by a cgroup CPU quota), the large snapshot of
+    step k runs on a worker thread while the stack trains on. A snapshot
+    reads only the weights of step k and can only end runs, so its rows
+    and verdicts are applied later: before the next snapshot, before any
+    run leaves at a step, and after the last step. A run it ends leaves
+    then, with its rows cut at step k, and the steps it took meanwhile
+    are dropped; the other runs' slices are untouched, so every record is
+    the bytes of the inline path. The worker is joined before `train`
+    returns or raises, and its exception is raised here. On a 2-vCPU
+    Xeon, every snapshot measured at 2**24 or above gained from the
+    overlap (2-22% of the run), while smaller ones could lose up to 57%
+    to the hand-offs of the interpreter lock; and the quadratic sweep's
+    small snapshots took 13% longer measured run by run.
 
     Divergence (non-finite loss/gradient/parameter, or an eval val loss
     that is NaN or above 10x the initial one) terminates the run with the
@@ -294,15 +323,16 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     rows: list[list[EvalRow]] = [[] for _ in group]
     tokens_to_target: list[int | None] = [None] * len(group)
     records: list[RunRecord | None] = [None] * len(group)
-    overlap = _overlaps(task, first, val_only)
+    by_run = (not val_only and task.n_train * sum(a.size for a in init.values())
+              >= _LARGE_SNAPSHOT)
+    overlap = by_run and _usable_cpus() > 1
     pending: _Snapshot | None = None
     t0 = time.perf_counter()
 
     def snapshot(step: int, stack: dict[str, np.ndarray], update_rms,
-                 etas: Sequence[float], by_run: bool = False) -> list[EvalRow]:
+                 etas: Sequence[float]) -> list[EvalRow]:
         """The eval rows of a stack's runs, measured in one pass over it, or
-        ``by_run`` in one pass per run, which holds the train-set
-        activations of one run at a time."""
+        if ``by_run`` in one pass per run."""
         parts = ([{name: p[r:r + 1] for name, p in stack.items()}
                   for r in range(len(etas))] if by_run else [stack])
         measured = []
@@ -425,7 +455,7 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                 continue
             if overlap:
                 pending = _Snapshot(snapshot, step, params, bank.last_update_rms,
-                                    etas, True)
+                                    etas)
             else:
                 settle(snapshot(step, params, bank.last_update_rms, etas))
         collect()

@@ -1,5 +1,8 @@
 """Shared fixtures for the muonlab test suite."""
 
+# muonlab first: importing it pins OpenBLAS to one thread only if numpy is
+# not loaded yet, and in-process results must be the bytes of the CLI's.
+import muonlab  # noqa: F401
 import numpy as np
 import pytest
 

@@ -39,6 +39,7 @@ from muonlab.harness import (
     rate_check,
     telescope_sweep,
     train,
+    _usable_cpus,
 )
 from muonlab.linalg import Matrix, Rng, frobenius_norm, svd
 from muonlab.msign import (
@@ -577,16 +578,16 @@ def test_10_byte_determinism(sweep_artifacts, tmp_path):
               f"({sweep_identical})")
 
     # An MLP run whose eval snapshots overlap its steps in this process
-    # (2 usable CPUs, 461 train rows behind 10 steps of 16), against the
-    # same run as a fresh-interpreter CLI pinned to one CPU, which
-    # evaluates inline.
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(cpus) >= 2:
+    # (2 usable CPUs; 922 train rows x 25,864 parameters, above 2**24),
+    # against the same run as a fresh-interpreter CLI pinned to one CPU,
+    # which evaluates inline.
+    if _usable_cpus() >= 2:
+        cpus = sorted(os.sched_getaffinity(0))
         mlp_doc = {
-            "task": {"kind": "mlp", "n_samples": 512, "input_dim": 16,
-                     "hidden": [32, 32], "classes": 4},
+            "task": {"kind": "mlp", "n_samples": 1024, "input_dim": 64,
+                     "hidden": [128, 128], "classes": 8},
             "optimizer": {"kind": "muon", "eta0": 0.02, "lambda": 0.1},
-            "batch_size": 16, "total_steps": 100, "eval_every": 10, "seed": 11,
+            "batch_size": 32, "total_steps": 100, "eval_every": 10, "seed": 11,
             "out_dir": str(tmp_path / "mlp-cli"),
         }
         mlp_cfg, mlp_cli_dir = parse_train_config(mlp_doc)

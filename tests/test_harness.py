@@ -387,10 +387,11 @@ class TestValOnlySnapshots:
 
 
 class TestSnapshotOverlap:
-    """Where `train` hands its full snapshots to a worker thread while the
-    stack trains on (2 usable CPUs and a train split larger than the rows
-    of the steps between evals), every record is the bytes of the inline
-    path, which one usable CPU selects."""
+    """Where `train` hands its large full snapshots to a worker thread
+    while the stack trains on (2 usable CPUs), every record is the bytes
+    of the inline path, which one usable CPU selects, and of the stacked
+    pass that small snapshots take. The small groups here count as large
+    with `_LARGE_SNAPSHOT` lowered to 0."""
 
     BIG_ETA = {"f64": 1e150, "f32": 1e20}  # non-finite at step 2 with relu
 
@@ -407,11 +408,9 @@ class TestSnapshotOverlap:
             for i, eta in enumerate(etas)]
 
     @staticmethod
-    def train_both(monkeypatch, group):
-        """The records of ``group`` trained with its snapshots overlapped,
-        after asserting that they equal those of the inline path. The
-        overlapped run switches threads every 10 us, so that a worker
-        reading an array the training thread still changes would show."""
+    def count_overlaps(monkeypatch, cpus=(0, 1), quota=None) -> list[int]:
+        """Present ``cpus`` and a cgroup ``quota`` to the gate; returns the
+        list that the steps of overlapped snapshots are appended to."""
         overlapped = []
 
         class Counted(harness._Snapshot):
@@ -420,8 +419,20 @@ class TestSnapshotOverlap:
                 super().__init__(measure, step, *args)
 
         monkeypatch.setattr(harness, "_Snapshot", Counted)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(cpus), raising=False)
+        monkeypatch.setattr(harness, "_cpu_quota", lambda: quota)
+        return overlapped
+
+    @classmethod
+    def train_both(cls, monkeypatch, group):
+        """The records of ``group`` trained with its snapshots overlapped,
+        after asserting that they equal those of the inline path, run by
+        run and stacked. The overlapped run switches threads every 10 us,
+        so that a worker reading an array the training thread still
+        changes would show."""
+        monkeypatch.setattr(harness, "_LARGE_SNAPSHOT", 0)
+        overlapped = cls.count_overlaps(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -433,9 +444,12 @@ class TestSnapshotOverlap:
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         inline = train(group)
+        monkeypatch.setattr(harness, "_LARGE_SNAPSHOT", math.inf)
+        stacked = train(group)
         assert len(overlapped) == count, "one CPU overlapped a snapshot"
-        for got, want in zip(records, inline):
+        for got, by_run, want in zip(records, inline, stacked):
             _assert_records_identical(got, want)
+            _assert_records_identical(by_run, want)
         return records
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -483,11 +497,12 @@ class TestSnapshotOverlap:
         assert records[0].rows[-1].step < 40
 
     def test_no_thread_outlives_train(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+        monkeypatch.setattr(harness, "_LARGE_SNAPSHOT", 0)
+        overlapped = self.count_overlaps(monkeypatch)
         group = self.group((0.05, 0.005), "f64")
         before = threading.active_count()
         train(group)
+        assert overlapped
         assert threading.active_count() == before
         real = MlpTask.evaluate
 
@@ -500,6 +515,43 @@ class TestSnapshotOverlap:
         with pytest.raises(RuntimeError, match="snapshot failed"):
             train(group)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("config", [
+        quad_config(batch_size=8),  # the ablation's batch-quarter cell
+        TrainConfig(task=MlpSpec(n_samples=512, input_dim=16, hidden=(32, 32),
+                                 classes=4),
+                    optimizer=OptimizerSpec(kind="muon"), batch_size=16,
+                    total_steps=20, eval_every=10)])
+    def test_small_snapshots_stay_inline(self, monkeypatch, config):
+        # 230 x 128 and 461 x 1,732 multiply-adds: overlapping such
+        # snapshots made their runs slower
+        overlapped = self.count_overlaps(monkeypatch)
+        train(config)
+        assert overlapped == []
+
+    @pytest.mark.parametrize("cpus, quota, overlaps", [
+        ((0, 1), None, True), ((0,), None, False), ((0, 1), 1.0, False),
+        ((0, 1), 1.5, True), ((0, 1, 2, 3), 0.5, False)])
+    def test_gate_reads_affinity_and_cgroup_quota(self, monkeypatch, cpus,
+                                                  quota, overlaps):
+        monkeypatch.setattr(harness, "_LARGE_SNAPSHOT", 0)
+        overlapped = self.count_overlaps(monkeypatch, cpus, quota)
+        train(self.group((0.05,), "f64", total_steps=4))
+        assert bool(overlapped) is overlaps
+
+    @pytest.mark.parametrize("files, quota", [
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "150000 100000\n"}, 1.5),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"},
+         None),
+        ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"},
+         0.5),
+        ({}, None)])
+    def test_cpu_quota_v1_and_v2(self, tmp_path, files, quota):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert harness._cpu_quota(str(tmp_path)) == quota
 
 
 class TestDiagnostics:
