@@ -8,8 +8,10 @@ Usage (from the repository root):
 Each ``*_SRC`` is a ``src/`` directory holding a ``muonlab`` package, say
 that of a checkout of the parent commit and that of the working tree. The
 script makes the config of every benchmark workload at every config seed of
-``bench/reference.json`` (3 workloads x 8 seeds), runs it through
-``python3 -m muonlab.cli`` once under each tree, and compares the exit
+``bench/reference.json`` (3 workloads x 8 seeds), plus one ``ablate``
+config per seed, since no workload runs that command (32 configs in all).
+It runs each through ``python3 -m muonlab.cli`` once under each tree, and
+compares the exit
 code, the standard output and every file of the output directory byte for
 byte. Both sides run in directories of the same shape, with a relative
 output path, so their standard outputs name the same files.
@@ -39,8 +41,37 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 
 from workloads import WORKLOADS, make_config  # noqa: E402
 
+# The ablation grid's check config in the acceptance suite (test_11): a
+# wide quadratic whose regularizer is left out of the gradient, started
+# from random weights. Its optimum loss is at most ~0.56 over the
+# reference seeds, so every cell can cross the target.
+ABLATE_TASK = {"kind": "quadratic", "n_rows": 8, "in_dim": 16, "out_dim": 8,
+               "lambda_reg": 0.1, "reg_in_gradient": False,
+               "target_noise": 0.5, "init_scale": 1.0}
+ABLATE_TARGET_LOSS = 0.75
 
-def run_side(src: str, side_dir: str, workload, doc: dict):
+
+def ablate_config(seed: int, out_dir: str) -> dict:
+    return {
+        "task": ABLATE_TASK,
+        "optimizer": {"kind": "muon", "eta0": 0.05, "lambda": 0.1},
+        "batch_size": 32, "total_steps": 1000, "eval_every": 10,
+        "seed": seed, "target_loss": ABLATE_TARGET_LOSS, "out_dir": out_dir,
+    }
+
+
+def configs(reference: dict):
+    """(name, muonlab command, config document) of every config checked."""
+    for name, workload in WORKLOADS.items():
+        for seed in reference["seeds"]:
+            target = reference["sweep_targets"].get(str(seed))
+            yield (f"{name} seed {seed}", workload.command,
+                   make_config(name, seed, "out", target))
+    for seed in reference["seeds"]:
+        yield f"ablate seed {seed}", "ablate", ablate_config(seed, "out")
+
+
+def run_side(src: str, side_dir: str, command: str, doc: dict):
     """Run one config under the package in ``src``; returns (code, stdout)."""
     os.makedirs(side_dir)
     cfg = os.path.join(side_dir, "config.json")
@@ -48,7 +79,7 @@ def run_side(src: str, side_dir: str, workload, doc: dict):
         json.dump(doc, fh)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "muonlab.cli", workload.command, "--config", cfg],
+        [sys.executable, "-m", "muonlab.cli", command, "--config", cfg],
         cwd=side_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if proc.stderr:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
@@ -109,23 +140,19 @@ def main(argv=None) -> int:
     work = tempfile.mkdtemp(prefix="same_outputs-")  # under $TMPDIR
     try:
         checked = 0
-        for name, workload in WORKLOADS.items():
-            for seed in reference["seeds"]:
-                target = reference["sweep_targets"].get(str(seed))
-                doc = make_config(name, seed, "out", target)
-                config_dir = os.path.join(work, f"{name}-{seed}")
-                a_dir, b_dir = (os.path.join(config_dir, s) for s in ("a", "b"))
-                a_run = run_side(sides[0], a_dir, workload, doc)
-                b_run = run_side(sides[1], b_dir, workload, doc)
-                diff = first_difference(a_dir, b_dir, a_run, b_run)
-                if diff is not None:
-                    print(f"DIFFERS {name} seed {seed}: {diff}")
-                    return 1
-                count = len(files_under(os.path.join(a_dir, "out")))
-                print(f"same {name} seed {seed}: exit {a_run[0]}, stdout, "
-                      f"{count} files")
-                shutil.rmtree(config_dir)
-                checked += 1
+        for name, command, doc in configs(reference):
+            config_dir = os.path.join(work, name.replace(" ", "-"))
+            a_dir, b_dir = (os.path.join(config_dir, s) for s in ("a", "b"))
+            a_run = run_side(sides[0], a_dir, command, doc)
+            b_run = run_side(sides[1], b_dir, command, doc)
+            diff = first_difference(a_dir, b_dir, a_run, b_run)
+            if diff is not None:
+                print(f"DIFFERS {name}: {diff}")
+                return 1
+            count = len(files_under(os.path.join(a_dir, "out")))
+            print(f"same {name}: exit {a_run[0]}, stdout, {count} files")
+            shutil.rmtree(config_dir)
+            checked += 1
         print(f"all {checked} configs byte-identical")
         return 0
     finally:

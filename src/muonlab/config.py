@@ -1,27 +1,53 @@
 """Strict JSON run configurations.
 
-Every key is checked: unknown keys are rejected with the full dotted path
-of the offender, and type mismatches name the key they occurred at. The
-optimizer block spells weight decay as "lambda", matching the usual symbol
-for it; the quadratic task's ridge term is "lambda_reg". Under f32, a
-learning rate or weight decay that f32 cannot hold is rejected.
+The spec dataclasses are the schema. Each field of `QuadraticSpec` or
+`MlpSpec` (the "task" section), `OptimizerSpec` ("optimizer"),
+`TrainConfig` (the top level) and `TelescopeGrid` ("telescope.grid") is a
+key under its own name, except two: weight decay is "optimizer.lambda",
+matching the usual symbol for it, and `TrainConfig.schedule_kind` is
+"schedule.kind", read in the "schedule" section beside
+"warmup_fraction" and "eta_min_fraction". A key's JSON kind is that of
+its field's default (a float field takes an integer too); an absent key
+takes the dataclass default. ``null`` is accepted only for
+"target_loss", whose default it is.
+
+Every key is checked: an unknown key, a mistyped value or a null is
+rejected with the full dotted path of the offender. Under f32, a learning
+rate or weight decay that f32 cannot hold is rejected.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .harness import (ABLATION_CELLS, ETA_TUNING_MULTIPLIERS, TelescopeGrid,
-                      TrainConfig, _log_grid)
+from .errors import ConfigError, MuonlabError
+from .harness import (ETA_TUNING_MULTIPLIERS, TelescopeGrid, TrainConfig,
+                      _check_ablation_axes, _check_batch_grid, _log_grid)
 from .optim import OptimizerSpec
 from .tasks import MlpSpec, QuadraticSpec
 
-_MISSING = object()
 _F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INTS = list[int]
+# JSON kind -> (its name in errors, its test).
+_KINDS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    _INTS: ("a list of integers",
+            lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
 
 
 class StrictSection:
@@ -41,42 +67,33 @@ class StrictSection:
     def _child_path(self, key: str) -> str:
         return f"{self._path}.{key}" if self._path else key
 
-    def take(self, key: str, default=_MISSING, kind=None):
+    def take(self, key: str, default=MISSING, kind=None, nullable=False):
+        """The value at ``key``, checked against ``kind`` (a key of
+        ``_KINDS``); ``null`` only where ``nullable``."""
         if key not in self._data:
-            if default is _MISSING:
+            if default is MISSING:
                 raise ConfigError("missing required key",
                                   key_path=self._child_path(key))
             return default
         self._seen.add(key)
         value = self._data[key]
-        if kind is not None and value is not None:
-            self._check_kind(key, value, kind)
+        if value is None:
+            if not nullable:
+                raise ConfigError("must not be null",
+                                  key_path=self._child_path(key))
+        elif kind is not None and not _KINDS[kind][1](value):
+            raise ConfigError(f"expected {_KINDS[kind][0]}, got {value!r}",
+                              key_path=self._child_path(key))
         return value
 
-    def _check_kind(self, key: str, value, kind) -> None:
-        path = self._child_path(key)
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"expected a boolean, got {value!r}", key_path=path)
-        elif kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"expected an integer, got {value!r}", key_path=path)
-        elif kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"expected a number, got {value!r}", key_path=path)
-        elif kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"expected a string, got {value!r}", key_path=path)
-        elif kind is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"expected a list, got {value!r}", key_path=path)
-
-    def section(self, key: str, required: bool = False) -> "StrictSection | None":
+    def section(self, key: str, required: bool = False) -> "StrictSection":
+        """The object at ``key``; an empty one if it is absent and not
+        ``required``."""
         if key not in self._data:
             if required:
                 raise ConfigError("missing required section",
                                   key_path=self._child_path(key))
-            return None
+            return StrictSection({}, self._child_path(key))
         self._seen.add(key)
         return StrictSection(self._data[key], self._child_path(key))
 
@@ -97,61 +114,48 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
+# Fields read under another key, and the TrainConfig fields read in the
+# "schedule" section rather than at the top level.
+_KEYS = {"weight_decay": "lambda", "schedule_kind": "kind"}
+_SCHEDULE_FIELDS = {"schedule_kind", "warmup_fraction", "eta_min_fraction"}
+_TOP_LEVEL_FIELDS = {f.name for f in fields(TrainConfig)} - _SCHEDULE_FIELDS
+_TASKS = {spec().kind: spec for spec in (QuadraticSpec, MlpSpec)}
+
+
+def _take_fields(sec: StrictSection, cls, names: set[str] | None = None,
+                 **defaults) -> dict:
+    """The fields of dataclass ``cls`` (those in ``names``, or all) read
+    from ``sec``, by field name.
+
+    Each field's key is its name (or its entry in ``_KEYS``), and its value
+    must be of the JSON kind of its default: a float field takes an integer
+    too, a tuple field a list of integers, and a field whose default is
+    None a number or null. An absent key takes the default. ``defaults``
+    gives defaults the dataclass does not hold; a field with neither is not
+    read here (a task or optimizer spec has its own section).
+    """
+    values = {}
+    for f in fields(cls):
+        default = defaults.get(f.name, f.default)
+        if default is MISSING or (names is not None and f.name not in names):
+            continue
+        key = _KEYS.get(f.name, f.name)
+        if default is None or isinstance(default, float):
+            value = sec.take(key, default, float, nullable=default is None)
+            values[f.name] = None if value is None else float(value)
+        elif isinstance(default, tuple):
+            values[f.name] = tuple(sec.take(key, default, _INTS))
+        else:
+            values[f.name] = sec.take(key, default, type(default))
+    return values
+
+
 def _parse_task(sec: StrictSection):
     kind = sec.take("kind", kind=str)
-    if kind == "quadratic":
-        spec = QuadraticSpec(
-            n_rows=int(sec.take("n_rows", 256, kind=int)),
-            in_dim=int(sec.take("in_dim", 16, kind=int)),
-            out_dim=int(sec.take("out_dim", 8, kind=int)),
-            lambda_reg=float(sec.take("lambda_reg", 0.0, kind=float)),
-            noise_sigma=float(sec.take("noise_sigma", 0.0, kind=float)),
-            reg_in_gradient=bool(sec.take("reg_in_gradient", True, kind=bool)),
-            target_noise=float(sec.take("target_noise", 0.5, kind=float)),
-            design_scale=float(sec.take("design_scale", 1.0, kind=float)),
-            init_scale=float(sec.take("init_scale", 0.0, kind=float)),
-        )
-    elif kind == "mlp":
-        hidden = sec.take("hidden", [128, 128], kind=list)
-        if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
-            raise ConfigError("hidden widths must be integers",
-                              key_path=sec._child_path("hidden"))
-        spec = MlpSpec(
-            n_samples=int(sec.take("n_samples", 2048, kind=int)),
-            input_dim=int(sec.take("input_dim", 64, kind=int)),
-            hidden=tuple(hidden),
-            classes=int(sec.take("classes", 8, kind=int)),
-            activation=str(sec.take("activation", "tanh", kind=str)),
-            val_fraction=float(sec.take("val_fraction", 0.1, kind=float)),
-            cluster_spread=float(sec.take("cluster_spread", 1.0, kind=float)),
-            sample_noise=float(sec.take("sample_noise", 1.0, kind=float)),
-            noise_sigma=float(sec.take("noise_sigma", 0.0, kind=float)),
-        )
-    else:
+    if kind not in _TASKS:
         raise ConfigError(f"unknown task kind {kind!r}",
                           key_path=sec._child_path("kind"))
-    sec.finish()
-    return spec
-
-
-def _parse_optimizer(sec: StrictSection) -> OptimizerSpec:
-    spec = OptimizerSpec(
-        kind=str(sec.take("kind", "muon", kind=str)),
-        eta0=float(sec.take("eta0", 0.02, kind=float)),
-        weight_decay=float(sec.take("lambda", 0.1, kind=float)),
-        beta=float(sec.take("beta", 0.9, kind=float)),
-        k_iters=int(sec.take("k_iters", 5, kind=int)),
-        coeffs=str(sec.take("coeffs", "optimized", kind=str)),
-        rms_factor=float(sec.take("rms_factor", 0.2, kind=float)),
-        rms_matching=bool(sec.take("rms_matching", True, kind=bool)),
-        rms_dim=str(sec.take("rms_dim", "fan-out", kind=str)),
-        exact_msign=bool(sec.take("exact_msign", False, kind=bool)),
-        momentum_only=bool(sec.take("momentum_only", False, kind=bool)),
-        dynamic_rms=bool(sec.take("dynamic_rms", False, kind=bool)),
-        beta1=float(sec.take("beta1", 0.9, kind=float)),
-        beta2=float(sec.take("beta2", 0.999, kind=float)),
-        eps=float(sec.take("eps", 1e-8, kind=float)),
-    )
+    spec = _TASKS[kind](**_take_fields(sec, _TASKS[kind]))
     sec.finish()
     return spec
 
@@ -163,45 +167,26 @@ def _parse_base(root: StrictSection, overrides: dict) -> tuple[TrainConfig, str]
     """
     task = _parse_task(root.section("task", required=True))
     opt_sec = root.section("optimizer")
-    optimizer = (_parse_optimizer(opt_sec) if opt_sec is not None
-                 else OptimizerSpec())
-
-    schedule_kind = "cosine-with-linear-warmup"
-    warmup_fraction = 0.01
-    eta_min_fraction = 0.0
+    optimizer = OptimizerSpec(**_take_fields(opt_sec, OptimizerSpec))
+    opt_sec.finish()
+    values = _take_fields(root, TrainConfig, _TOP_LEVEL_FIELDS)
     sched_sec = root.section("schedule")
-    if sched_sec is not None:
-        schedule_kind = str(sched_sec.take("kind", schedule_kind, kind=str))
-        warmup_fraction = float(sched_sec.take("warmup_fraction",
-                                               warmup_fraction, kind=float))
-        eta_min_fraction = float(sched_sec.take("eta_min_fraction",
-                                                eta_min_fraction, kind=float))
-        sched_sec.finish()
+    values.update(_take_fields(sched_sec, TrainConfig, _SCHEDULE_FIELDS))
+    sched_sec.finish()
+    values.update((key, overrides[key]) for key in ("seed", "precision")
+                  if key in overrides)
+    out_dir = root.take("out_dir", "out", kind=str)
+    return (TrainConfig(task=task, optimizer=optimizer, **values),
+            overrides.get("out", out_dir))
 
-    target = root.take("target_loss", None, kind=float)
-    config = TrainConfig(
-        task=task,
-        optimizer=optimizer,
-        batch_size=int(root.take("batch_size", 32, kind=int)),
-        total_steps=int(root.take("total_steps", 200, kind=int)),
-        seed=int(overrides.get("seed", root.take("seed", 0, kind=int))),
-        precision=str(overrides.get("precision",
-                                    root.take("precision", "f64", kind=str))),
-        schedule_kind=schedule_kind,
-        warmup_fraction=warmup_fraction,
-        eta_min_fraction=eta_min_fraction,
-        target_loss=None if target is None else float(target),
-        stop_rule=str(root.take("stop_rule", "fixed-steps", kind=str)),
-        eval_every=int(root.take("eval_every", 10, kind=int)),
-        full_batch=bool(root.take("full_batch", False, kind=bool)),
-        smooth_window=int(root.take("smooth_window", 5, kind=int)),
-        spike_ratio=float(root.take("spike_ratio", 1.25, kind=float)),
-        clip_norm=float(root.take("clip_norm", 1.0, kind=float)),
-        record_wall_time=bool(root.take("record_wall_time", False, kind=bool)),
-        run_id=str(root.take("run_id", "", kind=str)),
-    )
-    out_dir = str(overrides.get("out", root.take("out_dir", "out", kind=str)))
-    return config, out_dir
+
+def _checked(key_path: str, check, value) -> None:
+    """Run ``check`` on ``value``, re-raising its error as naming
+    ``key_path``."""
+    try:
+        check(value)
+    except MuonlabError as exc:
+        raise ConfigError(str(exc), key_path=key_path) from None
 
 
 def _check_f32(config: TrainConfig, peaks: dict[str, float]) -> None:
@@ -229,46 +214,25 @@ def parse_sweep_config(doc: dict, overrides: dict | None = None,
     root = StrictSection(doc)
     config, out_dir = _parse_base(root, overrides or {})
     sweep = root.section("sweep", required=True)
-    grid = sweep.take("batch_grid", kind=list)
-    if not grid:
-        raise ConfigError("must be nonempty", key_path="sweep.batch_grid")
-    if not all(isinstance(b, int) and not isinstance(b, bool) for b in grid):
-        raise ConfigError("batch_grid entries must be integers",
-                          key_path="sweep.batch_grid")
-    if min(grid) < 1:
-        raise ConfigError(f"batch sizes must be >= 1, got {grid}",
-                          key_path="sweep.batch_grid")
-    if len(set(grid)) < len(grid):
-        raise ConfigError(f"batch sizes must not repeat, got {grid}",
-                          key_path="sweep.batch_grid")
+    grid = sweep.take("batch_grid", kind=_INTS)
+    _checked("sweep.batch_grid", _check_batch_grid, grid)
     sweep.finish()
     root.finish()
     _check_f32(config, {
         "optimizer.eta0": config.optimizer.eta0 * max(ETA_TUNING_MULTIPLIERS),
         "optimizer.lambda": config.optimizer.weight_decay})
-    return config, [int(b) for b in grid], out_dir
+    return config, grid, out_dir
 
 
 def parse_ablate_config(doc: dict, overrides: dict | None = None,
                         ) -> tuple[TrainConfig, Sequence[str] | None, str]:
     root = StrictSection(doc)
     config, out_dir = _parse_base(root, overrides or {})
-    axes = None
     sec = root.section("ablate")
-    if sec is not None:
-        axes_val = sec.take("axes", None, kind=list)
-        sec.finish()
-        if axes_val is not None:
-            if not axes_val:
-                raise ConfigError("must be nonempty", key_path="ablate.axes")
-            bad = [a for a in axes_val if a not in ABLATION_CELLS]
-            if bad:
-                raise ConfigError(f"unknown ablation cells {bad}",
-                                  key_path="ablate.axes")
-            if len(set(axes_val)) < len(axes_val):
-                raise ConfigError(f"cells must not repeat, got {axes_val}",
-                                  key_path="ablate.axes")
-            axes = [str(a) for a in axes_val]
+    axes = sec.take("axes", None, kind=list)
+    if axes is not None:
+        _checked("ablate.axes", _check_ablation_axes, axes)
+    sec.finish()
     root.finish()
     _check_f32(config, {"optimizer.eta0": config.optimizer.eta0,
                         "optimizer.lambda": config.optimizer.weight_decay})
@@ -280,18 +244,12 @@ def parse_telescope_config(doc: dict, overrides: dict | None = None,
     root = StrictSection(doc)
     config, out_dir = _parse_base(root, overrides or {})
     sec = root.section("telescope", required=True)
-    start = int(sec.take("start_width", kind=int))
-    end = int(sec.take("end_width", kind=int))
+    start = sec.take("start_width", kind=int)
+    end = sec.take("end_width", kind=int)
     grid_sec = sec.section("grid", required=True)
-    grid = TelescopeGrid(
-        eta_center=float(grid_sec.take("eta_center", config.optimizer.eta0,
-                                       kind=float)),
-        lambda_center=float(grid_sec.take(
-            "lambda_center", config.optimizer.weight_decay or 0.1, kind=float)),
-        eta_extent=float(grid_sec.take("eta_extent", 0.5, kind=float)),
-        lambda_extent=float(grid_sec.take("lambda_extent", 0.5, kind=float)),
-        points=int(grid_sec.take("points", 3, kind=int)),
-    )
+    grid = TelescopeGrid(**_take_fields(
+        grid_sec, TelescopeGrid, eta_center=config.optimizer.eta0,
+        lambda_center=config.optimizer.weight_decay or 0.1))
     grid_sec.finish()
     sec.finish()
     root.finish()

@@ -603,6 +603,16 @@ def _stopped_at_target(record: RunRecord, run_id: str) -> RunRecord:
                    record.state_scalar_count)
 
 
+def _check_batch_grid(batch_grid: Sequence[int]) -> None:
+    """A batch grid is nonempty, with every size >= 1 and none repeated."""
+    if not batch_grid:
+        raise RangeError("batch_grid must be nonempty")
+    if any(b < 1 for b in batch_grid):
+        raise RangeError(f"batch sizes must be >= 1, got {tuple(batch_grid)}")
+    if len(set(batch_grid)) < len(batch_grid):
+        raise RangeError(f"batch sizes must not repeat, got {tuple(batch_grid)}")
+
+
 def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
     """Measure tokens-to-target for both optimizers over a batch-size grid.
 
@@ -613,12 +623,7 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
     cut at its crossing, not trained again. Cell seeds derive from the base
     seed by cell tag, and all tuning runs go through one `_run_many` call.
     """
-    if not batch_grid:
-        raise RangeError("batch_grid must be nonempty")
-    if any(b < 1 for b in batch_grid):
-        raise RangeError(f"batch sizes must be >= 1, got {tuple(batch_grid)}")
-    if len(set(batch_grid)) < len(batch_grid):
-        raise RangeError(f"batch sizes must not repeat, got {tuple(batch_grid)}")
+    _check_batch_grid(batch_grid)
     if base.target_loss is None:
         raise ConfigError("batch_sweep requires target_loss in the base config")
     grid = tuple(int(b) for b in batch_grid)
@@ -760,6 +765,17 @@ def _ablation_config(base: TrainConfig, name: str) -> TrainConfig:
                    stop_rule="fixed-steps", run_id=f"ablate-{name}")
 
 
+def _check_ablation_axes(names: Sequence[str]) -> None:
+    """Ablation axes are nonempty known cells, none repeated."""
+    if not names:
+        raise RangeError("ablation axes must be nonempty")
+    unknown = [n for n in names if n not in ABLATION_CELLS]
+    if unknown:
+        raise ConfigError(f"unknown ablation cells {unknown}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"ablation cells must not repeat, got {list(names)}")
+
+
 def ablate(base: TrainConfig, axes: Sequence[str] | None = None) -> AblationTable:
     """Run the component-ablation grid and summarize one row per cell.
 
@@ -775,13 +791,7 @@ def ablate(base: TrainConfig, axes: Sequence[str] | None = None) -> AblationTabl
     if base.target_loss is None:
         raise ConfigError("ablate requires target_loss for steps-to-target")
     names = ABLATION_CELLS if axes is None else tuple(axes)
-    if not names:
-        raise RangeError("ablation axes must be nonempty")
-    unknown = [n for n in names if n not in ABLATION_CELLS]
-    if unknown:
-        raise ConfigError(f"unknown ablation cells {unknown}")
-    if len(set(names)) < len(names):
-        raise ConfigError(f"ablation cells must not repeat, got {list(names)}")
+    _check_ablation_axes(names)
     configs = [_ablation_config(base, name) for name in names]
     results = _run_many(configs)
     cells = []

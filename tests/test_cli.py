@@ -291,6 +291,27 @@ class TestTrainCommand:
         assert code == 2
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, extra", [
+        ("out_dir", {"out_dir": None}),
+        ("run_id", {"run_id": None}),
+        ("batch_size", {"batch_size": None}),
+        ("optimizer.eta0", {"optimizer": {"eta0": None}}),
+        ("task.n_rows", {"task": {"kind": "quadratic", "n_rows": None}}),
+    ])
+    def test_null_exit_2_names_key(self, tmp_path, capsys, monkeypatch, key,
+                                   extra):
+        # null once wrote into ./None/ or run_None.csv with exit 0, or
+        # ended in a TypeError with exit 1
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        doc = self.doc(str(out))
+        doc.update(extra)
+        cfg = write_json(tmp_path, "null.json", doc)
+        assert main(["train", "--config", cfg]) == 2
+        assert f"{key}: must not be null" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "None").exists()
+
     @pytest.mark.parametrize("kind", ["muon", "adamw"])
     @pytest.mark.parametrize("key, value", [
         ("beta1", 1.0), ("beta2", 1.0), ("beta2", -0.5),

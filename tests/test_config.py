@@ -13,6 +13,8 @@ from muonlab.config import (
     parse_train_config,
 )
 from muonlab.errors import ConfigError
+from muonlab.harness import TrainConfig
+from muonlab.optim import OptimizerSpec
 from muonlab.tasks import MlpSpec, QuadraticSpec
 
 
@@ -119,6 +121,11 @@ class TestParseTrain:
         assert cfg.batch_size == 32
         assert cfg.schedule_kind == "cosine-with-linear-warmup"
         assert cfg.target_loss is None
+        assert cfg.optimizer == OptimizerSpec()
+        assert cfg == TrainConfig(task=QuadraticSpec(), optimizer=OptimizerSpec())
+        cfg, _ = parse_train_config({"task": {"kind": "mlp"}})
+        assert cfg.task == MlpSpec()
+        assert cfg == TrainConfig(task=MlpSpec(), optimizer=OptimizerSpec())
 
     def test_mlp_task_document(self):
         doc = {"task": {"kind": "mlp", "hidden": [32, 16], "classes": 4,
@@ -188,6 +195,121 @@ class TestParseTrain:
             parse_train_config(doc)
         assert exc.value.key_path == "schedule.gamma"
 
+
+QUADRATIC = {"kind": "quadratic"}
+MLP = {"kind": "mlp"}
+TELESCOPE = {"start_width": 8, "end_width": 16, "grid": {}}
+
+
+class TestNull:
+    """``null`` is rejected by key everywhere but ``target_loss``."""
+
+    @pytest.mark.parametrize("parse, doc, key_path", [
+        # these wrote into ./None/ or run_None.csv, or raised a TypeError
+        (parse_train_config, {"task": QUADRATIC, "out_dir": None}, "out_dir"),
+        (parse_train_config, {"task": QUADRATIC, "run_id": None}, "run_id"),
+        (parse_train_config, {"task": QUADRATIC, "batch_size": None},
+         "batch_size"),
+        (parse_train_config, {"task": QUADRATIC, "seed": None}, "seed"),
+        (parse_train_config, {"task": QUADRATIC, "full_batch": None},
+         "full_batch"),
+        (parse_train_config, {"task": QUADRATIC, "optimizer": {"eta0": None}},
+         "optimizer.eta0"),
+        (parse_train_config, {"task": QUADRATIC, "optimizer": {"lambda": None}},
+         "optimizer.lambda"),
+        (parse_train_config, {"task": QUADRATIC, "optimizer": {"kind": None}},
+         "optimizer.kind"),
+        (parse_train_config, {"task": QUADRATIC, "schedule": {"kind": None}},
+         "schedule.kind"),
+        (parse_train_config, {"task": {"kind": None}}, "task.kind"),
+        (parse_train_config, {"task": {"kind": "quadratic", "n_rows": None}},
+         "task.n_rows"),
+        (parse_train_config, {"task": {"kind": "mlp", "hidden": None}},
+         "task.hidden"),
+        (parse_sweep_config, {"task": QUADRATIC, "sweep": {"batch_grid": None}},
+         "sweep.batch_grid"),
+        (parse_ablate_config, {"task": QUADRATIC, "ablate": {"axes": None}},
+         "ablate.axes"),
+        (parse_telescope_config, {"task": MLP, "telescope": dict(
+            TELESCOPE, start_width=None)}, "telescope.start_width"),
+        (parse_telescope_config, {"task": MLP, "telescope": dict(
+            TELESCOPE, grid={"eta_center": None})}, "telescope.grid.eta_center"),
+        (parse_telescope_config, {"task": MLP, "telescope": dict(
+            TELESCOPE, grid={"points": None})}, "telescope.grid.points"),
+    ])
+    def test_null_exits_naming_key(self, parse, doc, key_path):
+        with pytest.raises(ConfigError, match="must not be null") as exc:
+            parse(doc)
+        assert exc.value.key_path == key_path
+
+    def test_null_target_loss_is_no_target(self):
+        cfg, _ = parse_train_config({"task": QUADRATIC, "target_loss": None})
+        assert cfg.target_loss is None
+
+
+class TestSchema:
+    """The accepted keys, section by section, written out: a key that
+    appears here without being accepted, or is accepted without appearing
+    here, fails."""
+
+    QUADRATIC_TASK = {
+        "kind": "quadratic", "n_rows": 8, "in_dim": 4, "out_dim": 2,
+        "lambda_reg": 0.5, "noise_sigma": 0.1, "reg_in_gradient": False,
+        "target_noise": 0.2, "design_scale": 2.0, "init_scale": 1.0}
+    MLP_TASK = {
+        "kind": "mlp", "n_samples": 64, "input_dim": 4, "hidden": [8],
+        "classes": 3, "activation": "relu", "val_fraction": 0.2,
+        "cluster_spread": 2.0, "sample_noise": 0.5, "noise_sigma": 0.1}
+    OPTIMIZER = {
+        "kind": "adamw", "eta0": 0.01, "lambda": 0.2, "beta": 0.8,
+        "k_iters": 3, "coeffs": "taylor", "rms_factor": 0.3,
+        "rms_matching": False, "rms_dim": "max", "exact_msign": True,
+        "momentum_only": True, "dynamic_rms": True, "beta1": 0.8,
+        "beta2": 0.99, "eps": 1e-6}
+    SCHEDULE = {"kind": "inverse-sqrt", "warmup_fraction": 0.1,
+                "eta_min_fraction": 0.1}
+    TOP_LEVEL = {
+        "batch_size": 4, "total_steps": 20, "seed": 1, "precision": "f32",
+        "target_loss": 1.0, "stop_rule": "tokens-to-target", "eval_every": 5,
+        "full_batch": True, "smooth_window": 2, "spike_ratio": 2.0,
+        "clip_norm": 2.0, "record_wall_time": True, "run_id": "r",
+        "out_dir": "o"}
+    COMMANDS = {
+        "sweep": {"batch_grid": [4, 8]},
+        "ablate": {"axes": ["full"]},
+        "telescope": {"start_width": 8, "end_width": 16, "grid": {
+            "eta_center": 0.1, "lambda_center": 0.2, "eta_extent": 0.25,
+            "lambda_extent": 0.25, "points": 2}},
+    }
+    PARSERS = {"train": parse_train_config, "sweep": parse_sweep_config,
+               "ablate": parse_ablate_config,
+               "telescope": parse_telescope_config}
+
+    @staticmethod
+    def paths(section, prefix=""):
+        """Every key of a nested document as a dotted path."""
+        for key, value in section.items():
+            yield prefix + key
+            if isinstance(value, dict):
+                yield from TestSchema.paths(value, f"{prefix}{key}.")
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "ablate", "telescope"])
+    @pytest.mark.parametrize("task", ["quadratic", "mlp"])
+    def test_every_key_and_nothing_else(self, monkeypatch, command, task):
+        doc = {"task": self.QUADRATIC_TASK if task == "quadratic" else self.MLP_TASK,
+               "optimizer": self.OPTIMIZER, "schedule": self.SCHEDULE,
+               **self.TOP_LEVEL}
+        if command != "train":
+            doc[command] = self.COMMANDS[command]
+        # every key a parse asks its sections about, present or not
+        asked = set()
+        for name in ("take", "section"):
+            def ask(sec, key, *args, _method=getattr(StrictSection, name), **kw):
+                asked.add(sec._child_path(key))
+                return _method(sec, key, *args, **kw)
+            monkeypatch.setattr(StrictSection, name, ask)
+        self.PARSERS[command](json.loads(json.dumps(doc)))
+        assert asked == set(self.paths(doc))
 
 class TestParseSweep:
     def test_batch_grid(self):
