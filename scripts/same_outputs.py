@@ -10,11 +10,12 @@ that of a checkout of the parent commit and that of the working tree. The
 script makes the config of every benchmark workload at every config seed of
 ``bench/reference.json`` (3 workloads x 8 seeds), plus one ``ablate``
 config per seed, since no workload runs that command (32 configs in all).
-It runs each through ``python3 -m muonlab.cli`` once under each tree, and
-compares the exit
-code, the standard output and every file of the output directory byte for
-byte. Both sides run in directories of the same shape, with a relative
-output path, so their standard outputs name the same files.
+It runs each through ``python3 -m muonlab.cli`` once under each tree, the
+two processes side by side, and compares the exit code, the standard
+output and every file of the output directory byte for byte. Both sides
+run in directories of the same shape, with a relative output path, so
+their standard outputs name the same files. Their standard errors are
+written once both have ended, the parent's first.
 
 It prints one line per config and exits 0 when all are identical. At the
 first difference it names the config and the first differing item (the
@@ -71,19 +72,26 @@ def configs(reference: dict):
         yield f"ablate seed {seed}", "ablate", ablate_config(seed, "out")
 
 
-def run_side(src: str, side_dir: str, command: str, doc: dict):
-    """Run one config under the package in ``src``; returns (code, stdout)."""
+def start_side(src: str, side_dir: str, command: str, doc: dict):
+    """Start one config under the package in ``src``; returns the process."""
     os.makedirs(side_dir)
     cfg = os.path.join(side_dir, "config.json")
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
+    return subprocess.Popen(
         [sys.executable, "-m", "muonlab.cli", command, "--config", cfg],
         cwd=side_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    if proc.stderr:
-        sys.stderr.write(proc.stderr.decode(errors="replace"))
-    return proc.returncode, proc.stdout
+
+
+def run_sides(sides, side_dirs, command: str, doc: dict):
+    """Run one config under each package at once; returns each side's
+    (code, stdout), after writing their standard errors in side order."""
+    procs = [start_side(src, d, command, doc) for src, d in zip(sides, side_dirs)]
+    outputs = [proc.communicate() for proc in procs]  # a few lines each
+    for _stdout, stderr in outputs:
+        sys.stderr.write(stderr.decode(errors="replace"))
+    return [(proc.returncode, stdout) for proc, (stdout, _) in zip(procs, outputs)]
 
 
 def files_under(directory: str) -> list:
@@ -143,8 +151,7 @@ def main(argv=None) -> int:
         for name, command, doc in configs(reference):
             config_dir = os.path.join(work, name.replace(" ", "-"))
             a_dir, b_dir = (os.path.join(config_dir, s) for s in ("a", "b"))
-            a_run = run_side(sides[0], a_dir, command, doc)
-            b_run = run_side(sides[1], b_dir, command, doc)
+            a_run, b_run = run_sides(sides, (a_dir, b_dir), command, doc)
             diff = first_difference(a_dir, b_dir, a_run, b_run)
             if diff is not None:
                 print(f"DIFFERS {name}: {diff}")

@@ -11,9 +11,10 @@ its field's default (a float field takes an integer too); an absent key
 takes the dataclass default. ``null`` is accepted only for
 "target_loss", whose default it is.
 
-Every key is checked: an unknown key, a mistyped value or a null is
-rejected with the full dotted path of the offender. Under f32, a learning
-rate or weight decay that f32 cannot hold is rejected.
+Every key is checked: an unknown key, a mistyped value, a null or an
+optimizer value out of its field's range is rejected with the full
+dotted path of the offender. Under f32, a learning rate or weight decay
+that f32 cannot hold is rejected.
 """
 
 from __future__ import annotations
@@ -150,6 +151,19 @@ def _take_fields(sec: StrictSection, cls, names: set[str] | None = None,
     return values
 
 
+def _built(sec: StrictSection, cls):
+    """``cls`` built from the fields read from ``sec``; an error that names
+    a field is re-raised as a ConfigError at that field's key."""
+    values = _take_fields(sec, cls)
+    try:
+        return cls(**values)
+    except MuonlabError as exc:
+        if exc.key_path is None:
+            raise
+        raise ConfigError(exc.args[0], key_path=sec._child_path(
+            _KEYS.get(exc.key_path, exc.key_path))) from None
+
+
 def _parse_task(sec: StrictSection):
     kind = sec.take("kind", kind=str)
     if kind not in _TASKS:
@@ -167,7 +181,7 @@ def _parse_base(root: StrictSection, overrides: dict) -> tuple[TrainConfig, str]
     """
     task = _parse_task(root.section("task", required=True))
     opt_sec = root.section("optimizer")
-    optimizer = OptimizerSpec(**_take_fields(opt_sec, OptimizerSpec))
+    optimizer = _built(opt_sec, OptimizerSpec)
     opt_sec.finish()
     values = _take_fields(root, TrainConfig, _TOP_LEVEL_FIELDS)
     sched_sec = root.section("schedule")

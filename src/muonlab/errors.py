@@ -4,7 +4,16 @@ from __future__ import annotations
 
 
 class MuonlabError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors. ``key_path``, where set,
+    names the field or config key at fault and prefixes the message."""
+
+    def __init__(self, message: str = "", key_path: str | None = None):
+        super().__init__(message)
+        self.key_path = key_path
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{self.key_path}: {message}" if self.key_path else message
 
 
 class ShapeError(MuonlabError, ValueError):
@@ -25,9 +34,3 @@ class RangeError(MuonlabError, ValueError):
 
 class ConfigError(MuonlabError, ValueError):
     """Invalid run configuration. ``key_path`` points at the offending entry."""
-
-    def __init__(self, message: str, key_path: str | None = None):
-        self.key_path = key_path
-        if key_path:
-            message = f"{key_path}: {message}"
-        super().__init__(message)

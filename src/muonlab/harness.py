@@ -9,8 +9,10 @@ convergence-rate fit.
 
 The drivers hand their runs to one executor, `_run_many`, which groups
 runs that differ only in eta0, weight decay and run id, and has `train`
-train each group in lockstep as one stack, one group after another. A
-group's records are byte-identical to its runs trained alone.
+train each group in lockstep, one group after another. A `train` call
+keeps all of its state in one `_Stack`: the parameter and optimizer
+stacks, the schedules, and each run's rows and record. A group's records
+are byte-identical to its runs trained alone.
 """
 
 from __future__ import annotations
@@ -185,8 +187,11 @@ def _finite_per_run(stack: np.ndarray) -> np.ndarray:
 
 
 # A full snapshot at least this large (train rows x parameters per run, the
-# multiply-adds of its forward pass) is evaluated one run at a time, and on
-# a worker thread where a second CPU is usable. See `train`.
+# multiply-adds of its forward pass) is measured one run at a time, so that
+# one run's train-set activations are alive at once, and on a worker thread
+# where a second CPU is usable (see `train`). On a 2-vCPU Xeon the overlap
+# gained 2-22% of the run above this size and lost up to 57% below; run by
+# run, the quadratic sweep's small snapshots took 13% longer.
 _LARGE_SNAPSHOT = 1 << 24
 
 
@@ -244,6 +249,135 @@ class _Snapshot(threading.Thread):
         return self._rows
 
 
+def _measure(task, stack: dict[str, np.ndarray], by_run: bool,
+             val_only: bool) -> list[tuple[float | None, float, float | None]]:
+    """Per run of ``stack``: its (train loss, val loss, full-objective
+    gradient norm), from one pass over the stack or, if ``by_run``, one
+    pass per run. ``val_only`` takes a val pass only, with None for the
+    train loss and the norm."""
+    runs = len(next(iter(stack.values())))
+    parts = ([{name: p[r:r + 1] for name, p in stack.items()}
+              for r in range(runs)] if by_run else [stack])
+    measured = []
+    with np.errstate(all="ignore"):
+        for part in parts:
+            if val_only:
+                measured += [(None, float(v), None) for v in task.val_loss(part)]
+            else:
+                train_losses, val_losses, grads = task.evaluate(part)
+                norms = np.sqrt(_sum_squares(grads.values()))
+                measured += [(float(t), float(v), float(n))
+                             for t, v, n in zip(train_losses, val_losses, norms)]
+    return measured
+
+
+class _Stack:
+    """The runs of one lockstep group as they train. Slot s of the
+    parameter stacks and of the `OptimizerBank` holds run ``live[s]``, an
+    index into ``configs``; each run keeps its schedule, eval rows, target
+    crossing and, once it leaves the stack, its record. ``pending`` is the
+    snapshot out on a worker thread, if any."""
+
+    def __init__(self, configs: list[TrainConfig], task, init: dict[str, np.ndarray],
+                 by_run: bool, val_only: bool):
+        first = self.first = configs[0]
+        self.configs, self.task = configs, task
+        self.by_run, self.val_only = by_run, val_only
+        self.bank = OptimizerBank({name: arr.shape for name, arr in init.items()},
+                                  first.optimizer,
+                                  [c.optimizer.weight_decay for c in configs],
+                                  dtype_of(first.precision))
+        self.scheds = [Schedule(eta0=c.optimizer.eta0, total_steps=first.total_steps,
+                                warmup_fraction=first.warmup_fraction,
+                                kind=first.schedule_kind,
+                                eta_min_fraction=first.eta_min_fraction)
+                       for c in configs]
+        self.params = {name: np.repeat(arr[None], len(configs), axis=0)
+                       for name, arr in init.items()}
+        self.live = list(range(len(configs)))
+        self.rows: list[list[EvalRow]] = [[] for _ in configs]
+        self.tokens_to_target: list[int | None] = [None] * len(configs)
+        self.records: list[RunRecord | None] = [None] * len(configs)
+        self.initial_val, self.pending = math.nan, None
+        self.t0 = time.perf_counter()
+
+    def etas(self, step: int) -> list[float]:
+        """The learning rate of each live run at ``step``."""
+        return [schedule_eta(self.scheds[run], step) for run in self.live]
+
+    def snapshot(self, step: int, params: dict[str, np.ndarray], update_rms,
+                 etas: Sequence[float]) -> list[EvalRow]:
+        """The eval rows at ``step`` of the runs stacked in ``params``; reads
+        nothing that training changes, so it may run on a worker."""
+        measured = _measure(self.task, params, self.by_run, self.val_only)
+        wall = ((time.perf_counter() - self.t0) * 1e3
+                if self.first.record_wall_time else 0.0)
+        return [EvalRow(step, step * self.first.batch_size, *m, update_rms=float(u),
+                        eta_t=eta, wall_ms=wall)
+                for m, u, eta in zip(measured, update_rms, etas)]
+
+    def start(self, row0: EvalRow) -> None:
+        """Give each run the step-0 row at its own learning rate; a target
+        met at step 0 ends every run under the stop rule."""
+        first = self.first
+        self.initial_val = row0.val_loss
+        for run, sched in enumerate(self.scheds):
+            self.rows[run].append(replace(row0, eta_t=schedule_eta(sched, 0)))
+        if first.target_loss is not None and row0.val_loss <= first.target_loss:
+            self.tokens_to_target = [0] * len(self.configs)
+            if first.stop_rule == "tokens-to-target":
+                self.leave(dict.fromkeys(range(len(self.live)), "target-reached"))
+
+    def leave(self, ended: dict[int, str]) -> None:
+        """Close the runs of the ``ended`` slots, each with its verdict."""
+        for slot, terminated in ended.items():
+            run = self.live[slot]
+            self.records[run] = _record(self.configs[run], self.rows[run],
+                                        self.tokens_to_target[run], terminated,
+                                        self.bank.state_scalar_count())
+        keep = [slot for slot in range(len(self.live)) if slot not in ended]
+        self.params = {name: p[keep] for name, p in self.params.items()}
+        self.bank.select(keep)
+        self.live = [self.live[slot] for slot in keep]
+
+    def settle(self, new_rows: list[EvalRow]) -> None:
+        """Append a snapshot's rows to its runs and close the runs it ends:
+        a val loss that diverged, a target crossing that stops."""
+        first = self.first
+        ended: dict[int, str] = {}
+        for slot, (run, new_row) in enumerate(zip(self.live, new_rows)):
+            rows = self.rows[run]
+            rows.append(new_row)
+            val_loss = new_row.val_loss
+            if (not math.isfinite(val_loss)
+                    or val_loss > _DIVERGENCE_FACTOR * self.initial_val):
+                ended[slot] = "diverged"
+            elif first.target_loss is not None and self.tokens_to_target[run] is None:
+                window = rows[-first.smooth_window:]
+                smoothed = _sum_left(r.val_loss for r in window) / len(window)
+                if smoothed <= first.target_loss:
+                    self.tokens_to_target[run] = new_row.tokens_seen
+                    if first.stop_rule == "tokens-to-target":
+                        ended[slot] = "target-reached"
+        if ended:
+            self.leave(ended)
+
+    def collect(self) -> None:
+        """Settle the pending snapshot, if any."""
+        if self.pending is not None:
+            done, self.pending = self.pending, None
+            self.settle(done.rows())
+
+    def leave_diverged(self, finite: np.ndarray) -> list[int]:
+        """Close the runs whose slots are not ``finite``, after the pending
+        snapshot's endings; returns the slots of the runs that stay."""
+        slots = {run: slot for slot, run in enumerate(self.live)}
+        self.collect()
+        self.leave({slot: "diverged" for slot, run in enumerate(self.live)
+                    if not finite[slots[run]]})
+        return [slots[run] for run in self.live]
+
+
 def train(configs: TrainConfig | Sequence[TrainConfig], *,
           val_only: bool = False) -> RunRecord | list[RunRecord]:
     """Train one run, or a group of runs in lockstep; deterministic given
@@ -253,43 +387,33 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     config, in order. The configs of a group may differ only in
     ``optimizer.eta0``, ``optimizer.weight_decay`` and ``run_id``, so they
     share the seed, and with it the data, the init and every batch draw.
-    The group trains as one stack: every parameter and optimizer state
-    gets a leading run axis, and each step makes one batch draw and
-    gather, one stacked matmul per layer and per Newton-Schulz step, and
-    one optimizer step with a learning rate and decay per run. Clipping
-    and the finiteness checks stay per run, and a run leaves the stack
-    when it diverges or stops at its target, so each record is
-    byte-identical to its run trained alone.
+    The group trains as one `_Stack`, which holds all of the call's state:
+    each step makes one batch draw and gather, one stacked matmul per
+    layer and per Newton-Schulz step, and one optimizer step with a
+    learning rate and decay per run. Clipping and the finiteness checks
+    stay per run, and a run leaves the stack when it diverges or stops at
+    its target, so each record is byte-identical to its run trained alone.
 
     Per step: draw a batch (or take the full set), compute the loss and
-    gradients, inject task noise if configured, clip the global gradient
-    norm, and apply one optimizer step. Every ``eval_every`` steps an eval
-    row records the full train/val losses, the exact full-objective
-    gradient norm, the realized update RMS, and the learning rate used,
-    for all live runs from one `task.evaluate` pass over the stack.
-    ``val_only`` takes a `task.val_loss` pass instead and leaves
-    ``train_loss`` and ``grad_global_norm`` None; the rows are otherwise
-    the bytes of full snapshots. With ``record_wall_time`` the rows of an
-    eval step share one ``wall_ms``, the time since the group started,
-    taken when the snapshot's pass ends.
+    gradients, inject task noise if configured, close the runs whose loss
+    or gradients are not finite, clip each run's global gradient norm,
+    take one optimizer step, and close the runs whose weights are not
+    finite. Every ``eval_every`` steps a snapshot (`_measure`) gives each
+    live run an eval row: the full train/val losses, the exact
+    full-objective gradient norm, the update RMS and the learning rate.
+    ``val_only`` measures the val loss alone and leaves ``train_loss`` and
+    ``grad_global_norm`` None. With ``record_wall_time`` the rows of an
+    eval step share one ``wall_ms``, the time since the group started at
+    the end of the snapshot's pass.
 
-    A large full snapshot (train rows x parameters of one run at least
-    `_LARGE_SNAPSHOT`, 2**24) is measured one run at a time, so that the
-    train-set activations of one run are alive at once; its rows are the
-    bytes of the stacked pass. Where a second CPU is also usable (the
-    affinity mask, capped by a cgroup CPU quota), the large snapshot of
-    step k runs on a worker thread while the stack trains on. A snapshot
-    reads only the weights of step k and can only end runs, so its rows
-    and verdicts are applied later: before the next snapshot, before any
-    run leaves at a step, and after the last step. A run it ends leaves
-    then, with its rows cut at step k, and the steps it took meanwhile
-    are dropped; the other runs' slices are untouched, so every record is
-    the bytes of the inline path. The worker is joined before `train`
-    returns or raises, and its exception is raised here. On a 2-vCPU
-    Xeon, every snapshot measured at 2**24 or above gained from the
-    overlap (2-22% of the run), while smaller ones could lose up to 57%
-    to the hand-offs of the interpreter lock; and the quadratic sweep's
-    small snapshots took 13% longer measured run by run.
+    Where a second CPU is usable (the affinity mask, capped by a cgroup
+    CPU quota), a large snapshot (see `_LARGE_SNAPSHOT`) of step k runs on
+    a worker thread while the stack trains on. It reads only the weights
+    of step k and can only end runs, so it is settled later: before the
+    next snapshot, before any run leaves at a step, and after the last
+    step. A run it ends leaves then, with its rows cut at step k, so every
+    record is the bytes of the inline path. The worker is joined before
+    `train` returns or raises, and its exception is raised here.
 
     Divergence (non-finite loss/gradient/parameter, or an eval val loss
     that is NaN or above 10x the initial one) terminates the run with the
@@ -303,188 +427,85 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     if any(_group_key(c) != _group_key(first) for c in group[1:]):
         raise ConfigError("a training group may differ only in optimizer.eta0, "
                           "optimizer.weight_decay and run_id")
-    dtype = dtype_of(first.precision)
     root = Rng(first.seed)
     task = build_task(first.task, root.child("data"))
-    init = task.init_params(root.child("init"), dtype=dtype)
-    batch_rng = root.child("batch")
-    noise_rng = root.child("noise")
-    bank = OptimizerBank({name: arr.shape for name, arr in init.items()},
-                         first.optimizer,
-                         [c.optimizer.weight_decay for c in group], dtype)
-    scheds = [Schedule(eta0=c.optimizer.eta0, total_steps=first.total_steps,
-                       warmup_fraction=first.warmup_fraction,
-                       kind=first.schedule_kind,
-                       eta_min_fraction=first.eta_min_fraction)
-              for c in group]
-    params = {name: np.repeat(arr[None], len(group), axis=0)
-              for name, arr in init.items()}
-    live = list(range(len(group)))  # the group index of each stack slot
-    rows: list[list[EvalRow]] = [[] for _ in group]
-    tokens_to_target: list[int | None] = [None] * len(group)
-    records: list[RunRecord | None] = [None] * len(group)
+    init = task.init_params(root.child("init"), dtype=dtype_of(first.precision))
+    batch_rng, noise_rng = root.child("batch"), root.child("noise")
     by_run = (not val_only and task.n_train * sum(a.size for a in init.values())
               >= _LARGE_SNAPSHOT)
     overlap = by_run and _usable_cpus() > 1
-    pending: _Snapshot | None = None
-    t0 = time.perf_counter()
-
-    def snapshot(step: int, stack: dict[str, np.ndarray], update_rms,
-                 etas: Sequence[float]) -> list[EvalRow]:
-        """The eval rows of a stack's runs, measured in one pass over it, or
-        if ``by_run`` in one pass per run."""
-        parts = ([{name: p[r:r + 1] for name, p in stack.items()}
-                  for r in range(len(etas))] if by_run else [stack])
-        measured = []
-        with np.errstate(all="ignore"):
-            for part in parts:
-                if val_only:
-                    measured += [(None, float(v), None) for v in task.val_loss(part)]
-                else:
-                    train_losses, val_losses, grads = task.evaluate(part)
-                    norms = np.sqrt(_sum_squares(grads.values()))
-                    measured += [(float(t), float(v), float(n))
-                                 for t, v, n in zip(train_losses, val_losses, norms)]
-        wall = (time.perf_counter() - t0) * 1e3 if first.record_wall_time else 0.0
-        return [EvalRow(step, step * first.batch_size, *m, update_rms=float(u),
-                        eta_t=eta, wall_ms=wall)
-                for m, u, eta in zip(measured, update_rms, etas)]
-
-    def leave(ended: dict[int, str]) -> list[int]:
-        """Close the runs in the ended stack slots; returns the kept slots."""
-        nonlocal params, live
-        for slot, terminated in ended.items():
-            run = live[slot]
-            records[run] = _record(group[run], rows[run], tokens_to_target[run],
-                                   terminated, bank.state_scalar_count())
-        keep = [slot for slot in range(len(live)) if slot not in ended]
-        params = {name: p[keep] for name, p in params.items()}
-        bank.select(keep)
-        live = [live[slot] for slot in keep]
-        return keep
-
-    def settle(new_rows: list[EvalRow]) -> list[int]:
-        """Append a snapshot's rows to its runs and close the runs it ends
-        (a val loss that diverged, a target crossing that stops); returns
-        the kept slots."""
-        ended: dict[int, str] = {}
-        for slot, (run, new_row) in enumerate(zip(live, new_rows)):
-            rows[run].append(new_row)
-            val_loss = new_row.val_loss
-            if (not math.isfinite(val_loss)
-                    or val_loss > _DIVERGENCE_FACTOR * initial_val):
-                ended[slot] = "diverged"
-            elif first.target_loss is not None and tokens_to_target[run] is None:
-                window = rows[run][-first.smooth_window:]
-                smoothed = _sum_left(r.val_loss for r in window) / len(window)
-                if smoothed <= first.target_loss:
-                    tokens_to_target[run] = new_row.tokens_seen
-                    if first.stop_rule == "tokens-to-target":
-                        ended[slot] = "target-reached"
-        return leave(ended) if ended else list(range(len(live)))
-
-    def collect() -> list[int]:
-        """Settle the snapshot on the worker, if one is out; returns the
-        kept slots."""
-        nonlocal pending
-        if pending is None:
-            return list(range(len(live)))
-        done, pending = pending, None
-        return settle(done.rows())
-
-    def leave_diverged(finite: np.ndarray) -> list[int]:
-        """Close the runs of the slots not ``finite``, after the endings of
-        the snapshot on the worker; returns the kept slots."""
-        keep = collect()
-        kept = leave({int(s): "diverged" for s in np.flatnonzero(~finite[keep])})
-        return [keep[slot] for slot in kept]
-
+    stack = _Stack(group, task, init, by_run, val_only)
     # Every run starts from the same weights: one snapshot serves them all.
-    (row0,) = snapshot(0, {name: arr[None] for name, arr in init.items()},
-                       [0.0], [0.0])
-    initial_val = row0.val_loss
-    for run, sched in enumerate(scheds):
-        rows[run].append(replace(row0, eta_t=schedule_eta(sched, 0)))
-    if first.target_loss is not None and initial_val <= first.target_loss:
-        tokens_to_target = [0] * len(group)
-        if first.stop_rule == "tokens-to-target":
-            leave(dict.fromkeys(range(len(live)), "target-reached"))
+    (row0,) = stack.snapshot(0, {name: arr[None] for name, arr in init.items()},
+                             [0.0], [0.0])
+    stack.start(row0)
 
     noise_sigma = float(task.noise_sigma)
     try:
         for step in range(1, first.total_steps + 1):
-            if not live:
+            if not stack.live:
                 break
             idx = (None if first.full_batch
                    else task.sample_batch(batch_rng, first.batch_size))
             with np.errstate(all="ignore"):
-                loss, grads = task.batch_loss_grad(params, idx)
+                loss, grads = task.batch_loss_grad(stack.params, idx)
                 if noise_sigma > 0.0:
                     # Every run draws the same noise: one draw serves the stack.
-                    for name in grads:
-                        g = grads[name]
-                        grads[name] = (g + noise_sigma
-                                       * noise_rng.normal(g.shape[1:])).astype(
-                                           g.dtype, copy=False)
+                    for name, g in grads.items():
+                        noise = noise_sigma * noise_rng.normal(g.shape[1:])
+                        grads[name] = (g + noise).astype(g.dtype, copy=False)
                 finite = np.isfinite(loss)
                 for g in grads.values():
                     finite &= _finite_per_run(g)
                 if not finite.all():
-                    keep = leave_diverged(finite)
+                    keep = stack.leave_diverged(finite)
                     grads = {name: g[keep] for name, g in grads.items()}
-                for slot in range(len(live)):
+                for slot in range(len(stack.live)):
                     run_grads = {name: g[slot] for name, g in grads.items()}
                     clipped, _ = _clip_grad_arrays(run_grads, first.clip_norm)
                     if clipped is not run_grads:
                         for name, g in clipped.items():
                             grads[name][slot] = g
-                if live:
-                    etas = [schedule_eta(scheds[run], step) for run in live]
-                    params = bank.step(params, grads, etas)
+                if stack.live:
+                    stack.params = stack.bank.step(stack.params, grads,
+                                                   stack.etas(step))
                     finite = np.logical_and.reduce(
-                        [_finite_per_run(p) for p in params.values()])
+                        [_finite_per_run(p) for p in stack.params.values()])
                     if not finite.all():
-                        keep = leave_diverged(finite)
-                        etas = [etas[slot] for slot in keep]
-            if step % first.eval_every != 0 or not live:
+                        stack.leave_diverged(finite)
+            if step % first.eval_every != 0 or not stack.live:
                 continue
             # The previous snapshot's endings first: the next one measures
-            # only the runs that stay, with their learning rates.
-            etas = [etas[slot] for slot in collect()]
-            if not live:
+            # only the runs that stay.
+            stack.collect()
+            if not stack.live:
                 continue
+            args = (step, stack.params, stack.bank.last_update_rms, stack.etas(step))
             if overlap:
-                pending = _Snapshot(snapshot, step, params, bank.last_update_rms,
-                                    etas)
+                stack.pending = _Snapshot(stack.snapshot, *args)
             else:
-                settle(snapshot(step, params, bank.last_update_rms, etas))
-        collect()
+                stack.settle(stack.snapshot(*args))
+        stack.collect()
     finally:
-        if pending is not None:
-            pending.join()
+        if stack.pending is not None:
+            stack.pending.join()
 
-    leave(dict.fromkeys(range(len(live)), "completed"))
-    return records[0] if single else records
+    stack.leave(dict.fromkeys(range(len(stack.live)), "completed"))
+    return stack.records[0] if single else stack.records
 
 
 def _record(config: TrainConfig, rows: Sequence[EvalRow],
             tokens_to_target: int | None, terminated: str,
             state_scalar_count: int) -> RunRecord:
-    """Assemble a RunRecord; the spike count and final loss derive from rows."""
-    vals = [r.val_loss for r in rows]
-    spikes = _spike_count(vals, config.spike_ratio) if len(rows) >= 2 else 0
+    """Assemble a RunRecord; the spike count (0 for one row) and the final
+    loss derive from rows."""
     return RunRecord(
-        run_id=config.resolved_run_id,
-        optimizer=config.optimizer.kind,
-        batch_size=config.batch_size,
-        rows=tuple(rows),
-        tokens_to_target=tokens_to_target,
-        terminated=terminated,
-        loss_spike_count=spikes,
-        final_val_loss=rows[-1].val_loss,
-        state_scalar_count=state_scalar_count,
-        config=config,
-    )
+        run_id=config.resolved_run_id, optimizer=config.optimizer.kind,
+        batch_size=config.batch_size, rows=tuple(rows),
+        tokens_to_target=tokens_to_target, terminated=terminated,
+        loss_spike_count=_spike_count([r.val_loss for r in rows], config.spike_ratio),
+        final_val_loss=rows[-1].val_loss, state_scalar_count=state_scalar_count,
+        config=config)
 
 
 def loss_spike_count(record: RunRecord, spike_ratio: float = 1.25) -> int:
@@ -523,8 +544,7 @@ def rate_check(record: RunRecord) -> float:
     running_mean = np.cumsum(g2) / np.arange(1, len(rows) + 1, dtype=F64)
     x = np.log(np.array([r.step for r in rows], dtype=F64))
     y = np.log(np.maximum(running_mean, 1e-300))
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def _run_many(configs: Sequence[TrainConfig], *,
@@ -698,19 +718,22 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
 # Component ablation grid
 # ---------------------------------------------------------------------------
 
-ABLATION_CELLS = (
-    "full",
-    "momentum-only",
-    "newton-schulz-k3",
-    "newton-schulz-k10",
-    "taylor-coefficients",
-    "no-weight-decay",
-    "no-rms-matching",
-    "dynamic-rms",
-    "batch-quarter",
-    "batch-1x",
-    "batch-4x",
-)
+# The change each ablation cell makes to the base config: optimizer fields
+# to set, or a factor on the batch size (rounded down, at least 1).
+_ABLATIONS = {
+    "full": {},
+    "momentum-only": {"momentum_only": True},
+    "newton-schulz-k3": {"k_iters": 3},
+    "newton-schulz-k10": {"k_iters": 10},
+    "taylor-coefficients": {"coeffs": "taylor"},
+    "no-weight-decay": {"weight_decay": 0.0},
+    "no-rms-matching": {"rms_matching": False},
+    "dynamic-rms": {"dynamic_rms": True},
+    "batch-quarter": 0.25,
+    "batch-1x": 1,
+    "batch-4x": 4,
+}
+ABLATION_CELLS = tuple(_ABLATIONS)
 
 
 @dataclass(frozen=True)
@@ -735,33 +758,12 @@ class AblationTable:
 
 
 def _ablation_config(base: TrainConfig, name: str) -> TrainConfig:
-    spec = base.optimizer
-    batch = base.batch_size
-    if name == "full":
-        pass
-    elif name == "momentum-only":
-        spec = replace(spec, momentum_only=True)
-    elif name == "newton-schulz-k3":
-        spec = replace(spec, k_iters=3)
-    elif name == "newton-schulz-k10":
-        spec = replace(spec, k_iters=10)
-    elif name == "taylor-coefficients":
-        spec = replace(spec, coeffs="taylor")
-    elif name == "no-weight-decay":
-        spec = replace(spec, weight_decay=0.0)
-    elif name == "no-rms-matching":
-        spec = replace(spec, rms_matching=False)
-    elif name == "dynamic-rms":
-        spec = replace(spec, dynamic_rms=True)
-    elif name == "batch-quarter":
-        batch = max(1, base.batch_size // 4)
-    elif name == "batch-1x":
-        batch = base.batch_size
-    elif name == "batch-4x":
-        batch = base.batch_size * 4
-    else:
+    if name not in _ABLATIONS:
         raise ConfigError(f"unknown ablation cell {name!r}")
-    return replace(base, optimizer=spec, batch_size=batch,
+    change = _ABLATIONS[name]
+    fields, factor = (change, 1) if isinstance(change, dict) else ({}, change)
+    return replace(base, optimizer=replace(base.optimizer, **fields),
+                   batch_size=max(1, int(base.batch_size * factor)),
                    stop_rule="fixed-steps", run_id=f"ablate-{name}")
 
 
@@ -920,10 +922,8 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
         flat = np.array([_search_loss(r) for r in results], dtype=F64)
         best = int(np.argmin(flat))
         bi, bj = divmod(best, len(lams))
-        losses = tuple(
-            tuple(float(flat[i * len(lams) + j2]) for j2 in range(len(lams)))
-            for i in range(len(etas))
-        )
+        losses = tuple(tuple(map(float, row))
+                       for row in flat.reshape(len(etas), len(lams)))
         stages.append(TelescopeStage(
             width=width, etas=etas, lambdas=lams, val_losses=losses,
             best_eta=etas[bi], best_lambda=lams[bj],

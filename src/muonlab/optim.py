@@ -59,18 +59,22 @@ class MuonHyper:
     dynamic_rms: bool = False
 
     def __post_init__(self):
-        if self.eta0 <= 0.0:
-            raise RangeError(f"eta0 must be positive, got {self.eta0}")
-        if self.weight_decay < 0.0:
-            raise RangeError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # Each error names its field as its key_path.
+        if not self.eta0 > 0.0:  # NaN too
+            raise RangeError(f"must be positive, got {self.eta0}", key_path="eta0")
+        if not self.weight_decay >= 0.0:
+            raise RangeError(f"must be >= 0, got {self.weight_decay}",
+                             key_path="weight_decay")
         if not 0.0 <= self.beta < 1.0:
-            raise RangeError(f"beta must lie in [0, 1), got {self.beta}")
+            raise RangeError(f"must lie in [0, 1), got {self.beta}", key_path="beta")
         if self.k_iters < 1:
-            raise RangeError(f"k_iters must be >= 1, got {self.k_iters}")
-        if self.rms_factor <= 0.0:
-            raise RangeError(f"rms_factor must be positive, got {self.rms_factor}")
+            raise RangeError(f"must be >= 1, got {self.k_iters}", key_path="k_iters")
+        if not self.rms_factor > 0.0:
+            raise RangeError(f"must be positive, got {self.rms_factor}",
+                             key_path="rms_factor")
         if self.rms_dim not in ("fan-out", "max"):
-            raise RangeError(f"rms_dim must be 'fan-out' or 'max', got {self.rms_dim!r}")
+            raise RangeError(f"must be 'fan-out' or 'max', got {self.rms_dim!r}",
+                             key_path="rms_dim")
 
 
 @dataclass(frozen=True)
@@ -325,11 +329,13 @@ def _sum_left(values: Iterable[float]) -> float:
 
 def _sum_squares(stacks: Iterable[np.ndarray]) -> np.ndarray:
     """Per run of (R, ...) stacks, the f64 sum of squares of its entries:
-    each run's sum over a stack (a fresh C-contiguous copy) is its slice's
-    ``np.sum`` bit for bit, and the stacks fold left to right."""
+    each run's sum over a stack (squared into one fresh C-contiguous f64
+    array) is its slice's ``np.sum`` bit for bit, and the stacks fold left
+    to right."""
     total = 0.0
     for g in stacks:
-        total = total + np.sum(g.astype(F64) ** 2, axis=tuple(range(1, g.ndim)))
+        total = total + np.sum(np.square(g, dtype=F64, order="C"),
+                               axis=tuple(range(1, g.ndim)))
     return total
 
 
@@ -484,28 +490,34 @@ class OptimizerSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
+        # Each error names its field as its key_path.
         if self.kind not in ("muon", "adamw"):
-            raise RangeError(f"optimizer kind must be 'muon' or 'adamw', got {self.kind!r}")
-        # Every run has AdamW moments (vectors always take AdamW); the keys
-        # are named as in the config's optimizer section.
+            raise RangeError(f"must be 'muon' or 'adamw', got {self.kind!r}",
+                             key_path="kind")
+        # Every run has AdamW moments (vectors always take AdamW).
         for key in ("beta1", "beta2"):
             value = getattr(self, key)
             if not 0.0 <= value < 1.0:
-                raise ConfigError(f"must lie in [0, 1), got {value!r}",
-                                  key_path=f"optimizer.{key}")
+                raise RangeError(f"must lie in [0, 1), got {value!r}", key_path=key)
         if not self.eps > 0.0:
-            raise ConfigError(f"must be positive, got {self.eps!r}",
-                              key_path="optimizer.eps")
+            raise RangeError(f"must be positive, got {self.eps!r}", key_path="eps")
+        # eta0, the weight decay and the Muon fields, whatever the kind.
+        self.muon_hyper()
 
     def muon_hyper(self) -> MuonHyper:
         from .msign import coefficient_preset
 
+        try:
+            coeffs = coefficient_preset(self.coeffs)
+        except ConfigError as exc:
+            exc.key_path = "coeffs"
+            raise
         return MuonHyper(
             eta0=self.eta0,
             weight_decay=self.weight_decay,
             beta=self.beta,
             k_iters=self.k_iters,
-            coeffs=coefficient_preset(self.coeffs),
+            coeffs=coeffs,
             rms_factor=self.rms_factor,
             rms_matching=self.rms_matching,
             rms_dim=self.rms_dim,

@@ -206,7 +206,7 @@ class QuadraticTask:
         else:
             if len(idx) == 0:
                 raise RangeError("batch must be nonempty")
-            a, b = a[idx], b[idx]
+            a, b = np.take(a, idx, axis=0), np.take(b, idx, axis=0)
             scale = self.n_train / len(idx)
         # In place: a stack of residuals is the largest array of a step.
         resid = a @ w.astype(F64, copy=False)
@@ -368,7 +368,8 @@ class MlpTask:
     def _rows(self, params: dict[str, np.ndarray], rows: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
         dtype = params["w0"].dtype
-        return self.x[rows].astype(dtype, copy=False), self.y[rows]
+        return (np.take(self.x, rows, axis=0).astype(dtype, copy=False),
+                np.take(self.y, rows, axis=0))
 
     def batch_loss_grad(self, params: dict[str, np.ndarray], idx: np.ndarray | None):
         """Mean cross-entropy and gradients on a minibatch of train positions.
@@ -376,7 +377,7 @@ class MlpTask:
         The parameters may be stacks (R, ...) of runs sharing the minibatch:
         one gather serves them all, and the loss is one value per run.
         """
-        rows = self.train_idx if idx is None else self.train_idx[idx]
+        rows = self.train_idx if idx is None else np.take(self.train_idx, idx, axis=0)
         if len(rows) == 0:
             raise RangeError("batch must be nonempty")
         xb, yb = self._rows(params, rows)

@@ -327,6 +327,27 @@ class TestTrainCommand:
         assert f"optimizer.{key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["muon", "adamw"])
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "sgd"), ("eta0", 0.0), ("eta0", -0.02), ("eta0", math.nan),
+        ("lambda", -1.0), ("lambda", math.nan), ("beta", 1.0), ("beta", -0.1),
+        ("k_iters", 0), ("coeffs", "cubic"), ("rms_factor", 0.0),
+        ("rms_factor", math.nan), ("rms_dim", "min"),
+    ])
+    def test_out_of_range_optimizer_value_exit_2_names_key(
+            self, tmp_path, capsys, kind, key, value):
+        # a negative lambda once failed inside the optimizer with a message
+        # naming neither key nor field, the Muon fields without their
+        # section, and a NaN eta0 or lambda (JSON's NaN) trained to a
+        # diverged run with exit 3
+        out = tmp_path / "out"
+        optimizer = {"kind": kind, key: value} if key != "kind" else {key: value}
+        doc = self.doc(str(out), optimizer=optimizer)
+        code = main(["train", "--config", write_json(tmp_path, "bad.json", doc)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: optimizer.{key}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, optimizer", [
         ("optimizer.eta0", {"kind": "muon", "eta0": 1e39}),
         ("optimizer.lambda", {"kind": "adamw", "eta0": 0.02, "lambda": 1e39}),

@@ -287,6 +287,41 @@ class TestLockstep:
         for config, record in zip(group, records):
             _assert_records_identical(record, train(config))
 
+    def test_concurrent_trains_match_sequential(self, monkeypatch):
+        # all of a train call's state is its own: two groups trained at once
+        # on two threads get their sequential records, with the snapshots
+        # of both overlapping their steps on workers
+        base = quad_config(total_steps=60, eval_every=5)
+        quad = [dataclasses.replace(base, run_id=f"quad{i}", optimizer=dataclasses.replace(
+            base.optimizer, eta0=eta)) for i, eta in enumerate((50.0, 0.02, 0.005))]
+        mlp = TestSnapshotOverlap.group((0.05, 0.005, 20.0), "f64")
+        want = [train(quad), train(mlp)]
+        assert "diverged" in [r.terminated for r in want[0]]
+        monkeypatch.setattr(harness, "_LARGE_SNAPSHOT", 0)
+        overlapped = TestSnapshotOverlap.count_overlaps(monkeypatch)
+        got = [None, None]
+
+        def run(i, group):
+            got[i] = train(group)
+
+        threads = [threading.Thread(target=run, args=(i, group))
+                   for i, group in enumerate((quad, mlp))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert overlapped, "no snapshot overlapped"
+        for got_group, want_group in zip(got, want):
+            assert got_group is not None, "a train call raised"
+            for record, solo in zip(got_group, want_group, strict=True):
+                _assert_records_identical(record, solo)
+
     def test_group_of_one_returns_a_list(self):
         config = quad_config(total_steps=20)
         (record,) = train([config])

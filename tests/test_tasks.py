@@ -132,6 +132,13 @@ class TestQuadraticBatches:
         obj_grads = task_off.objective_grads(params)
         np.testing.assert_allclose(obj_grads["w"], grads_on["w"], atol=1e-12)
 
+    def test_out_of_range_rows_rejected(self):
+        task = make_quadratic(seed=15, n_rows=32)
+        params = {"w": np.zeros((task.a.cols, task.b.cols))}
+        for idx in ([0, 32], [-33]):
+            with pytest.raises(IndexError):
+                task.batch_loss_grad(params, np.array(idx))
+
     def test_sample_batch_bounds(self):
         task = make_quadratic(seed=15, n_rows=32)
         idx = task.sample_batch(Rng(16), 500)
@@ -366,6 +373,13 @@ class TestMlpTask:
         params = task.init_params(Rng(11))
         with pytest.raises(RangeError):
             task.batch_loss_grad(params, np.array([], dtype=int))
+
+    def test_out_of_range_rows_rejected(self):
+        task = make_mlp(seed=10)
+        params = task.init_params(Rng(11))
+        for idx in ([0, task.n_train], [-task.n_train - 1]):
+            with pytest.raises(IndexError):
+                task.batch_loss_grad(params, np.array(idx))
 
     def test_relu_activation_runs(self):
         task = make_mlp(seed=12, activation="relu")
