@@ -35,22 +35,20 @@ from .reports import emit_reports
 
 
 def _parse_shape(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"shape must look like 64x64, got {text!r}")
     try:
-        rows, cols = int(parts[0]), int(parts[1])
+        rows, cols = map(int, text.lower().split("x"))
     except ValueError:
-        raise ConfigError(f"shape must look like 64x64, got {text!r}")
+        raise ConfigError(f"must look like 64x64, got {text!r}",
+                          key_path="--shape") from None
     if rows < 1 or cols < 1:
-        raise ConfigError(f"shape dimensions must be positive, got {text!r}")
+        raise ConfigError(f"dimensions must be positive, got {text!r}",
+                          key_path="--shape")
     return rows, cols
 
 
 def _cmd_msign_check(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigError(f"must be >= 1, got {args.trials}", key_path="--trials")
     rows, cols = _parse_shape(args.shape)
     coeffs = coefficient_preset(args.preset)
     lo, hi = SPECTRUM_BAND

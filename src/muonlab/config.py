@@ -11,9 +11,11 @@ its field's default (a float field takes an integer too); an absent key
 takes the dataclass default. ``null`` is accepted only for
 "target_loss", whose default it is.
 
-Every key is checked: an unknown key, a mistyped value, a null or an
-optimizer value out of its field's range is rejected with the full
-dotted path of the offender. Under f32, a learning rate or weight decay
+Every key is checked: an unknown key, a mistyped value, a null or a
+value out of its field's range (NaN included) is rejected with the full
+dotted path of the offender. Each range rule is written once, in the
+dataclass that owns the field, or for a key that is no field in a
+`harness._check_*` helper. Under f32, a learning rate or weight decay
 that f32 cannot hold is rejected.
 """
 
@@ -27,7 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, MuonlabError
 from .harness import (ETA_TUNING_MULTIPLIERS, TelescopeGrid, TrainConfig,
-                      _check_ablation_axes, _check_batch_grid, _log_grid)
+                      _check_ablation_axes, _check_batch_grid, _check_widths,
+                      _log_grid)
 from .optim import OptimizerSpec
 from .tasks import MlpSpec, QuadraticSpec
 
@@ -126,7 +129,7 @@ _TASKS = {spec().kind: spec for spec in (QuadraticSpec, MlpSpec)}
 def _take_fields(sec: StrictSection, cls, names: set[str] | None = None,
                  **defaults) -> dict:
     """The fields of dataclass ``cls`` (those in ``names``, or all) read
-    from ``sec``, by field name.
+    from ``sec``: field name -> (value, key path).
 
     Each field's key is its name (or its entry in ``_KEYS``), and its value
     must be of the JSON kind of its default: a float field takes an integer
@@ -135,7 +138,7 @@ def _take_fields(sec: StrictSection, cls, names: set[str] | None = None,
     gives defaults the dataclass does not hold; a field with neither is not
     read here (a task or optimizer spec has its own section).
     """
-    values = {}
+    read = {}
     for f in fields(cls):
         default = defaults.get(f.name, f.default)
         if default is MISSING or (names is not None and f.name not in names):
@@ -143,25 +146,25 @@ def _take_fields(sec: StrictSection, cls, names: set[str] | None = None,
         key = _KEYS.get(f.name, f.name)
         if default is None or isinstance(default, float):
             value = sec.take(key, default, float, nullable=default is None)
-            values[f.name] = None if value is None else float(value)
+            value = None if value is None else float(value)
         elif isinstance(default, tuple):
-            values[f.name] = tuple(sec.take(key, default, _INTS))
+            value = tuple(sec.take(key, default, _INTS))
         else:
-            values[f.name] = sec.take(key, default, type(default))
-    return values
+            value = sec.take(key, default, type(default))
+        read[f.name] = (value, sec._child_path(key))
+    return read
 
 
-def _built(sec: StrictSection, cls):
-    """``cls`` built from the fields read from ``sec``; an error that names
-    a field is re-raised as a ConfigError at that field's key."""
-    values = _take_fields(sec, cls)
+def _built(cls, read: dict, **given):
+    """``cls`` built from ``given`` and the fields ``read`` by
+    `_take_fields`; an error that names one of those fields is re-raised as
+    a ConfigError at its key path."""
     try:
-        return cls(**values)
+        return cls(**given, **{name: value for name, (value, _) in read.items()})
     except MuonlabError as exc:
-        if exc.key_path is None:
+        if exc.key_path not in read:
             raise
-        raise ConfigError(exc.args[0], key_path=sec._child_path(
-            _KEYS.get(exc.key_path, exc.key_path))) from None
+        raise ConfigError(exc.args[0], key_path=read[exc.key_path][1]) from None
 
 
 def _parse_task(sec: StrictSection):
@@ -169,7 +172,7 @@ def _parse_task(sec: StrictSection):
     if kind not in _TASKS:
         raise ConfigError(f"unknown task kind {kind!r}",
                           key_path=sec._child_path("kind"))
-    spec = _TASKS[kind](**_take_fields(sec, _TASKS[kind]))
+    spec = _built(_TASKS[kind], _take_fields(sec, _TASKS[kind]))
     sec.finish()
     return spec
 
@@ -181,26 +184,27 @@ def _parse_base(root: StrictSection, overrides: dict) -> tuple[TrainConfig, str]
     """
     task = _parse_task(root.section("task", required=True))
     opt_sec = root.section("optimizer")
-    optimizer = _built(opt_sec, OptimizerSpec)
+    optimizer = _built(OptimizerSpec, _take_fields(opt_sec, OptimizerSpec))
     opt_sec.finish()
-    values = _take_fields(root, TrainConfig, _TOP_LEVEL_FIELDS)
+    read = _take_fields(root, TrainConfig, _TOP_LEVEL_FIELDS)
     sched_sec = root.section("schedule")
-    values.update(_take_fields(sched_sec, TrainConfig, _SCHEDULE_FIELDS))
+    read.update(_take_fields(sched_sec, TrainConfig, _SCHEDULE_FIELDS))
     sched_sec.finish()
-    values.update((key, overrides[key]) for key in ("seed", "precision")
-                  if key in overrides)
+    read.update((key, (overrides[key], key)) for key in ("seed", "precision")
+                if key in overrides)
     out_dir = root.take("out_dir", "out", kind=str)
-    return (TrainConfig(task=task, optimizer=optimizer, **values),
+    return (_built(TrainConfig, read, task=task, optimizer=optimizer),
             overrides.get("out", out_dir))
 
 
-def _checked(key_path: str, check, value) -> None:
-    """Run ``check`` on ``value``, re-raising its error as naming
-    ``key_path``."""
+def _checked(sec: StrictSection, check, *values) -> None:
+    """Run ``check`` on ``values``, re-raising its error as a ConfigError at
+    the key in ``sec`` that the error names."""
     try:
-        check(value)
+        check(*values)
     except MuonlabError as exc:
-        raise ConfigError(str(exc), key_path=key_path) from None
+        raise ConfigError(exc.args[0],
+                          key_path=sec._child_path(exc.key_path)) from None
 
 
 def _check_f32(config: TrainConfig, peaks: dict[str, float]) -> None:
@@ -229,7 +233,7 @@ def parse_sweep_config(doc: dict, overrides: dict | None = None,
     config, out_dir = _parse_base(root, overrides or {})
     sweep = root.section("sweep", required=True)
     grid = sweep.take("batch_grid", kind=_INTS)
-    _checked("sweep.batch_grid", _check_batch_grid, grid)
+    _checked(sweep, _check_batch_grid, grid)
     sweep.finish()
     root.finish()
     _check_f32(config, {
@@ -245,7 +249,7 @@ def parse_ablate_config(doc: dict, overrides: dict | None = None,
     sec = root.section("ablate")
     axes = sec.take("axes", None, kind=list)
     if axes is not None:
-        _checked("ablate.axes", _check_ablation_axes, axes)
+        _checked(sec, _check_ablation_axes, axes)
     sec.finish()
     root.finish()
     _check_f32(config, {"optimizer.eta0": config.optimizer.eta0,
@@ -260,8 +264,9 @@ def parse_telescope_config(doc: dict, overrides: dict | None = None,
     sec = root.section("telescope", required=True)
     start = sec.take("start_width", kind=int)
     end = sec.take("end_width", kind=int)
+    _checked(sec, _check_widths, start, end)
     grid_sec = sec.section("grid", required=True)
-    grid = TelescopeGrid(**_take_fields(
+    grid = _built(TelescopeGrid, _take_fields(
         grid_sec, TelescopeGrid, eta_center=config.optimizer.eta0,
         lambda_center=config.optimizer.weight_decay or 0.1))
     grid_sec.finish()
@@ -269,7 +274,7 @@ def parse_telescope_config(doc: dict, overrides: dict | None = None,
     root.finish()
     # Each stage recenters on the winner, at most the top, at half the extents.
     eta_top, lam_top, scale, width = grid.eta_center, grid.lambda_center, 1.0, start
-    while 0 < width <= end:
+    while width <= end:
         eta_top = _log_grid(eta_top, scale * grid.eta_extent, grid.points)[-1]
         lam_top = _log_grid(lam_top, scale * grid.lambda_extent, grid.points)[-1]
         scale, width = 0.5 * scale, 2 * width

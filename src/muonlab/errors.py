@@ -34,3 +34,11 @@ class RangeError(MuonlabError, ValueError):
 
 class ConfigError(MuonlabError, ValueError):
     """Invalid run configuration. ``key_path`` points at the offending entry."""
+
+
+def _require(ok: bool, field: str, rule: str, value) -> None:
+    """Raise RangeError at ``field`` unless ``ok``. Write ``ok`` as the
+    condition that must hold (``x > 0``, never ``not x <= 0``), so that NaN
+    fails it."""
+    if not ok:
+        raise RangeError(f"must {rule}, got {value!r}", key_path=field)

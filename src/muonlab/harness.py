@@ -26,12 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, RangeError, _require
 from .linalg import F64, Rng, dtype_of
 from .optim import (
     OptimizerBank,
     OptimizerSpec,
-    SCHEDULE_KINDS,
     Schedule,
     _clip_grad_arrays,
     _sum_left,
@@ -87,32 +86,29 @@ class TrainConfig:
             raise ConfigError(f"unknown task spec {type(self.task).__name__}")
         if not isinstance(self.optimizer, OptimizerSpec):
             raise ConfigError("optimizer must be an OptimizerSpec")
-        if self.batch_size < 1:
-            raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.total_steps < 1:
-            raise RangeError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.eval_every < 1:
-            raise RangeError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.total_steps % self.eval_every != 0:
-            raise RangeError(
-                f"total_steps ({self.total_steps}) must be a multiple of "
-                f"eval_every ({self.eval_every})"
-            )
-        dtype_of(self.precision)
-        if self.schedule_kind not in SCHEDULE_KINDS:
-            raise RangeError(f"unknown schedule kind {self.schedule_kind!r}")
-        if self.stop_rule not in STOP_RULES:
-            raise RangeError(f"stop_rule must be one of {STOP_RULES}, got {self.stop_rule!r}")
+        try:
+            _schedule(self)
+        except RangeError as exc:  # the schedule's "kind" is schedule_kind here
+            exc.key_path = "schedule_kind" if exc.key_path == "kind" else exc.key_path
+            raise
+        try:
+            dtype_of(self.precision)
+        except RangeError as exc:
+            exc.key_path = "precision"
+            raise
+        for key in ("batch_size", "eval_every", "smooth_window"):
+            _require(getattr(self, key) >= 1, key, "be >= 1", getattr(self, key))
+        _require(self.total_steps % self.eval_every == 0, "eval_every",
+                 f"divide total_steps ({self.total_steps})", self.eval_every)
+        _require(self.stop_rule in STOP_RULES, "stop_rule", f"be one of {STOP_RULES}",
+                 self.stop_rule)
         if self.stop_rule == "tokens-to-target" and self.target_loss is None:
-            raise ConfigError("stop_rule 'tokens-to-target' requires target_loss")
-        if self.target_loss is not None and not math.isfinite(self.target_loss):
-            raise RangeError("target_loss must be finite")
-        if self.smooth_window < 1:
-            raise RangeError(f"smooth_window must be >= 1, got {self.smooth_window}")
-        if self.spike_ratio <= 1.0:
-            raise RangeError(f"spike_ratio must exceed 1, got {self.spike_ratio}")
-        if self.clip_norm <= 0.0:
-            raise RangeError(f"clip_norm must be positive, got {self.clip_norm}")
+            raise ConfigError("'tokens-to-target' requires target_loss",
+                              key_path="stop_rule")
+        _require(self.target_loss is None or math.isfinite(self.target_loss),
+                 "target_loss", "be finite", self.target_loss)
+        _require(self.spike_ratio > 1.0, "spike_ratio", "exceed 1", self.spike_ratio)
+        _require(self.clip_norm > 0.0, "clip_norm", "be positive", self.clip_norm)
 
     @property
     def resolved_run_id(self) -> str:
@@ -120,6 +116,14 @@ class TrainConfig:
             return self.run_id
         return (f"{self.task.kind}-{self.optimizer.kind}"
                 f"-b{self.batch_size}-s{self.seed}")
+
+
+def _schedule(config: TrainConfig) -> Schedule:
+    """The learning-rate schedule of one run."""
+    return Schedule(eta0=config.optimizer.eta0, total_steps=config.total_steps,
+                    warmup_fraction=config.warmup_fraction,
+                    kind=config.schedule_kind,
+                    eta_min_fraction=config.eta_min_fraction)
 
 
 @dataclass(frozen=True)
@@ -287,11 +291,7 @@ class _Stack:
                                   first.optimizer,
                                   [c.optimizer.weight_decay for c in configs],
                                   dtype_of(first.precision))
-        self.scheds = [Schedule(eta0=c.optimizer.eta0, total_steps=first.total_steps,
-                                warmup_fraction=first.warmup_fraction,
-                                kind=first.schedule_kind,
-                                eta_min_fraction=first.eta_min_fraction)
-                       for c in configs]
+        self.scheds = [_schedule(c) for c in configs]
         self.params = {name: np.repeat(arr[None], len(configs), axis=0)
                        for name, arr in init.items()}
         self.live = list(range(len(configs)))
@@ -625,12 +625,10 @@ def _stopped_at_target(record: RunRecord, run_id: str) -> RunRecord:
 
 def _check_batch_grid(batch_grid: Sequence[int]) -> None:
     """A batch grid is nonempty, with every size >= 1 and none repeated."""
-    if not batch_grid:
-        raise RangeError("batch_grid must be nonempty")
-    if any(b < 1 for b in batch_grid):
-        raise RangeError(f"batch sizes must be >= 1, got {tuple(batch_grid)}")
-    if len(set(batch_grid)) < len(batch_grid):
-        raise RangeError(f"batch sizes must not repeat, got {tuple(batch_grid)}")
+    grid = tuple(batch_grid)
+    _require(bool(grid), "batch_grid", "be nonempty", grid)
+    _require(min(grid) >= 1, "batch_grid", "hold sizes >= 1", grid)
+    _require(len(set(grid)) == len(grid), "batch_grid", "not repeat a size", grid)
 
 
 def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
@@ -769,13 +767,13 @@ def _ablation_config(base: TrainConfig, name: str) -> TrainConfig:
 
 def _check_ablation_axes(names: Sequence[str]) -> None:
     """Ablation axes are nonempty known cells, none repeated."""
-    if not names:
-        raise RangeError("ablation axes must be nonempty")
+    _require(bool(names), "axes", "be nonempty", list(names))
     unknown = [n for n in names if n not in ABLATION_CELLS]
     if unknown:
-        raise ConfigError(f"unknown ablation cells {unknown}")
+        raise ConfigError(f"unknown ablation cells {unknown}", key_path="axes")
     if len(set(names)) < len(names):
-        raise ConfigError(f"ablation cells must not repeat, got {list(names)}")
+        raise ConfigError(f"cells must not repeat, got {list(names)}",
+                          key_path="axes")
 
 
 def ablate(base: TrainConfig, axes: Sequence[str] | None = None) -> AblationTable:
@@ -836,12 +834,9 @@ class TelescopeGrid:
     points: int = 3
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ConfigError(f"grid needs >= 1 point per axis, got {self.points}")
-        if self.eta_center <= 0.0 or self.lambda_center <= 0.0:
-            raise RangeError("grid centers must be positive")
-        if self.eta_extent <= 0.0 or self.lambda_extent <= 0.0:
-            raise RangeError("grid extents must be positive")
+        for key in ("eta_center", "lambda_center", "eta_extent", "lambda_extent"):
+            _require(getattr(self, key) > 0.0, key, "be positive", getattr(self, key))
+        _require(self.points >= 1, "points", "be >= 1", self.points)
 
 
 def _log_grid(center: float, extent: float, points: int) -> tuple[float, ...]:
@@ -873,6 +868,16 @@ class TelescopeResult:
     provenance: dict = field(repr=False)
 
 
+def _check_widths(start_width: int, end_width: int) -> None:
+    """A telescope doubles the width from ``start_width`` >= 2 up to
+    ``end_width`` = start_width * 2^j, j >= 1."""
+    _require(start_width >= 2, "start_width", "be >= 2", start_width)
+    doublings = end_width / start_width
+    j = round(math.log2(doublings)) if doublings > 0 else -1
+    _require(j >= 1 and start_width * 2 ** j == end_width, "end_width",
+             f"be start_width ({start_width}) * 2^j with j >= 1", end_width)
+
+
 def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
                     grid: TelescopeGrid) -> TelescopeResult:
     """Search (eta, weight decay) while doubling the MLP hidden width.
@@ -891,15 +896,7 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
     """
     if not isinstance(base.task, MlpSpec):
         raise ConfigError("telescope_sweep requires an MLP task")
-    if start_width < 2:
-        raise RangeError(f"start_width must be >= 2, got {start_width}")
-    doublings = end_width / start_width
-    j = round(math.log2(doublings)) if doublings > 0 else -1
-    if j < 1 or start_width * 2 ** j != end_width:
-        raise RangeError(
-            f"end_width must be start_width * 2^j with j >= 1, got "
-            f"{start_width} -> {end_width}"
-        )
+    _check_widths(start_width, end_width)
 
     depth = len(base.task.hidden)
     eta_c, lam_c = grid.eta_center, grid.lambda_center

@@ -20,7 +20,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import (ConfigError, DegenerateInputError, NumericError, RangeError,
-                     ShapeError)
+                     ShapeError, _require)
 from .linalg import F64, Matrix, svd
 from .msign import (
     NsCoefficients,
@@ -59,22 +59,14 @@ class MuonHyper:
     dynamic_rms: bool = False
 
     def __post_init__(self):
-        # Each error names its field as its key_path.
-        if not self.eta0 > 0.0:  # NaN too
-            raise RangeError(f"must be positive, got {self.eta0}", key_path="eta0")
-        if not self.weight_decay >= 0.0:
-            raise RangeError(f"must be >= 0, got {self.weight_decay}",
-                             key_path="weight_decay")
-        if not 0.0 <= self.beta < 1.0:
-            raise RangeError(f"must lie in [0, 1), got {self.beta}", key_path="beta")
-        if self.k_iters < 1:
-            raise RangeError(f"must be >= 1, got {self.k_iters}", key_path="k_iters")
-        if not self.rms_factor > 0.0:
-            raise RangeError(f"must be positive, got {self.rms_factor}",
-                             key_path="rms_factor")
-        if self.rms_dim not in ("fan-out", "max"):
-            raise RangeError(f"must be 'fan-out' or 'max', got {self.rms_dim!r}",
-                             key_path="rms_dim")
+        _require(self.eta0 > 0.0, "eta0", "be positive", self.eta0)
+        _require(self.weight_decay >= 0.0, "weight_decay", "be >= 0",
+                 self.weight_decay)
+        _require(0.0 <= self.beta < 1.0, "beta", "lie in [0, 1)", self.beta)
+        _require(self.k_iters >= 1, "k_iters", "be >= 1", self.k_iters)
+        _require(self.rms_factor > 0.0, "rms_factor", "be positive", self.rms_factor)
+        _require(self.rms_dim in ("fan-out", "max"), "rms_dim",
+                 "be 'fan-out' or 'max'", self.rms_dim)
 
 
 @dataclass(frozen=True)
@@ -279,20 +271,14 @@ class Schedule:
     eta_min_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.eta0 <= 0.0:
-            raise RangeError(f"eta0 must be positive, got {self.eta0}")
-        if self.total_steps < 1:
-            raise RangeError(f"total_steps must be >= 1, got {self.total_steps}")
-        if not 0.0 <= self.warmup_fraction <= 0.02:
-            raise RangeError(
-                f"warmup_fraction must lie in [0, 0.02], got {self.warmup_fraction}"
-            )
-        if not 0.0 <= self.eta_min_fraction <= 0.01:
-            raise RangeError(
-                f"eta_min_fraction must lie in [0, 0.01], got {self.eta_min_fraction}"
-            )
-        if self.kind not in SCHEDULE_KINDS:
-            raise RangeError(f"unknown schedule kind {self.kind!r}")
+        _require(self.eta0 > 0.0, "eta0", "be positive", self.eta0)
+        _require(self.total_steps >= 1, "total_steps", "be >= 1", self.total_steps)
+        _require(0.0 <= self.warmup_fraction <= 0.02, "warmup_fraction",
+                 "lie in [0, 0.02]", self.warmup_fraction)
+        _require(0.0 <= self.eta_min_fraction <= 0.01, "eta_min_fraction",
+                 "lie in [0, 0.01]", self.eta_min_fraction)
+        _require(self.kind in SCHEDULE_KINDS, "kind", f"be one of {SCHEDULE_KINDS}",
+                 self.kind)
 
     @property
     def warmup_steps(self) -> int:
@@ -490,17 +476,12 @@ class OptimizerSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
-        # Each error names its field as its key_path.
-        if self.kind not in ("muon", "adamw"):
-            raise RangeError(f"must be 'muon' or 'adamw', got {self.kind!r}",
-                             key_path="kind")
+        _require(self.kind in ("muon", "adamw"), "kind", "be 'muon' or 'adamw'",
+                 self.kind)
         # Every run has AdamW moments (vectors always take AdamW).
-        for key in ("beta1", "beta2"):
-            value = getattr(self, key)
-            if not 0.0 <= value < 1.0:
-                raise RangeError(f"must lie in [0, 1), got {value!r}", key_path=key)
-        if not self.eps > 0.0:
-            raise RangeError(f"must be positive, got {self.eps!r}", key_path="eps")
+        _require(0.0 <= self.beta1 < 1.0, "beta1", "lie in [0, 1)", self.beta1)
+        _require(0.0 <= self.beta2 < 1.0, "beta2", "lie in [0, 1)", self.beta2)
+        _require(self.eps > 0.0, "eps", "be positive", self.eps)
         # eta0, the weight decay and the Muon fields, whatever the kind.
         self.muon_hyper()
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, RangeError, ShapeError
+from .errors import (ConfigError, DegenerateInputError, RangeError, ShapeError,
+                     _require)
 from .linalg import F64, Matrix, Rng, svd
 
 
@@ -49,14 +50,12 @@ class QuadraticSpec:
     def __post_init__(self):
         if self.kind != "quadratic":
             raise ConfigError(f"QuadraticSpec kind must be 'quadratic', got {self.kind!r}")
-        if min(self.n_rows, self.in_dim, self.out_dim) < 1:
-            raise RangeError("quadratic dimensions must be positive")
-        if self.lambda_reg < 0.0 or self.noise_sigma < 0.0 or self.target_noise < 0.0:
-            raise RangeError("lambda_reg, noise_sigma, target_noise must be >= 0")
-        if self.design_scale <= 0.0:
-            raise RangeError(f"design_scale must be positive, got {self.design_scale}")
-        if self.init_scale < 0.0:
-            raise RangeError(f"init_scale must be >= 0, got {self.init_scale}")
+        for key in ("n_rows", "in_dim", "out_dim"):
+            _require(getattr(self, key) >= 1, key, "be >= 1", getattr(self, key))
+        for key in ("lambda_reg", "noise_sigma", "target_noise", "init_scale"):
+            _require(getattr(self, key) >= 0.0, key, "be >= 0", getattr(self, key))
+        _require(self.design_scale > 0.0, "design_scale", "be positive",
+                 self.design_scale)
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,17 @@ class MlpSpec:
     def __post_init__(self):
         if self.kind != "mlp":
             raise ConfigError(f"MlpSpec kind must be 'mlp', got {self.kind!r}")
-        if self.n_samples < 10 or self.input_dim < 1 or self.classes < 2:
-            raise RangeError("mlp task needs n_samples >= 10, input_dim >= 1, classes >= 2")
-        if not self.hidden or min(self.hidden) < 1:
-            raise RangeError("hidden widths must be positive and nonempty")
-        if self.activation not in ("tanh", "relu"):
-            raise RangeError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
-        if not 0.0 < self.val_fraction < 0.5:
-            raise RangeError(f"val_fraction must lie in (0, 0.5), got {self.val_fraction}")
-        if self.noise_sigma < 0.0:
-            raise RangeError("noise_sigma must be >= 0")
+        for key, least in (("n_samples", 10), ("input_dim", 1), ("classes", 2)):
+            _require(getattr(self, key) >= least, key, f"be >= {least}",
+                     getattr(self, key))
+        _require(bool(self.hidden) and min(self.hidden) >= 1, "hidden",
+                 "be nonempty widths >= 1", self.hidden)
+        _require(self.activation in ("tanh", "relu"), "activation",
+                 "be 'tanh' or 'relu'", self.activation)
+        _require(0.0 < self.val_fraction < 0.5, "val_fraction", "lie in (0, 0.5)",
+                 self.val_fraction)
+        for key in ("cluster_spread", "sample_noise", "noise_sigma"):
+            _require(getattr(self, key) >= 0.0, key, "be >= 0", getattr(self, key))
 
 
 TaskSpec = QuadraticSpec | MlpSpec

@@ -2,19 +2,23 @@
 BLAS thread and malloc defaults that importing the CLI sets in a fresh
 interpreter."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 
 import muonlab
 from muonlab.cli import main
+from muonlab.harness import TelescopeGrid, TrainConfig
 from muonlab.linalg import Rng
+from muonlab.optim import OptimizerSpec
 from muonlab.reports import read_run_csv
-from muonlab.tasks import QuadraticSpec, QuadraticTask
+from muonlab.tasks import MlpSpec, QuadraticSpec, QuadraticTask
 
 
 TELESCOPE_AUDIT = os.path.join(os.path.dirname(os.path.dirname(
@@ -193,6 +197,131 @@ print(json.dumps(dict(summary, codes=codes)))
         assert 0.0 < summary["optim.clip.fired_share"] <= 1.0
 
 
+QUADRATIC = {"kind": "quadratic"}
+MLP = {"kind": "mlp", "n_samples": 64, "input_dim": 4, "hidden": [8],
+       "classes": 3}
+NAN = math.nan
+
+# One out-of-range value per range rule of every config field, and NaN for
+# every float field: (task section, key path, values). A value is set at
+# its key path in a valid document of each command that reads the key.
+BAD_VALUES = [
+    (QUADRATIC, "task.n_rows", [0]),
+    (QUADRATIC, "task.in_dim", [0]),
+    (QUADRATIC, "task.out_dim", [0]),
+    (QUADRATIC, "task.lambda_reg", [-1.0, NAN]),
+    (QUADRATIC, "task.noise_sigma", [-1.0, NAN]),
+    (QUADRATIC, "task.target_noise", [-1.0, NAN]),
+    (QUADRATIC, "task.design_scale", [0.0, NAN]),
+    (QUADRATIC, "task.init_scale", [-0.1, NAN]),
+    (MLP, "task.n_samples", [9]),
+    (MLP, "task.input_dim", [0]),
+    (MLP, "task.hidden", [[], [8, 0]]),
+    (MLP, "task.classes", [1]),
+    (MLP, "task.activation", ["gelu"]),
+    (MLP, "task.val_fraction", [0.0, 0.5, NAN]),
+    (MLP, "task.cluster_spread", [-1.0, NAN]),
+    (MLP, "task.sample_noise", [-1.0, NAN]),
+    (MLP, "task.noise_sigma", [-1.0, NAN]),
+    (QUADRATIC, "optimizer.kind", ["sgd"]),
+    (QUADRATIC, "optimizer.eta0", [0.0, -0.02, NAN]),
+    (QUADRATIC, "optimizer.lambda", [-1.0, NAN]),
+    (QUADRATIC, "optimizer.beta", [1.0, -0.1, NAN]),
+    (QUADRATIC, "optimizer.k_iters", [0]),
+    (QUADRATIC, "optimizer.coeffs", ["cubic"]),
+    (QUADRATIC, "optimizer.rms_factor", [0.0, NAN]),
+    (QUADRATIC, "optimizer.rms_dim", ["min"]),
+    (QUADRATIC, "optimizer.beta1", [1.0, 1.5, NAN]),
+    (QUADRATIC, "optimizer.beta2", [1.0, -0.5, NAN]),
+    (QUADRATIC, "optimizer.eps", [0.0, -1e-8, NAN]),
+    (QUADRATIC, "batch_size", [0]),
+    (QUADRATIC, "total_steps", [0]),
+    (QUADRATIC, "precision", ["f16"]),
+    (QUADRATIC, "schedule.kind", ["constant"]),
+    (QUADRATIC, "schedule.warmup_fraction", [0.05, NAN]),
+    (QUADRATIC, "schedule.eta_min_fraction", [-0.01, NAN]),
+    (QUADRATIC, "target_loss", [math.inf, NAN]),
+    (QUADRATIC, "stop_rule", ["wallclock", "tokens-to-target"]),
+    (QUADRATIC, "eval_every", [0, 7]),
+    (QUADRATIC, "smooth_window", [0]),
+    (QUADRATIC, "spike_ratio", [1.0, NAN]),
+    (QUADRATIC, "clip_norm", [0.0, NAN]),
+    (MLP, "telescope.start_width", [1]),
+    (MLP, "telescope.end_width", [24]),
+    (MLP, "telescope.grid.eta_center", [0.0, NAN]),
+    (MLP, "telescope.grid.lambda_center", [-0.1, NAN]),
+    (MLP, "telescope.grid.eta_extent", [0.0, NAN]),
+    (MLP, "telescope.grid.lambda_extent", [0.0, NAN]),
+    (MLP, "telescope.grid.points", [0]),
+]
+OPTIMIZER_ROWS = [(key.split(".")[1], value) for _, key, values in BAD_VALUES
+                  if key.startswith("optimizer.") for value in values]
+COMMAND_SECTIONS = {
+    "train": {}, "ablate": {}, "sweep": {"sweep": {"batch_grid": [4]}},
+    "telescope": {"telescope": {"start_width": 8, "end_width": 16, "grid": {}}},
+}
+
+
+def bad_value_cases():
+    for task, key, values in BAD_VALUES:
+        for command in COMMAND_SECTIONS:
+            if command == "telescope" or not key.startswith("telescope."):
+                for value in values:
+                    yield pytest.param(command, task, key, value,
+                                       id=f"{command}-{key}-{value!r}")
+
+
+def assert_bad_value(tmp_path, capsys, command, doc, key):
+    """``doc`` exits ``command`` with 2 and one error line naming ``key``,
+    and writes no out_dir."""
+    out = tmp_path / "out"
+    doc["out_dir"] = str(out)
+    assert main([command, "--config", write_json(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+class TestBadValues:
+    """Every bad config value exits 2 naming its key path, NaN included."""
+
+    @pytest.mark.parametrize("command, task, key, value", bad_value_cases())
+    def test_exit_2_names_key(self, tmp_path, capsys, command, task, key, value):
+        doc = {"task": dict(task), "total_steps": 20, "eval_every": 10,
+               **json.loads(json.dumps(COMMAND_SECTIONS[command]))}
+        *sections, last = key.split(".")
+        node = doc
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[last] = value
+        assert_bad_value(tmp_path, capsys, command, doc, key)
+
+    def test_every_numeric_field_has_a_row(self):
+        # field names read under other keys (config.py's _KEYS), and the one
+        # numeric field without a range: every integer is a seed
+        renamed = {"weight_decay": "lambda", "schedule_kind": "schedule.kind",
+                   "warmup_fraction": "schedule.warmup_fraction",
+                   "eta_min_fraction": "schedule.eta_min_fraction"}
+        unbounded = {"seed"}
+        rows = {(task["kind"], key): values for task, key, values in BAD_VALUES}
+        numeric = {int: False, float: True, float | None: True,
+                   tuple[int, ...]: False}
+        for cls, prefix, kind in (
+                (QuadraticSpec, "task.", "quadratic"), (MlpSpec, "task.", "mlp"),
+                (OptimizerSpec, "optimizer.", "quadratic"),
+                (TrainConfig, "", "quadratic"),
+                (TelescopeGrid, "telescope.grid.", "mlp")):
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                if hints[f.name] not in numeric or f.name in unbounded:
+                    continue
+                key = prefix + renamed.get(f.name, f.name)
+                assert (kind, key) in rows, f"no bad value for {key}"
+                if numeric[hints[f.name]]:
+                    assert any(map(math.isnan, rows[kind, key])), \
+                        f"no NaN for {key}"
+
+
 class TestMsignCheck:
     def test_standard_normal_band_violations_exit_1(self, capsys):
         code = main(["msign-check", "--shape", "64x64", "--k", "5",
@@ -219,6 +348,16 @@ class TestMsignCheck:
         code = main(["msign-check", "--shape", "64", "--trials", "1"])
         assert code == 2
         assert "shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--trials", "0"], "--trials"), (["--shape", "64"], "--shape"),
+        (["--shape", "0x4"], "--shape"), (["--shape", "8x8x8"], "--shape"),
+    ])
+    def test_bad_argument_exit_2_names_flag(self, capsys, argv, flag):
+        # --trials 0 once printed its own line, without the flag's colon
+        assert main(["msign-check", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
 
     def test_unknown_preset_rejected_by_parser(self, capsys):
         code = main(["msign-check", "--preset", "cubic"])
@@ -312,41 +451,28 @@ class TestTrainCommand:
         assert not out.exists()
         assert not (tmp_path / "None").exists()
 
+    # The optimizer rows of the bad-value table, for either optimizer kind.
     @pytest.mark.parametrize("kind", ["muon", "adamw"])
     @pytest.mark.parametrize("key, value", [
-        ("beta1", 1.0), ("beta2", 1.0), ("beta2", -0.5),
-        ("beta1", 1.5), ("eps", 0.0), ("eps", -1e-8),
-    ])
+        row for row in OPTIMIZER_ROWS if row[0] in ("beta1", "beta2", "eps")])
     def test_out_of_range_adamw_hyper_exit_2_names_key(self, tmp_path, capsys,
                                                         kind, key, value):
         # each of these once trained to the end or was reported as diverged
-        out = tmp_path / "out"
-        doc = self.doc(str(out), optimizer={"kind": kind, "eta0": 0.02, key: value})
-        code = main(["train", "--config", write_json(tmp_path, "bad.json", doc)])
-        assert code == 2
-        assert f"optimizer.{key}: " in capsys.readouterr().err
-        assert not out.exists()
+        doc = self.doc(None, optimizer={"kind": kind, "eta0": 0.02, key: value})
+        assert_bad_value(tmp_path, capsys, "train", doc, f"optimizer.{key}")
 
     @pytest.mark.parametrize("kind", ["muon", "adamw"])
     @pytest.mark.parametrize("key, value", [
-        ("kind", "sgd"), ("eta0", 0.0), ("eta0", -0.02), ("eta0", math.nan),
-        ("lambda", -1.0), ("lambda", math.nan), ("beta", 1.0), ("beta", -0.1),
-        ("k_iters", 0), ("coeffs", "cubic"), ("rms_factor", 0.0),
-        ("rms_factor", math.nan), ("rms_dim", "min"),
-    ])
+        row for row in OPTIMIZER_ROWS if row[0] not in ("beta1", "beta2", "eps")])
     def test_out_of_range_optimizer_value_exit_2_names_key(
             self, tmp_path, capsys, kind, key, value):
         # a negative lambda once failed inside the optimizer with a message
         # naming neither key nor field, the Muon fields without their
         # section, and a NaN eta0 or lambda (JSON's NaN) trained to a
         # diverged run with exit 3
-        out = tmp_path / "out"
         optimizer = {"kind": kind, key: value} if key != "kind" else {key: value}
-        doc = self.doc(str(out), optimizer=optimizer)
-        code = main(["train", "--config", write_json(tmp_path, "bad.json", doc)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: optimizer.{key}: ")
-        assert not out.exists()
+        doc = self.doc(None, optimizer=optimizer)
+        assert_bad_value(tmp_path, capsys, "train", doc, f"optimizer.{key}")
 
     @pytest.mark.parametrize("key, optimizer", [
         ("optimizer.eta0", {"kind": "muon", "eta0": 1e39}),

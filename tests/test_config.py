@@ -266,8 +266,8 @@ class TestSchema:
         "rms_matching": False, "rms_dim": "max", "exact_msign": True,
         "momentum_only": True, "dynamic_rms": True, "beta1": 0.8,
         "beta2": 0.99, "eps": 1e-6}
-    SCHEDULE = {"kind": "inverse-sqrt", "warmup_fraction": 0.1,
-                "eta_min_fraction": 0.1}
+    SCHEDULE = {"kind": "inverse-sqrt", "warmup_fraction": 0.02,
+                "eta_min_fraction": 0.01}
     TOP_LEVEL = {
         "batch_size": 4, "total_steps": 20, "seed": 1, "precision": "f32",
         "target_loss": 1.0, "stop_rule": "tokens-to-target", "eval_every": 5,
