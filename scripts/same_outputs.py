@@ -9,7 +9,9 @@ Each ``*_SRC`` is a ``src/`` directory holding a ``muonlab`` package, say
 that of a checkout of the parent commit and that of the working tree. The
 script makes the config of every benchmark workload at every config seed of
 ``bench/reference.json`` (3 workloads x 8 seeds), plus one ``ablate``
-config per seed, since no workload runs that command (32 configs in all).
+config per seed, since no workload runs that command, and the telescope
+config at ``"precision": "f32"`` per seed, since every workload runs in f64
+(40 configs in all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte. Both sides
@@ -70,6 +72,9 @@ def configs(reference: dict):
                    make_config(name, seed, "out", target))
     for seed in reference["seeds"]:
         yield f"ablate seed {seed}", "ablate", ablate_config(seed, "out")
+    for seed in reference["seeds"]:
+        yield (f"telescope-mlp f32 seed {seed}", "telescope",
+               dict(make_config("telescope-mlp", seed, "out"), precision="f32"))
 
 
 def start_side(src: str, side_dir: str, command: str, doc: dict):

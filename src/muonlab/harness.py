@@ -278,7 +278,8 @@ def _measure(task, stack: dict[str, np.ndarray], by_run: bool,
 class _Stack:
     """The runs of one lockstep group as they train. Slot s of the
     parameter stacks and of the `OptimizerBank` holds run ``live[s]``, an
-    index into ``configs``; each run keeps its schedule, eval rows, target
+    index into ``configs``; each run keeps its learning rate at every step
+    (a row of ``etas_by_step``, worked out once), eval rows, target
     crossing and, once it leaves the stack, its record. ``pending`` is the
     snapshot out on a worker thread, if any."""
 
@@ -291,7 +292,10 @@ class _Stack:
                                   first.optimizer,
                                   [c.optimizer.weight_decay for c in configs],
                                   dtype_of(first.precision))
-        self.scheds = [_schedule(c) for c in configs]
+        steps = first.total_steps + 1
+        self.etas_by_step = np.stack([
+            np.fromiter((schedule_eta(sched, step) for step in range(steps)), F64, steps)
+            for sched in map(_schedule, configs)])
         self.params = {name: np.repeat(arr[None], len(configs), axis=0)
                        for name, arr in init.items()}
         self.live = list(range(len(configs)))
@@ -303,7 +307,7 @@ class _Stack:
 
     def etas(self, step: int) -> list[float]:
         """The learning rate of each live run at ``step``."""
-        return [schedule_eta(self.scheds[run], step) for run in self.live]
+        return self.etas_by_step[self.live, step].tolist()
 
     def snapshot(self, step: int, params: dict[str, np.ndarray], update_rms,
                  etas: Sequence[float]) -> list[EvalRow]:
@@ -321,8 +325,8 @@ class _Stack:
         met at step 0 ends every run under the stop rule."""
         first = self.first
         self.initial_val = row0.val_loss
-        for run, sched in enumerate(self.scheds):
-            self.rows[run].append(replace(row0, eta_t=schedule_eta(sched, 0)))
+        for run, eta in enumerate(self.etas_by_step[:, 0].tolist()):
+            self.rows[run].append(replace(row0, eta_t=eta))
         if first.target_loss is not None and row0.val_loss <= first.target_loss:
             self.tokens_to_target = [0] * len(self.configs)
             if first.stop_rule == "tokens-to-target":
@@ -391,14 +395,15 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     each step makes one batch draw and gather, one stacked matmul per
     layer and per Newton-Schulz step, and one optimizer step with a
     learning rate and decay per run. Clipping and the finiteness checks
-    stay per run, and a run leaves the stack when it diverges or stops at
+    act per run, and a run leaves the stack when it diverges or stops at
     its target, so each record is byte-identical to its run trained alone.
 
     Per step: draw a batch (or take the full set), compute the loss and
-    gradients, inject task noise if configured, close the runs whose loss
-    or gradients are not finite, clip each run's global gradient norm,
-    take one optimizer step, and close the runs whose weights are not
-    finite. Every ``eval_every`` steps a snapshot (`_measure`) gives each
+    gradients, inject task noise if configured, take one stacked sum of
+    squares of the gradients, close the runs whose loss or gradients are
+    not finite, clip each run's global gradient norm (the square root of
+    its sum), take one optimizer step, and close the runs whose weights
+    are not finite. Every ``eval_every`` steps a snapshot (`_measure`) gives each
     live run an eval row: the full train/val losses, the exact
     full-objective gradient norm, the update RMS and the learning rate.
     ``val_only`` measures the val loss alone and leaves ``train_loss`` and
@@ -455,14 +460,19 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                         noise = noise_sigma * noise_rng.normal(g.shape[1:])
                         grads[name] = (g + noise).astype(g.dtype, copy=False)
                 finite = np.isfinite(loss)
-                for g in grads.values():
-                    finite &= _finite_per_run(g)
+                sq = _sum_squares(grads.values())
+                if not np.isfinite(sq).all():
+                    # A finite sum means finite entries, but finite entries
+                    # can overflow when squared: check those entry by entry.
+                    for g in grads.values():
+                        finite &= _finite_per_run(g)
                 if not finite.all():
                     keep = stack.leave_diverged(finite)
                     grads = {name: g[keep] for name, g in grads.items()}
-                for slot in range(len(stack.live)):
+                    sq = sq[keep]
+                for slot, norm in enumerate(np.sqrt(sq).tolist()):
                     run_grads = {name: g[slot] for name, g in grads.items()}
-                    clipped, _ = _clip_grad_arrays(run_grads, first.clip_norm)
+                    clipped, _ = _clip_grad_arrays(run_grads, first.clip_norm, norm)
                     if clipped is not run_grads:
                         for name, g in clipped.items():
                             grads[name][slot] = g
@@ -835,7 +845,8 @@ class TelescopeGrid:
 
     def __post_init__(self):
         for key in ("eta_center", "lambda_center", "eta_extent", "lambda_extent"):
-            _require(getattr(self, key) > 0.0, key, "be positive", getattr(self, key))
+            _require(0.0 < getattr(self, key) < math.inf, key, "be positive and finite",
+                     getattr(self, key))
         _require(self.points >= 1, "points", "be >= 1", self.points)
 
 

@@ -113,14 +113,28 @@ def _ns_orthogonalize(x0: np.ndarray, coeffs: NsCoefficients,
     ``x0`` is one (m, n) matrix or a stack (..., m, n) of them; a stack
     runs each slice through the same GEMM calls as that slice alone, so
     every slice's result is the bytes of its solo run.
+
+    A wide input (m < n) iterates on its transpose, copied to C order on
+    entry and back on exit: elementwise ops keep their operands' layout,
+    so a transposed view would run every step strided. The Gram's right
+    operand is a copy, because with one buffer on both sides numpy calls
+    SYRK, about twice as slow as the copy and a GEMM on tall stacks, with
+    the same bytes (``tests/test_msign.py`` pins them). The polynomial is
+    evaluated in place on fresh temporaries; ``x0`` is never written.
     """
     transposed = x0.shape[-2] < x0.shape[-1]
-    x = x0.swapaxes(-1, -2) if transposed else x0
+    x = np.ascontiguousarray(x0.swapaxes(-1, -2)) if transposed else x0
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     for _ in range(k):
-        gram = x.swapaxes(-1, -2) @ x
-        x = a * x + x @ (b * gram + c * (gram @ gram))
-    return x.swapaxes(-1, -2) if transposed else x
+        gram = x.swapaxes(-1, -2) @ x.copy()
+        gg = gram @ gram
+        gg *= c
+        gram *= b
+        gram += gg
+        y = x @ gram
+        x = a * x
+        x += y
+    return np.ascontiguousarray(x.swapaxes(-1, -2)) if transposed else x
 
 
 def msign_newton_schulz(

@@ -59,12 +59,14 @@ class MuonHyper:
     dynamic_rms: bool = False
 
     def __post_init__(self):
-        _require(self.eta0 > 0.0, "eta0", "be positive", self.eta0)
-        _require(self.weight_decay >= 0.0, "weight_decay", "be >= 0",
-                 self.weight_decay)
+        _require(0.0 < self.eta0 < math.inf, "eta0", "be positive and finite",
+                 self.eta0)
+        _require(0.0 <= self.weight_decay < math.inf, "weight_decay",
+                 "be finite and >= 0", self.weight_decay)
         _require(0.0 <= self.beta < 1.0, "beta", "lie in [0, 1)", self.beta)
         _require(self.k_iters >= 1, "k_iters", "be >= 1", self.k_iters)
-        _require(self.rms_factor > 0.0, "rms_factor", "be positive", self.rms_factor)
+        _require(0.0 < self.rms_factor < math.inf, "rms_factor",
+                 "be positive and finite", self.rms_factor)
         _require(self.rms_dim in ("fan-out", "max"), "rms_dim",
                  "be 'fan-out' or 'max'", self.rms_dim)
 
@@ -114,23 +116,23 @@ class AdamWState:
 def _muon_direction(momentum: np.ndarray, hyper: MuonHyper) -> np.ndarray:
     """Unscaled update direction of each (m, n) slice of a momentum stack
     (..., m, n); one matrix is a stack of one (array core)."""
-    slices = momentum.reshape(-1, *momentum.shape[-2:])
-    # Per-slice BLAS norms, numpy scalars of the momentum's dtype: each is
-    # also its slice's NS divisor, whose dtype sets the f32 rounding. A
+    rows, cols = momentum.shape[-2:]
+    flat = momentum.reshape(-1, 1, rows * cols)
+    # Per-slice norms in the momentum's dtype, each the square root of one
+    # BLAS dot of its slice with itself, as `np.linalg.norm` takes it: each
+    # is also its slice's NS divisor, whose dtype sets the f32 rounding. A
     # norm over the whole stack would round differently.
-    norms = [np.linalg.norm(s) for s in slices]
-    zero = [float(n) < _ZERO_MOMENTUM_TOL for n in norms]
+    norm = np.sqrt(flat @ flat.swapaxes(-1, -2)).reshape(momentum.shape[:-2] + (1, 1))
+    zero = [float(n) < _ZERO_MOMENTUM_TOL for n in norm.flat]
     if all(zero):
         return np.zeros_like(momentum)
     if hyper.exact_msign:
         u = np.stack([
             np.zeros_like(s) if z
             else msign_exact(Matrix(s.astype(F64))).a.astype(s.dtype, copy=False)
-            for s, z in zip(slices, zero)
+            for s, z in zip(momentum.reshape(-1, rows, cols), zero)
         ]).reshape(momentum.shape)
     else:
-        norm = np.array(norms, dtype=momentum.dtype).reshape(
-            momentum.shape[:-2] + (1, 1))
         if hyper.momentum_only:
             # Zero slices divide by 1 here and are zeroed below.
             u = momentum / np.where(np.reshape(zero, norm.shape), 1, norm)
@@ -157,17 +159,27 @@ def _rms_scale(hyper: MuonHyper, u: np.ndarray):
     return hyper.rms_factor * math.sqrt(n)
 
 
+def _into(op: np.ufunc, a: np.ndarray, b) -> np.ndarray:
+    """``op(a, b)``, written over ``a`` (a fresh temporary of the caller's)
+    where ``a`` has the result's dtype, as it has when the dtypes agree."""
+    return op(a, b, out=a if a.dtype == np.result_type(a, b) else None)
+
+
 def _muon_core(w: np.ndarray, g: np.ndarray, momentum: np.ndarray,
                hyper: MuonHyper, eta_t, weight_decay,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Muon step on raw arrays; returns (new_w, new_momentum, update).
 
     The arrays are one matrix or a stack (R, m, n) of them; ``eta_t`` and
-    ``weight_decay`` are floats or per-run arrays that broadcast.
+    ``weight_decay`` are floats or per-run arrays that broadcast. It
+    writes only its own temporaries, with the bytes of
+    ``eta_t * (scale * u + weight_decay * w)``.
     """
-    momentum = hyper.beta * momentum + (1.0 - hyper.beta) * g
-    u = _muon_direction(momentum, hyper)
-    update = eta_t * (_rms_scale(hyper, u) * u + weight_decay * w)
+    momentum = _into(np.add, hyper.beta * momentum, (1.0 - hyper.beta) * g)
+    update = _muon_direction(momentum, hyper)  # a fresh array
+    update = _into(np.multiply, update, _rms_scale(hyper, update))
+    update = _into(np.add, update, weight_decay * w)
+    update = _into(np.multiply, update, eta_t)
     return w - update, momentum, update
 
 
@@ -271,7 +283,8 @@ class Schedule:
     eta_min_fraction: float = 0.0
 
     def __post_init__(self):
-        _require(self.eta0 > 0.0, "eta0", "be positive", self.eta0)
+        _require(0.0 < self.eta0 < math.inf, "eta0", "be positive and finite",
+                 self.eta0)
         _require(self.total_steps >= 1, "total_steps", "be >= 1", self.total_steps)
         _require(0.0 <= self.warmup_fraction <= 0.02, "warmup_fraction",
                  "lie in [0, 0.02]", self.warmup_fraction)
@@ -326,12 +339,15 @@ def _sum_squares(stacks: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _clip_grad_arrays(grads: dict[str, np.ndarray], max_norm: float,
+                      total: float | None = None,
                       ) -> tuple[dict[str, np.ndarray], float]:
     """Global clip of one run's gradients; returns (clipped, pre-clip norm).
 
+    ``total`` is the pre-clip norm where the caller has taken it already.
     Unclipped gradients come back as the same dict object.
     """
-    total = math.sqrt(_sum_squares(g[None] for g in grads.values())[0])
+    if total is None:
+        total = math.sqrt(_sum_squares(g[None] for g in grads.values())[0])
     if total <= max_norm or total == 0.0:
         return grads, total
     factor = max_norm / total
@@ -394,8 +410,7 @@ class OptimizerBank:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0  # steps taken; every AdamW parameter steps on each one
-        # Per run: the RMS of the last step's update over all parameters.
-        self.last_update_rms = np.zeros(len(self._decay))
+        self._updates: list[np.ndarray] = []  # the last step's, per parameter
         self._state_scalars = 0
         for name, shape in shapes.items():
             stacked = (len(self._decay), *shape)
@@ -432,10 +447,18 @@ class OptimizerBank:
                 )
             new_params[name] = new_w
             updates.append(update)
-        count = sum(u[0].size for u in updates)
-        self.last_update_rms = (np.sqrt(_sum_squares(updates) / count) if count
-                                else np.zeros(len(eta)))
+        self._updates = updates
         return new_params
+
+    @property
+    def last_update_rms(self) -> np.ndarray:
+        """Per run: the RMS of the last step's update over all parameters
+        (zeros before the first step), computed when read."""
+        count = sum(math.prod(u.shape[1:]) for u in self._updates)
+        if not count:
+            return np.zeros(len(self._decay))
+        with np.errstate(all="ignore"):
+            return np.sqrt(_sum_squares(self._updates) / count)
 
     def select(self, keep: Sequence[int]) -> None:
         """Keep only the runs at stack positions ``keep``, in that order."""
@@ -443,7 +466,7 @@ class OptimizerBank:
             for name in bufs:
                 bufs[name] = bufs[name][keep]
         self._decay = self._decay[keep]
-        self.last_update_rms = self.last_update_rms[keep]
+        self._updates = [u[keep] for u in self._updates]
 
     def state_scalar_count(self) -> int:
         """Auxiliary scalars held per run: momentum entries plus both moments."""
@@ -481,7 +504,7 @@ class OptimizerSpec:
         # Every run has AdamW moments (vectors always take AdamW).
         _require(0.0 <= self.beta1 < 1.0, "beta1", "lie in [0, 1)", self.beta1)
         _require(0.0 <= self.beta2 < 1.0, "beta2", "lie in [0, 1)", self.beta2)
-        _require(self.eps > 0.0, "eps", "be positive", self.eps)
+        _require(0.0 < self.eps < math.inf, "eps", "be positive and finite", self.eps)
         # eta0, the weight decay and the Muon fields, whatever the kind.
         self.muon_hyper()
 

@@ -53,9 +53,10 @@ class QuadraticSpec:
         for key in ("n_rows", "in_dim", "out_dim"):
             _require(getattr(self, key) >= 1, key, "be >= 1", getattr(self, key))
         for key in ("lambda_reg", "noise_sigma", "target_noise", "init_scale"):
-            _require(getattr(self, key) >= 0.0, key, "be >= 0", getattr(self, key))
-        _require(self.design_scale > 0.0, "design_scale", "be positive",
-                 self.design_scale)
+            _require(0.0 <= getattr(self, key) < math.inf, key, "be finite and >= 0",
+                     getattr(self, key))
+        _require(0.0 < self.design_scale < math.inf, "design_scale",
+                 "be positive and finite", self.design_scale)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class MlpSpec:
         _require(0.0 < self.val_fraction < 0.5, "val_fraction", "lie in (0, 0.5)",
                  self.val_fraction)
         for key in ("cluster_spread", "sample_noise", "noise_sigma"):
-            _require(getattr(self, key) >= 0.0, key, "be >= 0", getattr(self, key))
+            _require(0.0 <= getattr(self, key) < math.inf, key, "be finite and >= 0",
+                     getattr(self, key))
 
 
 TaskSpec = QuadraticSpec | MlpSpec

@@ -201,46 +201,48 @@ QUADRATIC = {"kind": "quadratic"}
 MLP = {"kind": "mlp", "n_samples": 64, "input_dim": 4, "hidden": [8],
        "classes": 3}
 NAN = math.nan
+INF = math.inf
 
-# One out-of-range value per range rule of every config field, and NaN for
-# every float field: (task section, key path, values). A value is set at
+# One out-of-range value per range rule of every config field, and NaN and
+# Infinity for every float field but the two where Infinity means "never"
+# (`INFINITE_OK`): (task section, key path, values). A value is set at
 # its key path in a valid document of each command that reads the key.
 BAD_VALUES = [
     (QUADRATIC, "task.n_rows", [0]),
     (QUADRATIC, "task.in_dim", [0]),
     (QUADRATIC, "task.out_dim", [0]),
-    (QUADRATIC, "task.lambda_reg", [-1.0, NAN]),
-    (QUADRATIC, "task.noise_sigma", [-1.0, NAN]),
-    (QUADRATIC, "task.target_noise", [-1.0, NAN]),
-    (QUADRATIC, "task.design_scale", [0.0, NAN]),
-    (QUADRATIC, "task.init_scale", [-0.1, NAN]),
+    (QUADRATIC, "task.lambda_reg", [-1.0, NAN, INF]),
+    (QUADRATIC, "task.noise_sigma", [-1.0, NAN, INF]),
+    (QUADRATIC, "task.target_noise", [-1.0, NAN, INF]),
+    (QUADRATIC, "task.design_scale", [0.0, NAN, INF]),
+    (QUADRATIC, "task.init_scale", [-0.1, NAN, INF]),
     (MLP, "task.n_samples", [9]),
     (MLP, "task.input_dim", [0]),
     (MLP, "task.hidden", [[], [8, 0]]),
     (MLP, "task.classes", [1]),
     (MLP, "task.activation", ["gelu"]),
-    (MLP, "task.val_fraction", [0.0, 0.5, NAN]),
-    (MLP, "task.cluster_spread", [-1.0, NAN]),
-    (MLP, "task.sample_noise", [-1.0, NAN]),
-    (MLP, "task.noise_sigma", [-1.0, NAN]),
+    (MLP, "task.val_fraction", [0.0, 0.5, NAN, INF]),
+    (MLP, "task.cluster_spread", [-1.0, NAN, INF]),
+    (MLP, "task.sample_noise", [-1.0, NAN, INF]),
+    (MLP, "task.noise_sigma", [-1.0, NAN, INF]),
     (QUADRATIC, "optimizer.kind", ["sgd"]),
-    (QUADRATIC, "optimizer.eta0", [0.0, -0.02, NAN]),
-    (QUADRATIC, "optimizer.lambda", [-1.0, NAN]),
-    (QUADRATIC, "optimizer.beta", [1.0, -0.1, NAN]),
+    (QUADRATIC, "optimizer.eta0", [0.0, -0.02, NAN, INF]),
+    (QUADRATIC, "optimizer.lambda", [-1.0, NAN, INF]),
+    (QUADRATIC, "optimizer.beta", [1.0, -0.1, NAN, INF]),
     (QUADRATIC, "optimizer.k_iters", [0]),
     (QUADRATIC, "optimizer.coeffs", ["cubic"]),
-    (QUADRATIC, "optimizer.rms_factor", [0.0, NAN]),
+    (QUADRATIC, "optimizer.rms_factor", [0.0, NAN, INF]),
     (QUADRATIC, "optimizer.rms_dim", ["min"]),
-    (QUADRATIC, "optimizer.beta1", [1.0, 1.5, NAN]),
-    (QUADRATIC, "optimizer.beta2", [1.0, -0.5, NAN]),
-    (QUADRATIC, "optimizer.eps", [0.0, -1e-8, NAN]),
+    (QUADRATIC, "optimizer.beta1", [1.0, 1.5, NAN, INF]),
+    (QUADRATIC, "optimizer.beta2", [1.0, -0.5, NAN, INF]),
+    (QUADRATIC, "optimizer.eps", [0.0, -1e-8, NAN, INF]),
     (QUADRATIC, "batch_size", [0]),
     (QUADRATIC, "total_steps", [0]),
     (QUADRATIC, "precision", ["f16"]),
     (QUADRATIC, "schedule.kind", ["constant"]),
-    (QUADRATIC, "schedule.warmup_fraction", [0.05, NAN]),
-    (QUADRATIC, "schedule.eta_min_fraction", [-0.01, NAN]),
-    (QUADRATIC, "target_loss", [math.inf, NAN]),
+    (QUADRATIC, "schedule.warmup_fraction", [0.05, NAN, INF]),
+    (QUADRATIC, "schedule.eta_min_fraction", [-0.01, NAN, INF]),
+    (QUADRATIC, "target_loss", [INF, NAN]),
     (QUADRATIC, "stop_rule", ["wallclock", "tokens-to-target"]),
     (QUADRATIC, "eval_every", [0, 7]),
     (QUADRATIC, "smooth_window", [0]),
@@ -248,12 +250,14 @@ BAD_VALUES = [
     (QUADRATIC, "clip_norm", [0.0, NAN]),
     (MLP, "telescope.start_width", [1]),
     (MLP, "telescope.end_width", [24]),
-    (MLP, "telescope.grid.eta_center", [0.0, NAN]),
-    (MLP, "telescope.grid.lambda_center", [-0.1, NAN]),
-    (MLP, "telescope.grid.eta_extent", [0.0, NAN]),
-    (MLP, "telescope.grid.lambda_extent", [0.0, NAN]),
+    (MLP, "telescope.grid.eta_center", [0.0, NAN, INF]),
+    (MLP, "telescope.grid.lambda_center", [-0.1, NAN, INF]),
+    (MLP, "telescope.grid.eta_extent", [0.0, NAN, INF]),
+    (MLP, "telescope.grid.lambda_extent", [0.0, NAN, INF]),
     (MLP, "telescope.grid.points", [0]),
 ]
+# Infinity means "never clip" and "count no spike" here.
+INFINITE_OK = {"clip_norm", "spike_ratio"}
 OPTIMIZER_ROWS = [(key.split(".")[1], value) for _, key, values in BAD_VALUES
                   if key.startswith("optimizer.") for value in values]
 COMMAND_SECTIONS = {
@@ -320,6 +324,8 @@ class TestBadValues:
                 if numeric[hints[f.name]]:
                     assert any(map(math.isnan, rows[kind, key])), \
                         f"no NaN for {key}"
+                    assert (key in INFINITE_OK) != (INF in rows[kind, key]), \
+                        f"Infinity for {key}"
 
 
 class TestMsignCheck:
@@ -422,6 +428,16 @@ class TestTrainCommand:
         assert code == 3
         assert "terminated=diverged" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "summary.csv"))
+
+    def test_infinite_clip_norm_and_spike_ratio_mean_never(self, tmp_path, capsys):
+        # every other float field rejects Infinity (TestBadValues)
+        out = tmp_path / "out"
+        doc = self.doc(str(out), clip_norm=INF, spike_ratio=INF, total_steps=20)
+        assert main(["train", "--config", write_json(tmp_path, "inf.json", doc)]) == 0
+        assert "terminated=completed" in capsys.readouterr().out
+        summary = read_bytes(os.path.join(out, "summary.csv")).decode()
+        header, row = summary.splitlines()[:2]
+        assert dict(zip(header.split(","), row.split(",")))["loss_spike_count"] == "0"
 
     def test_config_error_exit_2_names_key(self, tmp_path, capsys):
         doc = self.doc(str(tmp_path / "out"), epochs=3)

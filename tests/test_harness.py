@@ -31,7 +31,7 @@ from muonlab.harness import (
     train,
 )
 from muonlab.optim import OptimizerSpec
-from muonlab.tasks import MlpSpec, MlpTask, QuadraticSpec
+from muonlab.tasks import MlpSpec, MlpTask, QuadraticSpec, QuadraticTask
 
 
 def quad_config(**overrides):
@@ -332,6 +332,78 @@ class TestLockstep:
             train([quad_config(seed=1), quad_config(seed=2)])
         with pytest.raises(RangeError):
             train([])
+
+
+class TestStackedNormPass:
+    """One stacked sum of squares per step serves the finiteness check of
+    the gradients and every run's pre-clip norm; the bank's update RMS is
+    taken when a snapshot reads it."""
+
+    @staticmethod
+    def group(base, etas):
+        return [dataclasses.replace(base, run_id=f"run{i}", optimizer=dataclasses.replace(
+            base.optimizer, eta0=eta)) for i, eta in enumerate(etas)]
+
+    def test_overflowing_squares_clip_to_zero(self, monkeypatch):
+        # gradient noise near 1e200: finite entries whose squares overflow
+        # the sum, so each run stays and clips to a zero gradient
+        base = quad_config(task=QuadraticSpec(noise_sigma=1e200), total_steps=20,
+                           eval_every=5)
+        group = self.group(base, (0.02, 0.2))
+        clip, seen = harness._clip_grad_arrays, []
+
+        def spy(grads, max_norm, total=None):
+            clipped, norm = clip(grads, max_norm, total)
+            seen.append((norm, not any(g.any() for g in clipped.values())))
+            return clipped, norm
+
+        monkeypatch.setattr(harness, "_clip_grad_arrays", spy)
+        records = train(group)
+        assert len(seen) == 2 * 20
+        assert all(norm == math.inf and zeroed for norm, zeroed in seen)
+        assert [r.terminated for r in records] == ["completed"] * 2
+        monkeypatch.undo()
+        for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
+
+    def test_nan_slot_leaves_and_stack_mates_keep_solo_bytes(self, monkeypatch):
+        # a NaN gradient entry in the middle slot at step 3, loss finite
+        group = self.group(quad_config(total_steps=20, eval_every=5),
+                           (0.02, 0.05, 0.1))
+        solo = [train(config) for config in group]
+        real, calls = QuadraticTask.batch_loss_grad, []
+
+        def poisoned(task, params, idx):
+            loss, grads = real(task, params, idx)
+            calls.append(len(loss))
+            if len(calls) == 3:
+                grads["w"][1, 0, 0] = math.nan
+            return loss, grads
+
+        monkeypatch.setattr(QuadraticTask, "batch_loss_grad", poisoned)
+        records = train(group)
+        assert calls[:4] == [3, 3, 3, 2]
+        assert [(r.terminated, len(r.rows)) for r in records] == [
+            ("completed", 5), ("diverged", 1), ("completed", 5)]
+        for slot in (0, 2):
+            _assert_records_identical(records[slot], solo[slot])
+
+    def test_update_rms_after_a_run_leaves_equals_solo(self):
+        # a design so small that every direction is zero: the weights only
+        # decay, and the middle run's weights overflow in the update of
+        # step 2, an eval step, so that its snapshot reads the update RMS
+        # of the stack that run left
+        base = quad_config(task=QuadraticSpec(design_scale=1e-200, init_scale=1.0),
+                           total_steps=4, eval_every=2)
+        group = self.group(base, (0.02, 1e308, 0.05))
+        records = train(group)
+        assert [(r.terminated, len(r.rows)) for r in records] == [
+            ("completed", 3), ("diverged", 1), ("completed", 3)]
+        for slot in (0, 2):
+            solo = train(group[slot])
+            assert [r.update_rms for r in records[slot].rows] == \
+                [r.update_rms for r in solo.rows]
+            _assert_records_identical(records[slot], solo)
 
 
 @st.composite

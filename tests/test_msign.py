@@ -23,6 +23,7 @@ from muonlab.msign import (
     OPTIMIZED_COEFFS,
     SPECTRUM_BAND,
     TAYLOR_COEFFS,
+    _ns_orthogonalize,
     band_violation,
     coefficient_preset,
     msign_exact,
@@ -352,3 +353,36 @@ def test_newton_schulz_f32_tracks_f64_property(rows, cols, seed, log_scale):
     assert x32.dtype == np.float32
     err = np.abs(x32.astype(np.float64) - x64).max()
     assert err <= ns_tolerance((rows, cols), np.float32)
+
+
+# (runs, rows, cols) of the Muon matrices the tasks stack: the quadratic's
+# 16x8, the telescope's first layer 16xW (wide, so the kernel iterates on
+# its transpose) and last layer Wx4 at a stage's 9 runs, the 64-128-128-8
+# MLP's layers alone, and two odd shapes on either side of square.
+NS_STACKS = [(5, 16, 8), (9, 16, 64), (9, 16, 128), (9, 16, 256), (9, 64, 4),
+             (9, 128, 4), (9, 256, 4), (1, 64, 128), (1, 128, 128), (1, 128, 8),
+             (2, 7, 9), (3, 32, 300)]
+
+
+@pytest.mark.parametrize("k", [3, 5, 10])
+@pytest.mark.parametrize("coeffs", [OPTIMIZED_COEFFS, TAYLOR_COEFFS],
+                         ids=["optimized", "taylor"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", NS_STACKS, ids=str)
+def test_ns_kernel_is_the_quintic_formula_bit_for_bit(shape, dtype, coeffs, k):
+    # The kernel's layout copies, GEMM Gram and in-place polynomial change
+    # no byte of the step as written, on the taller orientation.
+    x0 = Rng(k * 1_000 + shape[2]).normal(shape).astype(dtype)
+    x0 /= np.linalg.norm(x0, axis=(-2, -1), keepdims=True).astype(dtype)
+    frozen = x0.copy()
+    wide = shape[1] < shape[2]
+    x = x0.swapaxes(-1, -2) if wide else x0
+    for _ in range(k):
+        g = x.swapaxes(-1, -2) @ x
+        x = coeffs.a * x + x @ (coeffs.b * g + coeffs.c * (g @ g))
+    want = x.swapaxes(-1, -2) if wide else x
+    got = _ns_orthogonalize(x0, coeffs, k)
+    assert got.dtype == dtype and got.shape == shape
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous
+    assert np.array_equal(x0, frozen)

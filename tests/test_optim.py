@@ -1,6 +1,8 @@
 """Optimizer steps: Muon, AdamW, Shampoo oracle, schedule, clipping, routing."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from muonlab.optim import (
     shampoo_direction,
     shampoo_step_oracle,
 )
-from muonlab.optim import (_clip_grad_arrays, _muon_core, _muon_direction, _sum_left,
-                           _sum_squares)
+from muonlab.optim import (_clip_grad_arrays, _muon_core, _muon_direction, _rms_scale,
+                           _sum_left, _sum_squares)
 
 
 def rms(arr: np.ndarray) -> float:
@@ -395,6 +397,14 @@ class TestOptimizerBank:
         want = math.sqrt(4 * per_entry**2 / 6)
         assert abs(bank.last_update_rms[0] - want) < 1e-15
 
+    def test_overflowing_update_rms_reads_inf_without_warning(self):
+        # AdamW's first update is about eta_t per entry: its squares overflow
+        bank = OptimizerBank({"w": (2, 2)}, OptimizerSpec(kind="adamw"), [0.0])
+        _step_one(bank, {"w": np.zeros((2, 2))}, {"w": np.ones((2, 2))}, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bank.last_update_rms.tolist() == [math.inf]
+
     def test_spec_round_trip(self):
         spec = OptimizerSpec(kind="muon", eta0=0.07, weight_decay=0.02,
                              k_iters=3, coeffs="taylor", rms_dim="max")
@@ -458,6 +468,37 @@ class TestStackedCores:
                               float(lam[r, 0, 0]))
             for got, solo in zip((new_w[r], new_mom[r], update[r]), want):
                 assert got.dtype == solo.dtype and np.array_equal(got, solo)
+
+    @pytest.mark.parametrize("shape", [(16, 256), (64, 128)])
+    def test_dynamic_rms_is_per_slice_on_wide_stacks(self, shape):
+        # the direction's norm sums its slice in one order whatever the
+        # stack size (it once followed the NS iterate's layout, which did not)
+        hyper = MuonHyper(eta0=0.1, dynamic_rms=True)
+        root = Rng(11)
+        w, g = (root.child(n).normal((9, *shape)) for n in ("w", "g"))
+        mom = np.zeros_like(w)
+        eta, lam = np.full((9, 1, 1), 0.1), np.full((9, 1, 1), 0.1)
+        stacked = _muon_core(w, g, mom, hyper, eta, lam)
+        for r in range(9):
+            solo = _muon_core(w[r], g[r], mom[r], hyper, 0.1, 0.1)
+            for got, want in zip(stacked, solo):
+                assert np.array_equal(got[r], want)
+
+    def test_mixed_dtypes_keep_the_formulas_bytes(self):
+        # the Muon core updates its own temporaries in place only where
+        # those hold the result's dtype: mixed dtypes round as the formula
+        dtypes = (np.float32, np.float64)
+        root = Rng(5)
+        for dw, dg, ds in itertools.product(dtypes, dtypes, dtypes):
+            w, g, state = (root.normal((6, 9)).astype(d) for d in (dw, dg, ds))
+            hyper = MuonHyper(eta0=0.1)
+            new_w, mom = muon_step(Matrix(w), Matrix(g), MuonState(Matrix(state)),
+                                   hyper, 0.3)
+            want_mom = hyper.beta * state + (1.0 - hyper.beta) * g
+            u = _muon_direction(want_mom, hyper)
+            want_w = w - 0.3 * (_rms_scale(hyper, u) * u + hyper.weight_decay * w)
+            for got, want in ((new_w.a, want_w), (mom.momentum.a, want_mom)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("matrix_rule", ["muon", "adamw"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
