@@ -17,11 +17,12 @@ two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte. Both sides
 run in directories of the same shape, with a relative output path, so
 their standard outputs name the same files. Their standard errors are
-written once both have ended, the parent's first.
+written once both have ended, the parent's first, and must be empty: a
+warning on either side fails the config.
 
 It prints one line per config and exits 0 when all are identical. At the
 first difference it names the config and the first differing item (the
-exit code, stdout, or an output file) and exits 1.
+exit code, stdout, stderr, or an output file) and exits 1.
 
 Only the standard library is used, plus read-only use of
 ``bench/workloads.make_config`` and the sweep targets in
@@ -91,12 +92,13 @@ def start_side(src: str, side_dir: str, command: str, doc: dict):
 
 def run_sides(sides, side_dirs, command: str, doc: dict):
     """Run one config under each package at once; returns each side's
-    (code, stdout), after writing their standard errors in side order."""
+    (code, stdout, stderr), after writing their standard errors in side
+    order."""
     procs = [start_side(src, d, command, doc) for src, d in zip(sides, side_dirs)]
     outputs = [proc.communicate() for proc in procs]  # a few lines each
     for _stdout, stderr in outputs:
         sys.stderr.write(stderr.decode(errors="replace"))
-    return [(proc.returncode, stdout) for proc, (stdout, _) in zip(procs, outputs)]
+    return [(proc.returncode, *out) for proc, out in zip(procs, outputs)]
 
 
 def files_under(directory: str) -> list:
@@ -114,6 +116,9 @@ def first_difference(a_dir: str, b_dir: str, a_run, b_run):
         return f"exit code ({a_run[0]} against {b_run[0]})"
     if a_run[1] != b_run[1]:
         return "stdout"
+    if a_run[2] or b_run[2]:
+        return (f"stderr ({len(a_run[2])} bytes from the parent, "
+                f"{len(b_run[2])} from the change)")
     a_out, b_out = os.path.join(a_dir, "out"), os.path.join(b_dir, "out")
     a_files, b_files = files_under(a_out), files_under(b_out)
     one_side = sorted(set(a_files) ^ set(b_files))

@@ -15,13 +15,15 @@ Every key is checked: an unknown key, a mistyped value, a null or a
 value out of its field's range (NaN included) is rejected with the full
 dotted path of the offender. Each range rule is written once, in the
 dataclass that owns the field, or for a key that is no field in a
-`harness._check_*` helper. Under f32, a learning rate or weight decay
-that f32 cannot hold is rejected.
+`harness._check_*` helper. A telescope extent whose grids reach zero or
+infinity is rejected at that extent. Under f32, a learning rate or weight
+decay that f32 cannot hold is rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, fields
 from typing import Sequence
 
@@ -272,14 +274,25 @@ def parse_telescope_config(doc: dict, overrides: dict | None = None,
     grid_sec.finish()
     sec.finish()
     root.finish()
-    # Each stage recenters on the winner, at most the top, at half the extents.
-    eta_top, lam_top, scale, width = grid.eta_center, grid.lambda_center, 1.0, start
+    # Each stage recenters on the winner, between the bottom and the top of
+    # the last grid, at half the extents. Every value the search can reach
+    # must be positive and finite.
+    reach = {"eta": [grid.eta_center] * 2, "lambda": [grid.lambda_center] * 2}
+    scale, width = 1.0, start
     while width <= end:
-        eta_top = _log_grid(eta_top, scale * grid.eta_extent, grid.points)[-1]
-        lam_top = _log_grid(lam_top, scale * grid.lambda_extent, grid.points)[-1]
+        for axis, ends in reach.items():
+            extent = scale * getattr(grid, f"{axis}_extent")
+            with np.errstate(all="ignore"):
+                ends[:] = (_log_grid(ends[0], extent, grid.points)[0],
+                           _log_grid(ends[1], extent, grid.points)[-1])
+            if not 0.0 < ends[0] <= ends[1] < math.inf:
+                raise ConfigError(
+                    f"the grid reaches {ends[0]!r} to {ends[1]!r} at width "
+                    f"{width}; it must stay positive and finite",
+                    key_path=f"telescope.grid.{axis}_extent")
         scale, width = 0.5 * scale, 2 * width
-    _check_f32(config, {"telescope.grid.eta_center": eta_top,
-                        "telescope.grid.lambda_center": lam_top})
+    _check_f32(config, {"telescope.grid.eta_center": reach["eta"][1],
+                        "telescope.grid.lambda_center": reach["lambda"][1]})
     return config, start, end, grid, out_dir
 
 

@@ -1,10 +1,13 @@
 """Report emission: run/summary CSVs, SVG line plots, and JSON sidecars.
 
-All files are written atomically (temp file in the target directory, then
-rename) and are byte-deterministic: floats are formatted with Python's
-shortest round-trip repr, line endings are fixed to "\\n", and nothing
-derived from the clock enters the output (wall_ms is data, recorded as 0
-unless a run opted into wall-time capture).
+The columns of the run, summary and ablation CSVs and the keys of the JSON
+reports are the fields of the result dataclasses they write. `emit_reports`
+builds every text of a result before it writes the first file. Files are
+written atomically (temp file in the target directory, then rename) and
+are byte-deterministic: floats are formatted with Python's shortest
+round-trip repr, line endings are fixed to "\\n", and nothing derived from
+the clock enters the output (wall_ms is data, recorded as 0 unless a run
+opted into wall-time capture).
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ import io
 import json
 import math
 import os
-from typing import Sequence
+from dataclasses import asdict, fields
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError
 from .harness import (
+    AblationCell,
     AblationTable,
     EvalRow,
     RunRecord,
@@ -28,16 +33,23 @@ from .harness import (
     TelescopeResult,
 )
 
-RUN_CSV_COLUMNS = (
-    "run_id", "optimizer", "batch_size", "step", "tokens_seen",
-    "train_loss", "val_loss", "grad_global_norm", "update_rms", "eta_t",
-    "wall_ms",
-)
 
-SUMMARY_CSV_COLUMNS = (
-    "run_id", "optimizer", "batch_size", "tokens_to_target", "terminated",
-    "loss_spike_count", "final_val_loss", "state_scalar_count",
-)
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _values(obj, names: Sequence[str]) -> list:
+    return [getattr(obj, name) for name in names]
+
+
+# Each file's columns are the fields of the result dataclass it writes.
+SUMMARY_CSV_COLUMNS = tuple(name for name in _names(RunRecord)
+                            if name not in ("rows", "config"))
+# A run CSV row: the run's identity (the summary's first three columns),
+# then the fields of one EvalRow.
+_RUN_KEYS = SUMMARY_CSV_COLUMNS[:3]
+_ROW_KEYS = _names(EvalRow)
+RUN_CSV_COLUMNS = _RUN_KEYS + _ROW_KEYS
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -88,31 +100,29 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def run_csv_text(record: RunRecord) -> str:
-    rows = [
-        (record.run_id, record.optimizer, record.batch_size, r.step,
-         r.tokens_seen, r.train_loss, r.val_loss, r.grad_global_norm,
-         r.update_rms, r.eta_t, r.wall_ms)
-        for r in record.rows
-    ]
-    return _csv_text(RUN_CSV_COLUMNS, rows)
+    key = _values(record, _RUN_KEYS)
+    return _csv_text(RUN_CSV_COLUMNS,
+                     [key + _values(r, _ROW_KEYS) for r in record.rows])
 
 
 def summary_csv_text(records: Sequence[RunRecord]) -> str:
-    rows = [
-        (rec.run_id, rec.optimizer, rec.batch_size, rec.tokens_to_target,
-         rec.terminated, rec.loss_spike_count, rec.final_val_loss,
-         rec.state_scalar_count)
-        for rec in records
-    ]
-    return _csv_text(SUMMARY_CSV_COLUMNS, rows)
+    return _csv_text(SUMMARY_CSV_COLUMNS,
+                     [_values(rec, SUMMARY_CSV_COLUMNS) for rec in records])
 
 
 def write_run_csv(record: RunRecord, path: str) -> None:
     _atomic_write_text(path, run_csv_text(record))
 
 
-def _float_or_none(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+# The parser of each run CSV column, from the type of the field it holds;
+# an empty cell is a None.
+_PARSERS = {str: str, int: int, float: float,
+            float | None: lambda cell: None if cell == "" else float(cell)}
+_RUN_CSV_PARSERS = tuple(
+    _PARSERS[hints[name]]
+    for hints, names in ((get_type_hints(RunRecord), _RUN_KEYS),
+                         (get_type_hints(EvalRow), _ROW_KEYS))
+    for name in names)
 
 
 def read_run_csv(path: str) -> tuple[str, str, int, tuple[EvalRow, ...]]:
@@ -121,28 +131,29 @@ def read_run_csv(path: str) -> tuple[str, str, int, tuple[EvalRow, ...]]:
     Exact inverse of `write_run_csv` for finite and non-finite floats alike,
     because cells are written with round-trip repr, and for the None
     ``train_loss`` and ``grad_global_norm`` of val-only rows, which are
-    written as empty cells.
+    written as empty cells. A row with the wrong number of cells, or with a
+    cell that does not parse as its field's type, raises ConfigError naming
+    the file and line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != RUN_CSV_COLUMNS:
             raise ConfigError(f"unexpected run CSV header in {path}: {header}")
-        run_id = ""
-        optimizer = ""
-        batch_size = 0
+        key = ["", "", 0]
         rows = []
         for cells in reader:
-            run_id, optimizer = cells[0], cells[1]
-            batch_size = int(cells[2])
-            rows.append(EvalRow(
-                step=int(cells[3]), tokens_seen=int(cells[4]),
-                train_loss=_float_or_none(cells[5]), val_loss=float(cells[6]),
-                grad_global_norm=_float_or_none(cells[7]),
-                update_rms=float(cells[8]), eta_t=float(cells[9]),
-                wall_ms=float(cells[10]),
-            ))
-    return run_id, optimizer, batch_size, tuple(rows)
+            where = f"run CSV {path} line {reader.line_num}"
+            if len(cells) != len(RUN_CSV_COLUMNS):
+                raise ConfigError(f"{where}: {len(cells)} cells, expected "
+                                  f"{len(RUN_CSV_COLUMNS)}")
+            try:
+                values = [parse(c) for parse, c in zip(_RUN_CSV_PARSERS, cells)]
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            key = values[:len(_RUN_KEYS)]
+            rows.append(EvalRow(*values[len(_RUN_KEYS):]))
+    return (*key, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -258,159 +269,97 @@ def _json_text(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dispatching emitter
+# Dispatching emitter: each builder maps file names to texts, in file order
 # ---------------------------------------------------------------------------
 
-def _emit_runs(records: Sequence[RunRecord], out_dir: str) -> list[str]:
-    """Write one run CSV per record, then ``summary.csv`` over all of them,
-    in the given order; returns the paths in that order."""
-    written = []
-    for rec in records:
-        path = os.path.join(out_dir, f"run_{rec.run_id}.csv")
-        _atomic_write_text(path, run_csv_text(rec))
-        written.append(path)
-    summary_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write_text(summary_path, summary_csv_text(records))
-    written.append(summary_path)
-    return written
+def _loss_curve(record: RunRecord) -> tuple[list[float], list[float]]:
+    """(tokens seen, val loss) at each eval row of a run."""
+    return ([float(r.tokens_seen) for r in record.rows],
+            [r.val_loss for r in record.rows])
 
 
-def _emit_sweep(result: SweepResult, out_dir: str) -> list[str]:
-    written = _emit_runs([result.records[c.run_id] for c in result.cells],
-                         out_dir)
+def _emit_runs(records: Sequence[RunRecord]) -> dict[str, str]:
+    """One run CSV per record, in order, then ``summary.csv`` over all."""
+    texts = {f"run_{rec.run_id}.csv": run_csv_text(rec) for rec in records}
+    texts["summary.csv"] = summary_csv_text(records)
+    return texts
 
+
+def _emit_sweep(result: SweepResult) -> dict[str, str]:
+    texts = _emit_runs([result.records[c.run_id] for c in result.cells])
     bs = sorted(result.ratios)
-    ratio_svg = svg_line_plot(
+    texts["ratio_vs_batch.svg"] = svg_line_plot(
         {"tokens ratio adamw/muon": (bs, [result.ratios[b] for b in bs])},
         title="Token-consumption ratio vs batch size",
-        x_label="batch size (samples)", y_label="ratio",
-    )
-    ratio_path = os.path.join(out_dir, "ratio_vs_batch.svg")
-    _atomic_write_text(ratio_path, ratio_svg)
-    written.append(ratio_path)
-
-    loss_series: dict[str, tuple[list[float], list[float]]] = {}
-    if result.batch_grid:
-        b_star = max(result.batch_grid)
-        for kind in ("muon", "adamw"):
-            rec = result.records.get(f"{kind}-b{b_star}")
-            if rec is not None:
-                loss_series[f"{kind} (B={b_star})"] = (
-                    [float(r.tokens_seen) for r in rec.rows],
-                    [r.val_loss for r in rec.rows],
-                )
-    loss_svg = svg_line_plot(
-        loss_series, title="Validation loss vs tokens",
-        x_label="tokens (samples)", y_label="val loss",
-    )
-    loss_path = os.path.join(out_dir, "loss_vs_tokens.svg")
-    _atomic_write_text(loss_path, loss_svg)
-    written.append(loss_path)
-
-    report = {
-        "target_loss": result.target_loss,
-        "batch_grid": list(result.batch_grid),
-        "ratios": {str(b): result.ratios[b] for b in result.ratios},
-        "ratio_monotone_nondecreasing": result.ratio_monotone_nondecreasing,
-        "provenance": result.provenance,
-    }
-    json_path = os.path.join(out_dir, "sweep_report.json")
-    _atomic_write_text(json_path, _json_text(report))
-    written.append(json_path)
-    return written
+        x_label="batch size (samples)", y_label="ratio")
+    b_star = max(result.batch_grid, default=None)
+    at_b_star = {kind: result.records.get(f"{kind}-b{b_star}")
+                 for kind in ("muon", "adamw")}
+    texts["loss_vs_tokens.svg"] = svg_line_plot(
+        {f"{kind} (B={b_star})": _loss_curve(rec)
+         for kind, rec in at_b_star.items() if rec is not None},
+        title="Validation loss vs tokens",
+        x_label="tokens (samples)", y_label="val loss")
+    # every field but the per-run detail, with the ratios keyed (and sorted)
+    # as strings
+    report = {name: getattr(result, name) for name in _names(SweepResult)
+              if name not in ("cells", "records")}
+    report["ratios"] = {str(b): r for b, r in result.ratios.items()}
+    texts["sweep_report.json"] = _json_text(report)
+    return texts
 
 
-def _emit_ablation(table: AblationTable, out_dir: str) -> list[str]:
-    written = _emit_runs([table.records[c.run_id] for c in table.cells],
-                         out_dir)
-
-    header = ("cell", "run_id", "batch_size", "final_val_loss",
-              "steps_to_target", "loss_spike_count", "state_scalar_count",
-              "terminated")
-    rows = [
-        (c.name, c.run_id, c.batch_size, c.final_val_loss, c.steps_to_target,
-         c.loss_spike_count, c.state_scalar_count, c.terminated)
-        for c in table.cells
-    ]
-    table_path = os.path.join(out_dir, "ablation_table.csv")
-    _atomic_write_text(table_path, _csv_text(header, rows))
-    written.append(table_path)
-
-    series = {
-        c.name: (
-            [float(r.tokens_seen) for r in table.records[c.run_id].rows],
-            [r.val_loss for r in table.records[c.run_id].rows],
-        )
-        for c in table.cells
-    }
-    svg = svg_line_plot(series, title="Ablation cells: validation loss vs tokens",
-                        x_label="tokens (samples)", y_label="val loss")
-    svg_path = os.path.join(out_dir, "ablation_loss_vs_tokens.svg")
-    _atomic_write_text(svg_path, svg)
-    written.append(svg_path)
-    return written
+def _emit_ablation(table: AblationTable) -> dict[str, str]:
+    texts = _emit_runs([table.records[c.run_id] for c in table.cells])
+    names = _names(AblationCell)
+    texts["ablation_table.csv"] = _csv_text(
+        ["cell" if name == "name" else name for name in names],
+        [_values(c, names) for c in table.cells])
+    texts["ablation_loss_vs_tokens.svg"] = svg_line_plot(
+        {c.name: _loss_curve(table.records[c.run_id]) for c in table.cells},
+        title="Ablation cells: validation loss vs tokens",
+        x_label="tokens (samples)", y_label="val loss")
+    return texts
 
 
-def _emit_telescope(result: TelescopeResult, out_dir: str) -> list[str]:
+def _emit_telescope(result: TelescopeResult) -> dict[str, str]:
     header = ("stage", "width", "eta", "weight_decay", "val_loss", "is_best")
-    rows = []
-    for s_idx, stage in enumerate(result.stages):
-        for i, eta in enumerate(stage.etas):
-            for j, lam in enumerate(stage.lambdas):
-                best = (eta == stage.best_eta and lam == stage.best_lambda)
-                rows.append((s_idx, stage.width, eta, lam,
-                             stage.val_losses[i][j], best))
-    csv_path = os.path.join(out_dir, "telescope_stages.csv")
-    _atomic_write_text(csv_path, _csv_text(header, rows))
-
+    rows = [(s_idx, stage.width, eta, lam, stage.val_losses[i][j],
+             eta == stage.best_eta and lam == stage.best_lambda)
+            for s_idx, stage in enumerate(result.stages)
+            for i, eta in enumerate(stage.etas)
+            for j, lam in enumerate(stage.lambdas)]
     widths = [float(s.width) for s in result.stages]
-    svg = svg_line_plot(
-        {
-            "best eta": (widths, [s.best_eta for s in result.stages]),
-            "best weight decay": (widths, [s.best_lambda for s in result.stages]),
-        },
+    path_svg = svg_line_plot(
+        {"best eta": (widths, [s.best_eta for s in result.stages]),
+         "best weight decay": (widths, [s.best_lambda for s in result.stages])},
         title="Telescoping sweep: winning hyperparameters vs width",
-        x_label="hidden width", y_label="value",
-    )
-    svg_path = os.path.join(out_dir, "telescope_path.svg")
-    _atomic_write_text(svg_path, svg)
+        x_label="hidden width", y_label="value")
+    # The report is every field, with each stage as a dict of its fields.
+    return {"telescope_stages.csv": _csv_text(header, rows),
+            "telescope_path.svg": path_svg,
+            "telescope_report.json": _json_text(asdict(result))}
 
-    report = {
-        "start_width": result.start_width,
-        "end_width": result.end_width,
-        "stages": [
-            {
-                "width": s.width,
-                "etas": list(s.etas),
-                "lambdas": list(s.lambdas),
-                "val_losses": [list(row) for row in s.val_losses],
-                "best_eta": s.best_eta,
-                "best_lambda": s.best_lambda,
-                "best_val_loss": s.best_val_loss,
-            }
-            for s in result.stages
-        ],
-        "provenance": result.provenance,
-    }
-    json_path = os.path.join(out_dir, "telescope_report.json")
-    _atomic_write_text(json_path, _json_text(report))
-    return [csv_path, svg_path, json_path]
+
+_BUILDERS = {
+    RunRecord: lambda record: _emit_runs([record]),
+    SweepResult: _emit_sweep,
+    AblationTable: _emit_ablation,
+    TelescopeResult: _emit_telescope,
+}
 
 
 def emit_reports(result, out_dir: str) -> list[str]:
-    """Write the report files for a run, sweep, ablation, or telescope result.
-
-    Returns the written paths in a deterministic order.
-    """
-    if isinstance(result, RunRecord):
-        return _emit_runs([result], out_dir)
-    if isinstance(result, SweepResult):
-        return _emit_sweep(result, out_dir)
-    if isinstance(result, AblationTable):
-        return _emit_ablation(result, out_dir)
-    if isinstance(result, TelescopeResult):
-        return _emit_telescope(result, out_dir)
-    raise ConfigError(f"emit_reports does not know {type(result).__name__}")
+    """Write the report files of a run, sweep, ablation or telescope result,
+    each text built before the first write; returns the paths in file order."""
+    build = _BUILDERS.get(type(result))
+    if build is None:
+        raise ConfigError(f"emit_reports does not know {type(result).__name__}")
+    paths = []
+    for name, text in build(result).items():
+        paths.append(os.path.join(out_dir, name))
+        _atomic_write_text(paths[-1], text)
+    return paths
 
 
 __all__ = [

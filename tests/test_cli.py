@@ -252,8 +252,9 @@ BAD_VALUES = [
     (MLP, "telescope.end_width", [24]),
     (MLP, "telescope.grid.eta_center", [0.0, NAN, INF]),
     (MLP, "telescope.grid.lambda_center", [-0.1, NAN, INF]),
-    (MLP, "telescope.grid.eta_extent", [0.0, NAN, INF]),
-    (MLP, "telescope.grid.lambda_extent", [0.0, NAN, INF]),
+    # 300 decades: the second stage's grid reaches inf and 0
+    (MLP, "telescope.grid.eta_extent", [0.0, NAN, INF, 300.0, 400.0]),
+    (MLP, "telescope.grid.lambda_extent", [0.0, NAN, INF, 300.0, 400.0]),
     (MLP, "telescope.grid.points", [0]),
 ]
 # Infinity means "never clip" and "count no spike" here.
@@ -667,6 +668,22 @@ class TestTelescopeCommand:
         assert main(["telescope", "--config", cfg]) == 0
         capsys.readouterr()
         assert out.exists()
+
+    @pytest.mark.parametrize("axis", ["eta", "lambda"])
+    def test_f32_extent_past_float_range_exit_2_names_it(self, tmp_path,
+                                                         capsys, axis):
+        # TestBadValues runs these extents in f64; under f32 the extent is
+        # named before any grid point is checked against the f32 maximum
+        out = tmp_path / "tele"
+        doc = self.doc(str(out))
+        doc["precision"] = "f32"
+        doc["telescope"]["grid"][f"{axis}_extent"] = 300.0
+        cfg = write_json(tmp_path, "tele.json", doc)
+        assert main(["telescope", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: telescope.grid.{axis}_extent: ") and \
+            err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_diverging_grid_ranks_every_run_as_inf(self, tmp_path, capsys):
         # f32 etas from 158 to 1.6e5: every run blows past 10x the initial

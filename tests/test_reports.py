@@ -1,7 +1,9 @@
 """CSV/SVG/JSON emission: golden texts, roundtrips, and file inventories."""
 
+import json
 import math
 import os
+import re
 from xml.sax.saxutils import escape
 
 import pytest
@@ -15,12 +17,15 @@ from muonlab.harness import (
     RunRecord,
     SweepResult,
     TelescopeGrid,
+    TelescopeResult,
+    TelescopeStage,
     TrainConfig,
     ablate,
     batch_sweep,
     telescope_sweep,
     train,
 )
+from muonlab import reports
 from muonlab.optim import OptimizerSpec
 from muonlab.reports import (
     RUN_CSV_COLUMNS,
@@ -137,6 +142,27 @@ class TestCsvText:
         path = tmp_path / "bad.csv"
         path.write_text("step,loss\n0,1.0\n")
         with pytest.raises(ConfigError):
+            read_run_csv(str(path))
+
+    def test_read_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ConfigError, match="unexpected run CSV header"):
+            read_run_csv(str(path))
+
+    @pytest.mark.parametrize("row, problem", [
+        ("demo,muon,32,10,320,0.5,0.625,1.0,0.2,0.01", "10 cells, expected 11"),
+        ("demo,muon,32,10,320,0.5,0.625,1.0,0.2,0.01,0.0,7", "12 cells"),
+        ("demo,muon,32,ten,320,0.5,0.625,1.0,0.2,0.01,0.0", "'ten'"),
+        ("demo,muon,32,10,320,0.5,,1.0,0.2,0.01,0.0", "''"),
+    ])
+    def test_read_rejects_malformed_row(self, tmp_path, row, problem):
+        good = "demo,muon,32,0,0,1.5,1.25,2.0,0.0,0.0,0.0"
+        path = tmp_path / "run.csv"
+        path.write_text("\n".join([",".join(RUN_CSV_COLUMNS), good, row, good])
+                        + "\n")
+        match = f"{re.escape(str(path))} line 3: .*{re.escape(problem)}"
+        with pytest.raises(ConfigError, match=match):
             read_run_csv(str(path))
 
 
@@ -324,6 +350,47 @@ class TestEmitReports:
         with pytest.raises(OSError, match="replace refused"):
             emit_reports(rec, str(tmp_path))
         assert not [n for n in os.listdir(tmp_path) if ".tmp." in n]
+
+    def test_every_text_is_built_before_the_first_write(self, tmp_path,
+                                                          monkeypatch):
+        res = batch_sweep(self.quad_target_base(total_steps=40), (32, 128))
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("no plot")
+
+        monkeypatch.setattr(reports, "svg_line_plot", refuse)
+        out = tmp_path / "sweep"
+        with pytest.raises(RuntimeError, match="no plot"):
+            emit_reports(res, str(out))
+        assert not out.exists() or not os.listdir(out)
+
+    def test_report_keys(self, tmp_path):
+        sweep = SweepResult(batch_grid=(32,), target_loss=1.0, cells=(),
+                            ratios={32: 1.5}, ratio_monotone_nondecreasing=None,
+                            records={}, provenance={"seed": 0})
+        stage = TelescopeStage(width=16, etas=(0.1,), lambdas=(0.2,),
+                               val_losses=((0.5,),), best_eta=0.1,
+                               best_lambda=0.2, best_val_loss=0.5)
+        tele = TelescopeResult(start_width=16, end_width=32, stages=(stage,),
+                               provenance={"seed": 0})
+        (sweep_json,) = [p for p in emit_reports(sweep, str(tmp_path / "s"))
+                         if p.endswith(".json")]
+        (tele_json,) = [p for p in emit_reports(tele, str(tmp_path / "t"))
+                        if p.endswith(".json")]
+        with open(sweep_json, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert list(report) == ["batch_grid", "provenance",
+                                "ratio_monotone_nondecreasing", "ratios",
+                                "target_loss"]
+        assert report["ratios"] == {"32": 1.5}
+        with open(tele_json, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert list(report) == ["end_width", "provenance", "stages",
+                                "start_width"]
+        assert report["stages"] == [{
+            "best_eta": 0.1, "best_lambda": 0.2, "best_val_loss": 0.5,
+            "etas": [0.1], "lambdas": [0.2], "val_losses": [[0.5]],
+            "width": 16}]
 
     def test_unknown_result_type_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
