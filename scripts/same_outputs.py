@@ -8,10 +8,11 @@ Usage (from the repository root):
 Each ``*_SRC`` is a ``src/`` directory holding a ``muonlab`` package, say
 that of a checkout of the parent commit and that of the working tree. The
 script makes the config of every benchmark workload at every config seed of
-``bench/reference.json`` (3 workloads x 8 seeds), plus one ``ablate``
-config per seed, since no workload runs that command, and the telescope
-config at ``"precision": "f32"`` per seed, since every workload runs in f64
-(40 configs in all).
+``bench/reference.json`` (3 workloads x 8 seeds), plus per seed two
+``ablate`` configs, since no workload runs that command (the acceptance
+quadratic in f64, and the telescope's MLP in f32, whose 16x64 matrix runs
+every Muon variant), and the telescope config at ``"precision": "f32"``,
+since every workload runs in f64 (48 configs in all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte. Both sides
@@ -64,6 +65,16 @@ def ablate_config(seed: int, out_dir: str) -> dict:
     }
 
 
+def mlp_ablate_config(seed: int, out_dir: str) -> dict:
+    """The ablation grid on the telescope's MLP and optimizer, in f32."""
+    telescope = make_config("telescope-mlp", seed, out_dir)
+    return {
+        "task": telescope["task"], "optimizer": telescope["optimizer"],
+        "total_steps": 100, "eval_every": 10, "seed": seed,
+        "target_loss": 1.0, "precision": "f32", "out_dir": out_dir,
+    }
+
+
 def configs(reference: dict):
     """(name, muonlab command, config document) of every config checked."""
     for name, workload in WORKLOADS.items():
@@ -73,6 +84,9 @@ def configs(reference: dict):
                    make_config(name, seed, "out", target))
     for seed in reference["seeds"]:
         yield f"ablate seed {seed}", "ablate", ablate_config(seed, "out")
+    for seed in reference["seeds"]:
+        yield (f"ablate-mlp f32 seed {seed}", "ablate",
+               mlp_ablate_config(seed, "out"))
     for seed in reference["seeds"]:
         yield (f"telescope-mlp f32 seed {seed}", "telescope",
                dict(make_config("telescope-mlp", seed, "out"), precision="f32"))

@@ -107,7 +107,6 @@ from .msign import (
 )
 from .optim import (
     AdamWState,
-    MuonHyper,
     MuonState,
     OptimizerBank,
     OptimizerSpec,

@@ -23,7 +23,6 @@ decay that f32 cannot hold is rejected.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, fields
 from typing import Sequence
 
@@ -31,8 +30,8 @@ import numpy as np
 
 from .errors import ConfigError, MuonlabError
 from .harness import (ETA_TUNING_MULTIPLIERS, TelescopeGrid, TrainConfig,
-                      _check_ablation_axes, _check_batch_grid, _check_widths,
-                      _log_grid)
+                      _check_ablation_axes, _check_batch_grid, _check_reach,
+                      _check_widths)
 from .optim import OptimizerSpec
 from .tasks import MlpSpec, QuadraticSpec
 
@@ -199,11 +198,11 @@ def _parse_base(root: StrictSection, overrides: dict) -> tuple[TrainConfig, str]
             overrides.get("out", out_dir))
 
 
-def _checked(sec: StrictSection, check, *values) -> None:
-    """Run ``check`` on ``values``, re-raising its error as a ConfigError at
-    the key in ``sec`` that the error names."""
+def _checked(sec: StrictSection, check, *values):
+    """``check(*values)``, its error re-raised as a ConfigError at the key
+    in ``sec`` that the error names."""
     try:
-        check(*values)
+        return check(*values)
     except MuonlabError as exc:
         raise ConfigError(exc.args[0],
                           key_path=sec._child_path(exc.key_path)) from None
@@ -274,25 +273,9 @@ def parse_telescope_config(doc: dict, overrides: dict | None = None,
     grid_sec.finish()
     sec.finish()
     root.finish()
-    # Each stage recenters on the winner, between the bottom and the top of
-    # the last grid, at half the extents. Every value the search can reach
-    # must be positive and finite.
-    reach = {"eta": [grid.eta_center] * 2, "lambda": [grid.lambda_center] * 2}
-    scale, width = 1.0, start
-    while width <= end:
-        for axis, ends in reach.items():
-            extent = scale * getattr(grid, f"{axis}_extent")
-            with np.errstate(all="ignore"):
-                ends[:] = (_log_grid(ends[0], extent, grid.points)[0],
-                           _log_grid(ends[1], extent, grid.points)[-1])
-            if not 0.0 < ends[0] <= ends[1] < math.inf:
-                raise ConfigError(
-                    f"the grid reaches {ends[0]!r} to {ends[1]!r} at width "
-                    f"{width}; it must stay positive and finite",
-                    key_path=f"telescope.grid.{axis}_extent")
-        scale, width = 0.5 * scale, 2 * width
-    _check_f32(config, {"telescope.grid.eta_center": reach["eta"][1],
-                        "telescope.grid.lambda_center": reach["lambda"][1]})
+    top_eta, top_lambda = _checked(grid_sec, _check_reach, grid, start, end)
+    _check_f32(config, {"telescope.grid.eta_center": top_eta,
+                        "telescope.grid.lambda_center": top_lambda})
     return config, start, end, grid, out_dir
 
 

@@ -21,7 +21,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -684,15 +684,12 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
                                terminated=measured.terminated,
                                final_val_loss=measured.final_val_loss))
         records[measured.run_id] = measured
-        cell_prov.append({
-            "run_id": measured.run_id, "optimizer": kind, "batch_size": b,
-            "seed": seed, "eta0": eta,
-            "eta_tuning": {repr(mult): {"tokens_to_target": rec.tokens_to_target,
-                                        "final_val_loss": rec.final_val_loss}
-                           for mult, rec in zip(ETA_TUNING_MULTIPLIERS, runs)},
-            "tokens_to_target": measured.tokens_to_target,
-            "terminated": measured.terminated,
-        })
+        prov = asdict(cells[-1])
+        del prov["final_val_loss"]
+        prov["eta_tuning"] = {repr(mult): {"tokens_to_target": rec.tokens_to_target,
+                                           "final_val_loss": rec.final_val_loss}
+                              for mult, rec in zip(ETA_TUNING_MULTIPLIERS, runs)}
+        cell_prov.append(prov)
 
     by_key = {(c.batch_size, c.optimizer): c for c in cells}
     ratios: dict[int, float] = {}
@@ -889,6 +886,32 @@ def _check_widths(start_width: int, end_width: int) -> None:
              f"be start_width ({start_width}) * 2^j with j >= 1", end_width)
 
 
+def _check_reach(grid: TelescopeGrid, start_width: int,
+                 end_width: int) -> tuple[float, float]:
+    """Every eta and lambda a telescope from ``start_width`` to ``end_width``
+    can search is positive and finite; returns the largest eta and lambda.
+
+    Each stage recenters on the winner, which lies between the bottom and
+    the top of the last grid, at half the extents; the check follows the
+    lowest and the highest center each stage can have.
+    """
+    reach = {"eta": [grid.eta_center] * 2, "lambda": [grid.lambda_center] * 2}
+    scale, width = 1.0, start_width
+    while width <= end_width:
+        for axis, ends in reach.items():
+            extent = scale * getattr(grid, f"{axis}_extent")
+            with np.errstate(all="ignore"):
+                ends[:] = (_log_grid(ends[0], extent, grid.points)[0],
+                           _log_grid(ends[1], extent, grid.points)[-1])
+            if not 0.0 < ends[0] <= ends[1] < math.inf:
+                raise RangeError(
+                    f"the grid reaches {ends[0]!r} to {ends[1]!r} at width "
+                    f"{width}; it must stay positive and finite",
+                    key_path=f"{axis}_extent")
+        scale, width = 0.5 * scale, 2 * width
+    return reach["eta"][1], reach["lambda"][1]
+
+
 def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
                     grid: TelescopeGrid) -> TelescopeResult:
     """Search (eta, weight decay) while doubling the MLP hidden width.
@@ -908,6 +931,7 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
     if not isinstance(base.task, MlpSpec):
         raise ConfigError("telescope_sweep requires an MLP task")
     _check_widths(start_width, end_width)
+    _check_reach(grid, start_width, end_width)
 
     depth = len(base.task.hidden)
     eta_c, lam_c = grid.eta_center, grid.lambda_center

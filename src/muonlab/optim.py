@@ -22,43 +22,61 @@ import numpy as np
 from .errors import (ConfigError, DegenerateInputError, NumericError, RangeError,
                      ShapeError, _require)
 from .linalg import F64, Matrix, svd
-from .msign import (
-    NsCoefficients,
-    OPTIMIZED_COEFFS,
-    _ns_orthogonalize,
-    msign_exact,
-)
+from .msign import COEFF_PRESETS, _ns_orthogonalize, coefficient_preset, msign_exact
 
 _ZERO_MOMENTUM_TOL = 1e-12
 _NORM_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class MuonHyper:
-    """Muon hyperparameters.
+class OptimizerSpec:
+    """Optimizer description: the one spec that run configurations,
+    `muon_step` and `OptimizerBank` read.
+
+    ``kind`` selects the optimizer for matrix parameters; vector parameters
+    always run AdamW. `muon_step` reads the Muon fields and ignores ``kind``
+    and the AdamW fields (``beta1``, ``beta2``, ``eps``); AdamW runs ignore
+    the Muon fields. ``weight_decay`` is the decay of `muon_step`;
+    `OptimizerBank` reads neither it nor ``eta0``. ``coeffs`` names a
+    preset of `COEFF_PRESETS`.
 
     ``rms_dim`` picks which dimension enters the 0.2 * sqrt(n) scale:
     'fan-out' uses the second dimension (parameters are fan_in x fan_out),
     'max' uses max(rows, cols). ``momentum_only`` and ``dynamic_rms`` exist
     for ablation cells: the former skips orthogonalization and uses the
     Frobenius-normalized momentum, the latter rescales each update so its
-    realized RMS equals ``rms_factor`` exactly. ``weight_decay`` is the
-    decay of `muon_step`; `OptimizerBank` reads neither it nor ``eta0``.
+    realized RMS equals ``rms_factor`` exactly.
     """
 
-    eta0: float
+    kind: Literal["muon", "adamw"] = "muon"
+    eta0: float = 0.02
     weight_decay: float = 0.1
     beta: float = 0.9
     k_iters: int = 5
-    coeffs: NsCoefficients = OPTIMIZED_COEFFS
+    coeffs: str = "optimized"
     rms_factor: float = 0.2
     rms_matching: bool = True
-    rms_dim: Literal["fan-out", "max"] = "fan-out"
+    rms_dim: str = "fan-out"
     exact_msign: bool = False
     momentum_only: bool = False
     dynamic_rms: bool = False
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
 
     def __post_init__(self):
+        _require(self.kind in ("muon", "adamw"), "kind", "be 'muon' or 'adamw'",
+                 self.kind)
+        # Every run has AdamW moments (vectors always take AdamW).
+        _require(0.0 <= self.beta1 < 1.0, "beta1", "lie in [0, 1)", self.beta1)
+        _require(0.0 <= self.beta2 < 1.0, "beta2", "lie in [0, 1)", self.beta2)
+        _require(0.0 < self.eps < math.inf, "eps", "be positive and finite", self.eps)
+        # eta0, the weight decay and the Muon fields, whatever the kind.
+        try:
+            coefficient_preset(self.coeffs)
+        except ConfigError as exc:
+            exc.key_path = "coeffs"
+            raise
         _require(0.0 < self.eta0 < math.inf, "eta0", "be positive and finite",
                  self.eta0)
         _require(0.0 <= self.weight_decay < math.inf, "weight_decay",
@@ -113,50 +131,56 @@ class AdamWState:
                           beta1=beta1, beta2=beta2, eps=eps)
 
 
-def _muon_direction(momentum: np.ndarray, hyper: MuonHyper) -> np.ndarray:
+def _slice_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (m, n) slice of a stack (..., m, n), shaped
+    (..., 1, 1) to broadcast: in the stack's dtype, each the square root of
+    one BLAS dot of its slice with itself, as `np.linalg.norm` takes it. A
+    norm over the whole stack would round differently."""
+    rows, cols = stack.shape[-2:]
+    flat = stack.reshape(-1, 1, rows * cols)
+    return np.sqrt(flat @ flat.swapaxes(-1, -2)).reshape(stack.shape[:-2] + (1, 1))
+
+
+def _muon_direction(momentum: np.ndarray, spec: OptimizerSpec) -> np.ndarray:
     """Unscaled update direction of each (m, n) slice of a momentum stack
     (..., m, n); one matrix is a stack of one (array core)."""
-    rows, cols = momentum.shape[-2:]
-    flat = momentum.reshape(-1, 1, rows * cols)
-    # Per-slice norms in the momentum's dtype, each the square root of one
-    # BLAS dot of its slice with itself, as `np.linalg.norm` takes it: each
-    # is also its slice's NS divisor, whose dtype sets the f32 rounding. A
-    # norm over the whole stack would round differently.
-    norm = np.sqrt(flat @ flat.swapaxes(-1, -2)).reshape(momentum.shape[:-2] + (1, 1))
-    zero = [float(n) < _ZERO_MOMENTUM_TOL for n in norm.flat]
-    if all(zero):
+    # Each slice's norm is also its NS divisor, whose dtype sets the f32
+    # rounding.
+    norm = _slice_norms(momentum)
+    zero = norm.astype(F64) < _ZERO_MOMENTUM_TOL
+    if zero.all():
         return np.zeros_like(momentum)
-    if hyper.exact_msign:
+    if spec.exact_msign:
+        rows, cols = momentum.shape[-2:]
         u = np.stack([
             np.zeros_like(s) if z
             else msign_exact(Matrix(s.astype(F64))).a.astype(s.dtype, copy=False)
-            for s, z in zip(momentum.reshape(-1, rows, cols), zero)
+            for s, z in zip(momentum.reshape(-1, rows, cols), zero.flat)
         ]).reshape(momentum.shape)
+    elif spec.momentum_only:
+        # Zero slices divide by 1 here and are zeroed below.
+        u = momentum / np.where(zero, 1, norm)
     else:
-        if hyper.momentum_only:
-            # Zero slices divide by 1 here and are zeroed below.
-            u = momentum / np.where(np.reshape(zero, norm.shape), 1, norm)
-        else:
-            u = _ns_orthogonalize(momentum / (norm + _NORM_EPS), hyper.coeffs,
-                                  hyper.k_iters)
-    if any(zero):
-        u[np.reshape(zero, momentum.shape[:-2])] = 0.0
+        u = _ns_orthogonalize(momentum / (norm + _NORM_EPS),
+                              COEFF_PRESETS[spec.coeffs], spec.k_iters)
+    if zero.any():
+        u[zero.reshape(momentum.shape[:-2])] = 0.0
     return u
 
 
-def _rms_scale(hyper: MuonHyper, u: np.ndarray):
+def _rms_scale(spec: OptimizerSpec, u: np.ndarray):
     """Scale of the directions ``u`` (..., m, n): a float, or one per slice
     (shaped to broadcast) under ``dynamic_rms``."""
-    if not hyper.rms_matching:
+    if not spec.rms_matching:
         return 1.0
     rows, cols = u.shape[-2:]
-    if hyper.dynamic_rms:
-        target = hyper.rms_factor * math.sqrt(rows * cols)
-        unorms = [float(np.linalg.norm(s)) for s in u.reshape(-1, rows, cols)]
-        scales = [0.0 if unorm == 0.0 else target / unorm for unorm in unorms]
-        return np.array(scales, dtype=u.dtype).reshape(u.shape[:-2] + (1, 1))
-    n = cols if hyper.rms_dim == "fan-out" else max(rows, cols)
-    return hyper.rms_factor * math.sqrt(n)
+    if spec.dynamic_rms:
+        target = spec.rms_factor * math.sqrt(rows * cols)
+        norm = _slice_norms(u).astype(F64)
+        with np.errstate(divide="ignore"):
+            return np.where(norm == 0, 0, target / norm).astype(u.dtype)
+    n = cols if spec.rms_dim == "fan-out" else max(rows, cols)
+    return spec.rms_factor * math.sqrt(n)
 
 
 def _into(op: np.ufunc, a: np.ndarray, b) -> np.ndarray:
@@ -166,7 +190,7 @@ def _into(op: np.ufunc, a: np.ndarray, b) -> np.ndarray:
 
 
 def _muon_core(w: np.ndarray, g: np.ndarray, momentum: np.ndarray,
-               hyper: MuonHyper, eta_t, weight_decay,
+               spec: OptimizerSpec, eta_t, weight_decay,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Muon step on raw arrays; returns (new_w, new_momentum, update).
 
@@ -175,9 +199,9 @@ def _muon_core(w: np.ndarray, g: np.ndarray, momentum: np.ndarray,
     writes only its own temporaries, with the bytes of
     ``eta_t * (scale * u + weight_decay * w)``.
     """
-    momentum = _into(np.add, hyper.beta * momentum, (1.0 - hyper.beta) * g)
-    update = _muon_direction(momentum, hyper)  # a fresh array
-    update = _into(np.multiply, update, _rms_scale(hyper, update))
+    momentum = _into(np.add, spec.beta * momentum, (1.0 - spec.beta) * g)
+    update = _muon_direction(momentum, spec)  # a fresh array
+    update = _into(np.multiply, update, _rms_scale(spec, update))
     update = _into(np.add, update, weight_decay * w)
     update = _into(np.multiply, update, eta_t)
     return w - update, momentum, update
@@ -201,9 +225,10 @@ def _adamw_core(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     return w - update, m, v, t, update
 
 
-def muon_step(w: Matrix, g: Matrix, state: MuonState, hyper: MuonHyper,
+def muon_step(w: Matrix, g: Matrix, state: MuonState, spec: OptimizerSpec,
               eta_t: float) -> tuple[Matrix, MuonState]:
-    """One Muon update; returns the new weights and the new state.
+    """One Muon update; returns the new weights and the new state. It reads
+    the Muon fields of ``spec``, whatever its ``kind``.
 
     When the momentum Frobenius norm falls below 1e-12 the update direction
     is the zero matrix (weight decay still applies).
@@ -214,8 +239,8 @@ def muon_step(w: Matrix, g: Matrix, state: MuonState, hyper: MuonHyper,
         )
     if eta_t < 0.0:
         raise RangeError(f"eta_t must be >= 0, got {eta_t}")
-    new_w, new_mom, _ = _muon_core(w.a, g.a, state.momentum.a, hyper, eta_t,
-                                   hyper.weight_decay)
+    new_w, new_mom, _ = _muon_core(w.a, g.a, state.momentum.a, spec, eta_t,
+                                   spec.weight_decay)
     return Matrix(new_w), MuonState(momentum=Matrix(new_mom))
 
 
@@ -388,9 +413,9 @@ class OptimizerBank:
     of runs that share every hyperparameter but the learning rate and the
     weight decay.
 
-    The matrices `route_parameter` sends to Muon run ``spec.kind``
-    (Muon with ``spec.muon_hyper()``); the rest run AdamW with the spec's
-    betas and eps. Every parameter, gradient and state carries a leading
+    The matrices `route_parameter` sends to Muon run ``spec.kind`` (Muon
+    with the spec's Muon fields); the rest run AdamW with the spec's betas
+    and eps. Every parameter, gradient and state carries a leading
     run axis and the bank's dtype, and `step` takes one ``eta_t`` per
     run. Run r's Muon-routable matrices decay by ``run_decays[r]``; the
     rest take no decay. Each run's slices are the bytes of a stack of one.
@@ -398,9 +423,9 @@ class OptimizerBank:
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], spec: OptimizerSpec,
                  run_decays: Sequence[float], dtype=F64):
-        if not run_decays or min(run_decays) < 0.0:
-            raise RangeError(f"run_decays must be nonempty and >= 0, got {run_decays}")
-        self._muon = spec.muon_hyper() if spec.kind == "muon" else None
+        _require(bool(run_decays) and all(0.0 <= d < math.inf for d in run_decays),
+                 "run_decays", "be nonempty, finite and >= 0", run_decays)
+        self._muon = spec if spec.kind == "muon" else None
         self._betas = (spec.beta1, spec.beta2, spec.eps)
         self._dtype = dtype
         self._decay = np.array(run_decays, dtype=dtype)
@@ -471,61 +496,3 @@ class OptimizerBank:
     def state_scalar_count(self) -> int:
         """Auxiliary scalars held per run: momentum entries plus both moments."""
         return self._state_scalars
-
-
-@dataclass(frozen=True)
-class OptimizerSpec:
-    """JSON-friendly optimizer description used by run configurations.
-
-    ``kind`` selects the optimizer for matrix parameters; vector parameters
-    always run AdamW. The Muon-specific fields are ignored for AdamW runs
-    and vice versa.
-    """
-
-    kind: Literal["muon", "adamw"] = "muon"
-    eta0: float = 0.02
-    weight_decay: float = 0.1
-    beta: float = 0.9
-    k_iters: int = 5
-    coeffs: str = "optimized"
-    rms_factor: float = 0.2
-    rms_matching: bool = True
-    rms_dim: str = "fan-out"
-    exact_msign: bool = False
-    momentum_only: bool = False
-    dynamic_rms: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        _require(self.kind in ("muon", "adamw"), "kind", "be 'muon' or 'adamw'",
-                 self.kind)
-        # Every run has AdamW moments (vectors always take AdamW).
-        _require(0.0 <= self.beta1 < 1.0, "beta1", "lie in [0, 1)", self.beta1)
-        _require(0.0 <= self.beta2 < 1.0, "beta2", "lie in [0, 1)", self.beta2)
-        _require(0.0 < self.eps < math.inf, "eps", "be positive and finite", self.eps)
-        # eta0, the weight decay and the Muon fields, whatever the kind.
-        self.muon_hyper()
-
-    def muon_hyper(self) -> MuonHyper:
-        from .msign import coefficient_preset
-
-        try:
-            coeffs = coefficient_preset(self.coeffs)
-        except ConfigError as exc:
-            exc.key_path = "coeffs"
-            raise
-        return MuonHyper(
-            eta0=self.eta0,
-            weight_decay=self.weight_decay,
-            beta=self.beta,
-            k_iters=self.k_iters,
-            coeffs=coeffs,
-            rms_factor=self.rms_factor,
-            rms_matching=self.rms_matching,
-            rms_dim=self.rms_dim,
-            exact_msign=self.exact_msign,
-            momentum_only=self.momentum_only,
-            dynamic_rms=self.dynamic_rms,
-        )

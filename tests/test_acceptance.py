@@ -49,7 +49,6 @@ from muonlab.msign import (
     msign_newton_schulz,
 )
 from muonlab.optim import (
-    MuonHyper,
     MuonState,
     OptimizerBank,
     OptimizerSpec,
@@ -226,8 +225,8 @@ def test_02_exact_msign_unit_spectrum_and_gram_route():
 
 
 def test_03_shampoo_equivalence():
-    hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0,
-                      rms_matching=False, exact_msign=True)
+    hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0,
+                          rms_matching=False, exact_msign=True)
     root = Rng(303)
     worst = 0.0
     for i in range(50):
@@ -273,7 +272,7 @@ def test_04_spectral_steepest_descent():
 
 
 def test_05a_rms_matching_exact_path():
-    hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0, exact_msign=True)
+    hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0, exact_msign=True)
     worst = 0.0
     for n in (4, 8, 16):
         for seed in range(5):
@@ -294,7 +293,7 @@ def test_05b_rms_matching_newton_schulz_path():
     # update has RMS 0.2 * sqrt(mean p^5(t_i)^2), not 0.2: exact RMS is what
     # the dynamic_rms cell promises. Starts at or above RECOVERABLE_START
     # contribute at least p(t+) each, and no start exceeds p(t-).
-    hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0)
+    hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0)
     stats = {}
     worst = 0.0
     worst_rel = 0.0

@@ -5,6 +5,7 @@ import math
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -1036,6 +1037,16 @@ class TestTelescope:
             telescope_sweep(self.base(), 16, 48, grid)
         with pytest.raises(RangeError):
             telescope_sweep(self.base(), 1, 2, grid)
+
+    def test_unreachable_grid_rejected_at_its_extent(self):
+        # 400 decades: the first grid already reaches 0 and inf; the search
+        # rejects the extent before any run, and without a warning
+        grid = TelescopeGrid(eta_center=0.05, lambda_center=0.1, eta_extent=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError) as exc:
+                telescope_sweep(self.base(), 8, 16, grid)
+        assert exc.value.key_path == "eta_extent"
 
     def test_requires_mlp_task(self):
         cfg = quad_config()

@@ -9,11 +9,10 @@ import pytest
 
 from muonlab.errors import RangeError, ShapeError
 from muonlab.linalg import Matrix, Rng
-from muonlab.msign import TAYLOR_COEFFS, msign_exact
+from muonlab.msign import COEFF_PRESETS, TAYLOR_COEFFS, msign_exact
 from muonlab.optim import (
     SCHEDULE_KINDS,
     AdamWState,
-    MuonHyper,
     MuonState,
     OptimizerBank,
     OptimizerSpec,
@@ -27,7 +26,7 @@ from muonlab.optim import (
     shampoo_step_oracle,
 )
 from muonlab.optim import (_clip_grad_arrays, _muon_core, _muon_direction, _rms_scale,
-                           _sum_left, _sum_squares)
+                           _slice_norms, _sum_left, _sum_squares)
 
 
 def rms(arr: np.ndarray) -> float:
@@ -41,8 +40,8 @@ class TestMuonStep:
         # decay off the update is exactly -eta * I.
         w = Matrix.zeros(2, 2)
         g = Matrix.diag([4.0, 9.0])
-        hyper = MuonHyper(eta0=1.0, weight_decay=0.0, beta=0.0,
-                          rms_matching=False, exact_msign=True)
+        hyper = OptimizerSpec(eta0=1.0, weight_decay=0.0, beta=0.0,
+                              rms_matching=False, exact_msign=True)
         new_w, state = muon_step(w, g, MuonState.fresh(2, 2), hyper, eta_t=0.5)
         np.testing.assert_allclose(new_w.a, -0.5 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(state.momentum.a, g.a)
@@ -51,7 +50,7 @@ class TestMuonStep:
         # Same situation with RMS matching on: scale is 0.2 * sqrt(fan-out).
         w = Matrix.zeros(2, 2)
         g = Matrix.diag([4.0, 9.0])
-        hyper = MuonHyper(eta0=1.0, weight_decay=0.0, beta=0.0, exact_msign=True)
+        hyper = OptimizerSpec(eta0=1.0, weight_decay=0.0, beta=0.0, exact_msign=True)
         new_w, _ = muon_step(w, g, MuonState.fresh(2, 2), hyper, eta_t=1.0)
         s = 0.2 * math.sqrt(2.0)
         np.testing.assert_allclose(new_w.a, -s * np.eye(2), atol=1e-14)
@@ -61,7 +60,7 @@ class TestMuonStep:
         # zero and only the decoupled decay acts: w' = (1 - eta*lambda) w.
         w = Matrix.identity(3)
         g = Matrix.zeros(3, 3)
-        hyper = MuonHyper(eta0=1.0, weight_decay=0.1, beta=0.9)
+        hyper = OptimizerSpec(eta0=1.0, weight_decay=0.1, beta=0.9)
         new_w, _ = muon_step(w, g, MuonState.fresh(3, 3), hyper, eta_t=0.5)
         np.testing.assert_allclose(new_w.a, (1.0 - 0.5 * 0.1) * np.eye(3),
                                    atol=1e-15)
@@ -69,7 +68,7 @@ class TestMuonStep:
     def test_momentum_recursion(self, make_matrix):
         g1 = make_matrix(3, 3, seed=1)
         g2 = make_matrix(3, 3, seed=2)
-        hyper = MuonHyper(eta0=1.0, beta=0.9, weight_decay=0.0)
+        hyper = OptimizerSpec(eta0=1.0, beta=0.9, weight_decay=0.0)
         w = Matrix.zeros(3, 3)
         w, st = muon_step(w, g1, MuonState.fresh(3, 3), hyper, eta_t=0.1)
         np.testing.assert_allclose(st.momentum.a, 0.1 * g1.a, atol=1e-15)
@@ -79,8 +78,8 @@ class TestMuonStep:
 
     def test_momentum_only_uses_frobenius_direction(self, make_matrix):
         g = make_matrix(4, 4, seed=3)
-        hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0,
-                          rms_matching=False, momentum_only=True)
+        hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0,
+                              rms_matching=False, momentum_only=True)
         w = Matrix.zeros(4, 4)
         new_w, _ = muon_step(w, g, MuonState.fresh(4, 4), hyper, eta_t=1.0)
         want = -g.a / np.linalg.norm(g.a)
@@ -91,22 +90,22 @@ class TestMuonStep:
         q = np.linalg.qr(Rng(5).normal((6, 6)))[0]
         g = Matrix(q + 0.01 * Rng(6).normal((6, 6)))
         w = Matrix.zeros(6, 6)
-        base = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0, rms_matching=False)
+        base = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0, rms_matching=False)
         w_ns, _ = muon_step(w, g, MuonState.fresh(6, 6), base, eta_t=1.0)
         w_ex, _ = muon_step(w, g, MuonState.fresh(6, 6),
-                            MuonHyper(**{**base.__dict__, "exact_msign": True}),
+                            OptimizerSpec(**{**base.__dict__, "exact_msign": True}),
                             eta_t=1.0)
         rel = np.linalg.norm(w_ns.a - w_ex.a) / np.linalg.norm(w_ex.a)
         assert rel < 0.25
 
     def test_negative_eta_rejected(self, make_matrix):
         g = make_matrix(2, 2)
-        hyper = MuonHyper(eta0=1.0)
+        hyper = OptimizerSpec(eta0=1.0)
         with pytest.raises(RangeError):
             muon_step(Matrix.zeros(2, 2), g, MuonState.fresh(2, 2), hyper, -0.1)
 
     def test_shape_mismatch_rejected(self, make_matrix):
-        hyper = MuonHyper(eta0=1.0)
+        hyper = OptimizerSpec(eta0=1.0)
         with pytest.raises(ShapeError):
             muon_step(Matrix.zeros(2, 2), make_matrix(3, 3),
                       MuonState.fresh(2, 2), hyper, 0.1)
@@ -116,7 +115,7 @@ class TestRmsMatching:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_exact_path_square_rms_is_exactly_factor(self, n):
         g = Matrix(Rng(n).normal((n, n)))
-        hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0, exact_msign=True)
+        hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0, exact_msign=True)
         w = Matrix.zeros(n, n)
         new_w, _ = muon_step(w, g, MuonState.fresh(n, n), hyper, eta_t=1.0)
         # full-rank square sign has all singular values 1, so RMS of the
@@ -127,8 +126,8 @@ class TestRmsMatching:
         g = Matrix(Rng(0).normal((4, 16)))
         w = Matrix.zeros(4, 16)
         for dim_rule, expect_n in (("fan-out", 16), ("max", 16)):
-            hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0,
-                              exact_msign=True, rms_dim=dim_rule)
+            hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0,
+                                  exact_msign=True, rms_dim=dim_rule)
             new_w, _ = muon_step(w, g, MuonState.fresh(4, 16), hyper, 1.0)
             scale = 0.2 * math.sqrt(expect_n)
             got = np.linalg.norm(new_w.a) / math.sqrt(min(4, 16))
@@ -137,8 +136,8 @@ class TestRmsMatching:
         g = Matrix(Rng(1).normal((16, 4)))
         w = Matrix.zeros(16, 4)
         for dim_rule, expect_n in (("fan-out", 4), ("max", 16)):
-            hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0,
-                              exact_msign=True, rms_dim=dim_rule)
+            hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0,
+                                  exact_msign=True, rms_dim=dim_rule)
             new_w, _ = muon_step(w, g, MuonState.fresh(16, 4), hyper, 1.0)
             scale = 0.2 * math.sqrt(expect_n)
             got = np.linalg.norm(new_w.a) / math.sqrt(min(16, 4))
@@ -148,7 +147,7 @@ class TestRmsMatching:
         # dynamic scaling normalizes by the realized direction norm, so the
         # update RMS equals the factor no matter how distorted the spectrum.
         g = Matrix(Rng(2).normal((8, 8), scale=1e-3))
-        hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0, dynamic_rms=True)
+        hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0, dynamic_rms=True)
         w = Matrix.zeros(8, 8)
         new_w, _ = muon_step(w, g, MuonState.fresh(8, 8), hyper, eta_t=1.0)
         assert abs(rms(new_w.a) - 0.2) < 1e-12
@@ -202,8 +201,8 @@ class TestShampooEquivalence:
     def test_oracle_step_equals_momentumless_muon(self, make_matrix):
         g = make_matrix(8, 8, seed=11)
         w = make_matrix(8, 8, seed=12)
-        hyper = MuonHyper(eta0=1.0, beta=0.0, weight_decay=0.0,
-                          rms_matching=False, exact_msign=True)
+        hyper = OptimizerSpec(eta0=1.0, beta=0.0, weight_decay=0.0,
+                              rms_matching=False, exact_msign=True)
         muon_w, _ = muon_step(w, g, MuonState.fresh(8, 8), hyper, eta_t=0.3)
         shampoo_w = shampoo_step_oracle(w, g, eta_t=0.3)
         rel = np.linalg.norm(muon_w.a - shampoo_w.a) / np.linalg.norm(shampoo_w.a)
@@ -408,12 +407,7 @@ class TestOptimizerBank:
     def test_spec_round_trip(self):
         spec = OptimizerSpec(kind="muon", eta0=0.07, weight_decay=0.02,
                              k_iters=3, coeffs="taylor", rms_dim="max")
-        hyper = spec.muon_hyper()
-        assert hyper.eta0 == 0.07
-        assert hyper.weight_decay == 0.02
-        assert hyper.k_iters == 3
-        assert hyper.coeffs == TAYLOR_COEFFS
-        assert hyper.rms_dim == "max"
+        assert COEFF_PRESETS[spec.coeffs] == TAYLOR_COEFFS
 
 
 def _solo_ns_direction(m: np.ndarray, coeffs, k: int) -> np.ndarray:
@@ -441,20 +435,35 @@ class TestStackedCores:
         stack = Rng(len(shape) * shape[0] + shape[1]).normal((4, *shape)).astype(dtype)
         stack[1] *= 1e-6
         stack[2] = 0.0  # zero momentum: zero direction, as for one run
-        hyper = MuonHyper(eta0=0.1)
+        hyper = OptimizerSpec(eta0=0.1)
         u = _muon_direction(stack, hyper)
         assert u.dtype == dtype
         for r in range(4):
             want = (np.zeros(shape, dtype) if r == 2
-                    else _solo_ns_direction(stack[r], hyper.coeffs, hyper.k_iters))
+                    else _solo_ns_direction(stack[r], COEFF_PRESETS[hyper.coeffs],
+                                            hyper.k_iters))
             assert np.array_equal(u[r], want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dynamic_rms_scale_matches_one_matrix_at_a_time(self, shape, dtype):
+        stack = Rng(shape[0] * shape[1]).normal((3, *shape)).astype(dtype)
+        stack[1] = 0.0  # a zero direction scales by 0
+        hyper = OptimizerSpec(eta0=0.1, dynamic_rms=True)
+        scale, norms = _rms_scale(hyper, stack), _slice_norms(stack)
+        assert scale.shape == norms.shape == (3, 1, 1) and scale.dtype == dtype
+        target = 0.2 * math.sqrt(shape[0] * shape[1])
+        for r in range(3):
+            assert norms[r, 0, 0] == np.linalg.norm(stack[r])
+            want = 0.0 if r == 1 else target / float(np.linalg.norm(stack[r]))
+            assert scale[r, 0, 0] == np.array(want, dtype)
 
     @pytest.mark.parametrize("variant", [dict(momentum_only=True),
                                          dict(exact_msign=True),
                                          dict(dynamic_rms=True),
                                          dict(rms_matching=False)])
     def test_muon_variants_are_per_slice(self, variant):
-        hyper = MuonHyper(eta0=0.1, **variant)
+        hyper = OptimizerSpec(eta0=0.1, **variant)
         root = Rng(7)
         w = root.child("w").normal((3, 8, 5)).astype(np.float32)
         g = root.child("g").normal((3, 8, 5)).astype(np.float32)
@@ -473,7 +482,7 @@ class TestStackedCores:
     def test_dynamic_rms_is_per_slice_on_wide_stacks(self, shape):
         # the direction's norm sums its slice in one order whatever the
         # stack size (it once followed the NS iterate's layout, which did not)
-        hyper = MuonHyper(eta0=0.1, dynamic_rms=True)
+        hyper = OptimizerSpec(eta0=0.1, dynamic_rms=True)
         root = Rng(11)
         w, g = (root.child(n).normal((9, *shape)) for n in ("w", "g"))
         mom = np.zeros_like(w)
@@ -491,7 +500,7 @@ class TestStackedCores:
         root = Rng(5)
         for dw, dg, ds in itertools.product(dtypes, dtypes, dtypes):
             w, g, state = (root.normal((6, 9)).astype(d) for d in (dw, dg, ds))
-            hyper = MuonHyper(eta0=0.1)
+            hyper = OptimizerSpec(eta0=0.1)
             new_w, mom = muon_step(Matrix(w), Matrix(g), MuonState(Matrix(state)),
                                    hyper, 0.3)
             want_mom = hyper.beta * state + (1.0 - hyper.beta) * g
@@ -536,3 +545,6 @@ class TestStackedCores:
             OptimizerBank({"w": (2, 2)}, adamw, run_decays=[0.1, -0.1])
         with pytest.raises(RangeError):
             OptimizerBank({"w": (2, 2)}, adamw, run_decays=[])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(RangeError):
+                OptimizerBank({"w": (2, 2)}, adamw, run_decays=[bad])
