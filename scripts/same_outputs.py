@@ -11,8 +11,10 @@ script makes the config of every benchmark workload at every config seed of
 ``bench/reference.json`` (3 workloads x 8 seeds), plus per seed two
 ``ablate`` configs, since no workload runs that command (the acceptance
 quadratic in f64, and the telescope's MLP in f32, whose 16x64 matrix runs
-every Muon variant), and the telescope config at ``"precision": "f32"``,
-since every workload runs in f64 (48 configs in all).
+every Muon variant), the telescope config at ``"precision": "f32"``,
+since every workload runs in f64, and an f32 quadratic ``train`` config
+that takes the quadratic's paths no other config takes (56 configs in
+all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte. Both sides
@@ -75,6 +77,22 @@ def mlp_ablate_config(seed: int, out_dir: str) -> dict:
     }
 
 
+def quadratic_f32_config(seed: int, out_dir: str) -> dict:
+    """A quadratic trained in f32 on the full batch, under gradient noise
+    and the inverse-sqrt schedule, with its regularizer left out of the
+    gradient: every eval casts f32 weights to f64, which no f64 config
+    can tell from no cast."""
+    return {
+        "task": {"kind": "quadratic", "n_rows": 64, "in_dim": 16,
+                 "out_dim": 8, "lambda_reg": 0.1, "reg_in_gradient": False,
+                 "noise_sigma": 0.5, "init_scale": 1.0},
+        "optimizer": {"kind": "muon", "eta0": 0.05, "lambda": 0.1},
+        "full_batch": True, "total_steps": 200, "eval_every": 10,
+        "schedule": {"kind": "inverse-sqrt"},
+        "seed": seed, "precision": "f32", "out_dir": out_dir,
+    }
+
+
 def configs(reference: dict):
     """(name, muonlab command, config document) of every config checked."""
     for name, workload in WORKLOADS.items():
@@ -90,6 +108,9 @@ def configs(reference: dict):
     for seed in reference["seeds"]:
         yield (f"telescope-mlp f32 seed {seed}", "telescope",
                dict(make_config("telescope-mlp", seed, "out"), precision="f32"))
+    for seed in reference["seeds"]:
+        yield (f"train-quadratic f32 seed {seed}", "train",
+               quadratic_f32_config(seed, "out"))
 
 
 def start_side(src: str, side_dir: str, command: str, doc: dict):

@@ -1,7 +1,7 @@
 """Strict JSON run configurations.
 
-The spec dataclasses are the schema. Each field of `QuadraticSpec` or
-`MlpSpec` (the "task" section), `OptimizerSpec` ("optimizer"),
+The spec dataclasses are the schema. Each field of a task spec (the
+"task" section, one spec per kind), `OptimizerSpec` ("optimizer"),
 `TrainConfig` (the top level) and `TelescopeGrid` ("telescope.grid") is a
 key under its own name, except two: weight decay is "optimizer.lambda",
 matching the usual symbol for it, and `TrainConfig.schedule_kind` is
@@ -33,7 +33,7 @@ from .harness import (ETA_TUNING_MULTIPLIERS, TelescopeGrid, TrainConfig,
                       _check_ablation_axes, _check_batch_grid, _check_reach,
                       _check_widths)
 from .optim import OptimizerSpec
-from .tasks import MlpSpec, QuadraticSpec
+from .tasks import _TASK_OF
 
 _F32_MAX = float(np.finfo(np.float32).max)
 
@@ -124,7 +124,7 @@ def load_config(path: str) -> dict:
 _KEYS = {"weight_decay": "lambda", "schedule_kind": "kind"}
 _SCHEDULE_FIELDS = {"schedule_kind", "warmup_fraction", "eta_min_fraction"}
 _TOP_LEVEL_FIELDS = {f.name for f in fields(TrainConfig)} - _SCHEDULE_FIELDS
-_TASKS = {spec().kind: spec for spec in (QuadraticSpec, MlpSpec)}
+_TASKS = {spec().kind: spec for spec in _TASK_OF}
 
 
 def _take_fields(sec: StrictSection, cls, names: set[str] | None = None,

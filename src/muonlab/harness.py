@@ -37,7 +37,7 @@ from .optim import (
     _sum_squares,
     schedule_eta,
 )
-from .tasks import MlpSpec, QuadraticSpec, TaskSpec, build_task
+from .tasks import MlpSpec, TaskSpec, build_task
 
 STOP_RULES = ("fixed-steps", "tokens-to-target")
 
@@ -82,7 +82,7 @@ class TrainConfig:
     run_id: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.task, (QuadraticSpec, MlpSpec)):
+        if not isinstance(self.task, TaskSpec):
             raise ConfigError(f"unknown task spec {type(self.task).__name__}")
         if not isinstance(self.optimizer, OptimizerSpec):
             raise ConfigError("optimizer must be an OptimizerSpec")
@@ -523,8 +523,7 @@ def loss_spike_count(record: RunRecord, spike_ratio: float = 1.25) -> int:
 
     The first row is never a spike (there is no prior minimum to exceed).
     """
-    if spike_ratio <= 1.0:
-        raise RangeError(f"spike_ratio must exceed 1, got {spike_ratio}")
+    _require(spike_ratio > 1.0, "spike_ratio", "exceed 1", spike_ratio)
     if len(record.rows) < 2:
         raise RangeError("loss_spike_count needs at least 2 eval rows")
     return _spike_count([r.val_loss for r in record.rows], spike_ratio)

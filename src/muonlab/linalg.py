@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError, RangeError, ShapeError
+from .errors import (DegenerateInputError, NumericError, RangeError, ShapeError,
+                     _require)
 
 F32 = np.float32
 F64 = np.float64
@@ -267,8 +268,7 @@ def svd(a: Matrix, rank_tol: float | None = None) -> SvdResult:
     the oracle role better robustness and speed than an in-house iteration.
     Orthonormality of the returned factors is verified to 1e-10.
     """
-    if rank_tol is not None and rank_tol < 0.0:
-        raise RangeError(f"rank_tol must be >= 0, got {rank_tol}")
+    _require(rank_tol is None or rank_tol >= 0.0, "rank_tol", "be >= 0", rank_tol)
     arr = a.a.astype(F64, copy=False)
     if not arr.any():
         raise DegenerateInputError("svd of the zero matrix is undefined")

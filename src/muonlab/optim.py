@@ -118,8 +118,7 @@ class AdamWState:
             raise RangeError(f"step_count must be >= 0, got {self.step_count}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise RangeError("betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise RangeError(f"eps must be positive, got {self.eps}")
+        _require(0.0 < self.eps < math.inf, "eps", "be positive and finite", self.eps)
         if np.any(self.v.a < 0.0):
             raise NumericError("second moment must be nonnegative")
 
@@ -237,8 +236,7 @@ def muon_step(w: Matrix, g: Matrix, state: MuonState, spec: OptimizerSpec,
         raise ShapeError(
             f"w {w.shape}, g {g.shape}, momentum {state.momentum.shape} must match"
         )
-    if eta_t < 0.0:
-        raise RangeError(f"eta_t must be >= 0, got {eta_t}")
+    _require(0.0 <= eta_t < math.inf, "eta_t", "be finite and >= 0", eta_t)
     new_w, new_mom, _ = _muon_core(w.a, g.a, state.momentum.a, spec, eta_t,
                                    spec.weight_decay)
     return Matrix(new_w), MuonState(momentum=Matrix(new_mom))
@@ -249,10 +247,9 @@ def adamw_step(w: Matrix, g: Matrix, state: AdamWState, eta_t: float,
     """One bias-corrected AdamW update with decoupled weight decay."""
     if w.shape != g.shape or w.shape != state.m.shape:
         raise ShapeError(f"w {w.shape}, g {g.shape}, state {state.m.shape} must match")
-    if eta_t < 0.0:
-        raise RangeError(f"eta_t must be >= 0, got {eta_t}")
-    if weight_decay < 0.0:
-        raise RangeError(f"weight_decay must be >= 0, got {weight_decay}")
+    _require(0.0 <= eta_t < math.inf, "eta_t", "be finite and >= 0", eta_t)
+    _require(0.0 <= weight_decay < math.inf, "weight_decay", "be finite and >= 0",
+             weight_decay)
     new_w, m, v, t, _ = _adamw_core(
         w.a, g.a, state.m.a, state.v.a, state.step_count,
         state.beta1, state.beta2, state.eps, eta_t, weight_decay,
@@ -284,8 +281,7 @@ def shampoo_step_oracle(w: Matrix, g: Matrix, eta_t: float) -> Matrix:
     """One Shampoo step with exact inverse fourth roots (no preconditioner state)."""
     if w.shape != g.shape:
         raise ShapeError(f"w {w.shape} and g {g.shape} must match")
-    if eta_t < 0.0:
-        raise RangeError(f"eta_t must be >= 0, got {eta_t}")
+    _require(0.0 <= eta_t < math.inf, "eta_t", "be finite and >= 0", eta_t)
     return Matrix(w.a.astype(F64) - eta_t * shampoo_direction(g), dtype=w.dtype)
 
 
@@ -381,8 +377,7 @@ def _clip_grad_arrays(grads: dict[str, np.ndarray], max_norm: float,
 
 def clip_global_norm(grads: Sequence[Matrix], max_norm: float) -> list[Matrix]:
     """Jointly rescale gradients so their global L2 norm is at most max_norm."""
-    if max_norm <= 0.0:
-        raise RangeError(f"max_norm must be positive, got {max_norm}")
+    _require(max_norm > 0.0, "max_norm", "be positive", max_norm)
     grads = list(grads)
     arrays = {i: g.a for i, g in enumerate(grads)}
     clipped, _ = _clip_grad_arrays(arrays, max_norm)

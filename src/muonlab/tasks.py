@@ -4,6 +4,11 @@ Two tasks: a regularized matrix least-squares problem with a closed-form
 minimizer, and a small Gaussian-mixture MLP classifier with hand-written
 backpropagation. Throughout the harness, "tokens" means samples consumed;
 one sample is one token.
+
+Both keep one contract: each defines its data and one objective core,
+and `_Task` writes the harness surface once over that core. `grad_check`
+probes the core, and `build_task` finds a spec's task in ``_TASK_OF``,
+the one list of task kinds.
 """
 
 from __future__ import annotations
@@ -94,19 +99,59 @@ class MlpSpec:
 TaskSpec = QuadraticSpec | MlpSpec
 
 
+class _Task:
+    """The harness surface of a task, written once over its objective core.
+
+    A task defines its data, ``generate``, ``n_train``, ``init_params``,
+    ``batch_loss_grad`` and ``_objective(params, rows, want_grads)``: the
+    loss on ``rows`` of its data (None: the whole train set) and, with
+    ``want_grads``, its exact gradient. Two row sets come with it:
+    ``_held_out``, the validation rows (None where the objective is its
+    own validation metric), and ``_probe_rows``, the rows `grad_check`
+    probes (None: the whole objective).
+
+    The parameters may be stacks with a leading run axis: every loss is
+    then one value per run, each the bytes of that run alone.
+    """
+
+    def sample_batch(self, rng: Rng, batch_size: int) -> np.ndarray:
+        return rng.integers(0, self.n_train, size=batch_size)
+
+    def train_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
+        return self._objective(params, None, False)[0]
+
+    def val_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
+        if self._held_out is None:
+            return self.train_loss(params)
+        return self._objective(params, self._held_out, False)[0]
+
+    def objective_grads(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Exact gradient of the full training objective."""
+        return self._objective(params, None, True)[1]
+
+    def evaluate(self, params: dict[str, np.ndarray],
+                 ) -> tuple[float, float, dict[str, np.ndarray]]:
+        """(train_loss, val_loss, objective_grads) from one train pass.
+
+        The train loss comes out of the gradient pass, which computes it
+        with the same ops as `train_loss`, so the values match the three
+        separate calls bit for bit.
+        """
+        loss, grads = self._objective(params, None, True)
+        return (loss, loss if self._held_out is None else self.val_loss(params),
+                grads)
+
+
 @dataclass(frozen=True)
-class QuadraticTask:
+class QuadraticTask(_Task):
     """L(W) = 0.5 ||A W - B||_F^2 + (lambda_reg / 2) ||W||_F^2.
 
     Rows of (A, B) act as the dataset: a minibatch subsamples rows and
     rescales so its gradient is an unbiased estimate of the full one.
 
-    As in `MlpTask`, the harness methods also take a stack of runs: one
-    loss per run, each run's values the bytes of that run alone.
-
     One array core computes every loss and gradient: on a minibatch for
     `batch_loss_grad`, on the full batch with the regularizer always in the
-    gradient for `loss_grad` and the eval methods (which cast W to f64).
+    gradient for `loss_grad` and the objective core (which casts W to f64).
     """
 
     a: Matrix
@@ -117,11 +162,15 @@ class QuadraticTask:
     init_scale: float = 0.0
     name: str = field(default="quadratic", init=False)
 
+    # No held-out split: the objective is its own validation metric, and
+    # grad_check probes all of it.
+    _held_out = _probe_rows = None
+
     def __post_init__(self):
         if self.a.rows != self.b.rows:
             raise ShapeError(f"A has {self.a.rows} rows but B has {self.b.rows}")
-        if self.lambda_reg < 0.0:
-            raise RangeError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
+        _require(0.0 <= self.lambda_reg < math.inf, "lambda_reg",
+                 "be finite and >= 0", self.lambda_reg)
 
     @staticmethod
     def generate(spec: QuadraticSpec, rng: Rng) -> "QuadraticTask":
@@ -181,9 +230,6 @@ class QuadraticTask:
             return {"w": rng.normal(shape, scale=self.init_scale).astype(dtype)}
         return {"w": np.zeros(shape, dtype=dtype)}
 
-    def sample_batch(self, rng: Rng, batch_size: int) -> np.ndarray:
-        return rng.integers(0, self.n_train, size=batch_size)
-
     def batch_loss_grad(self, params: dict[str, np.ndarray],
                         idx: np.ndarray | None):
         """Unbiased estimate of the full objective and its gradient.
@@ -197,6 +243,13 @@ class QuadraticTask:
         w = params["w"]
         loss, grad = self._loss_grad(w, idx, self.reg_in_gradient)
         return loss, {"w": grad.astype(w.dtype, copy=False)}
+
+    def _objective(self, params: dict[str, np.ndarray], rows: np.ndarray | None,
+                   want_grads: bool):
+        # W cast to f64 and the regularizer always in the gradient, which
+        # comes either way; ``rows`` are rescaled as a minibatch is.
+        loss, grad = self._loss_grad(params["w"].astype(F64, copy=False), rows)
+        return loss, {"w": grad}
 
     def _loss_grad(self, w: np.ndarray, idx: np.ndarray | None = None,
                    reg_in_gradient: bool = True):
@@ -222,27 +275,6 @@ class QuadraticTask:
                 grad = grad + self.lambda_reg * w
         return _per_run(loss), grad
 
-    def train_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
-        return self._loss_grad(params["w"].astype(F64, copy=False))[0]
-
-    def val_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
-        # No held-out split for the deterministic quadratic: the objective is
-        # its own validation metric.
-        return self.train_loss(params)
-
-    def objective_grads(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Exact full-objective gradient (regularizer always included)."""
-        return {"w": self._loss_grad(params["w"].astype(F64, copy=False))[1]}
-
-    def evaluate(self, params: dict[str, np.ndarray],
-                 ) -> tuple[float, float, dict[str, np.ndarray]]:
-        """(train_loss, val_loss, objective_grads) from one objective pass.
-
-        The val loss is the train loss, as in `val_loss`.
-        """
-        loss, grad = self._loss_grad(params["w"].astype(F64, copy=False))
-        return loss, loss, {"w": grad}
-
 
 def _per_run(loss):
     """A float for one run's 0-d loss, the array of losses for a stack."""
@@ -263,12 +295,12 @@ def _activation_grad(name: str, h: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MlpTask:
+class MlpTask(_Task):
     """Gaussian-mixture classification with a small dense network.
 
     Layers are fan_in x fan_out; weights start at Normal(0, 1/fan_in) with
     zero biases. A seed-stable 10% slice of the generated data is held out
-    as the validation split.
+    as the validation split. `grad_check` probes the first 128 train rows.
     """
 
     x: np.ndarray
@@ -303,6 +335,14 @@ class MlpTask:
     def n_train(self) -> int:
         return len(self.train_idx)
 
+    @property
+    def _held_out(self) -> np.ndarray:
+        return self.val_idx
+
+    @property
+    def _probe_rows(self) -> np.ndarray:
+        return self.train_idx[:128]
+
     def layer_dims(self) -> list[tuple[int, int]]:
         widths = (self.input_dim, *self.hidden, self.classes)
         return [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
@@ -328,22 +368,28 @@ class MlpTask:
                 hs.append(_activation(self.activation, z))
         return z, hs
 
-    def _ce_loss_grads(self, params: dict[str, np.ndarray], xb: np.ndarray,
-                       yb: np.ndarray, want_grads: bool):
-        """Mean cross-entropy of (xb, yb) and its gradients.
+    def _objective(self, params: dict[str, np.ndarray], rows: np.ndarray | None,
+                   want_grads: bool):
+        """Mean cross-entropy on ``rows`` of the data (None: the train
+        split) and, with ``want_grads``, its gradients.
 
         The parameters may be stacks with a leading run axis, all fed the
         same rows: the loss is then one value per run. Every op acts per
         slice (matmuls run one GEMM per slice, reductions run along one
         axis), so each run's values are the bytes of that run alone.
         """
+        rows = self.train_idx if rows is None else rows
+        if len(rows) == 0:
+            raise RangeError("batch must be nonempty")
+        xb = np.take(self.x, rows, axis=0).astype(params["w0"].dtype, copy=False)
+        yb = np.take(self.y, rows, axis=0)
         logits, hs = self._forward(params, xb)
         shifted = logits - logits.max(axis=-1, keepdims=True)
         expz = np.exp(shifted)
         sumexp = expz.sum(axis=-1, keepdims=True)
         n = xb.shape[0]
-        rows = np.arange(n)
-        loss = _per_run(np.mean(np.log(sumexp[..., 0]) - shifted[..., rows, yb],
+        at = np.arange(n)
+        loss = _per_run(np.mean(np.log(sumexp[..., 0]) - shifted[..., at, yb],
                                 axis=-1))
         if not want_grads:
             return loss, {}
@@ -352,7 +398,7 @@ class MlpTask:
         # reads them again, and an eval running beside the steps (see
         # `harness.train`) then adds less to the peak memory.
         dz = np.divide(expz, sumexp, out=expz)
-        dz[..., rows, yb] -= 1.0
+        dz[..., at, yb] -= 1.0
         dz /= n
         grads: dict[str, np.ndarray] = {}
         for i in range(len(hs) - 1, -1, -1):
@@ -364,62 +410,26 @@ class MlpTask:
                 dz *= _activation_grad(self.activation, h)
         return loss, grads
 
-    def sample_batch(self, rng: Rng, batch_size: int) -> np.ndarray:
-        return rng.integers(0, self.n_train, size=batch_size)
-
-    def _rows(self, params: dict[str, np.ndarray], rows: np.ndarray,
-              ) -> tuple[np.ndarray, np.ndarray]:
-        dtype = params["w0"].dtype
-        return (np.take(self.x, rows, axis=0).astype(dtype, copy=False),
-                np.take(self.y, rows, axis=0))
-
     def batch_loss_grad(self, params: dict[str, np.ndarray], idx: np.ndarray | None):
         """Mean cross-entropy and gradients on a minibatch of train positions.
 
         The parameters may be stacks (R, ...) of runs sharing the minibatch:
         one gather serves them all, and the loss is one value per run.
         """
-        rows = self.train_idx if idx is None else np.take(self.train_idx, idx, axis=0)
-        if len(rows) == 0:
-            raise RangeError("batch must be nonempty")
-        xb, yb = self._rows(params, rows)
-        return self._ce_loss_grads(params, xb, yb, want_grads=True)
+        rows = None if idx is None else np.take(self.train_idx, idx, axis=0)
+        return self._objective(params, rows, want_grads=True)
 
-    def train_loss(self, params: dict[str, np.ndarray]) -> float:
-        xb, yb = self._rows(params, self.train_idx)
-        return self._ce_loss_grads(params, xb, yb, want_grads=False)[0]
 
-    def val_loss(self, params: dict[str, np.ndarray]) -> float | np.ndarray:
-        """Mean cross-entropy on the validation rows; the parameters may be
-        stacks (R, ...), and the loss is then one value per run."""
-        xb, yb = self._rows(params, self.val_idx)
-        return self._ce_loss_grads(params, xb, yb, want_grads=False)[0]
-
-    def objective_grads(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Exact gradient of the full training loss."""
-        xb, yb = self._rows(params, self.train_idx)
-        return self._ce_loss_grads(params, xb, yb, want_grads=True)[1]
-
-    def evaluate(self, params: dict[str, np.ndarray],
-                 ) -> tuple[float, float, dict[str, np.ndarray]]:
-        """(train_loss, val_loss, objective_grads) from one train pass.
-
-        The train loss comes out of the backward pass's forward, which
-        computes it with the same ops as `train_loss`, so the values match
-        the three separate calls bit for bit.
-        """
-        xb, yb = self._rows(params, self.train_idx)
-        train_loss, grads = self._ce_loss_grads(params, xb, yb, want_grads=True)
-        return train_loss, self.val_loss(params), grads
+# The task each spec builds: the one list of task kinds.
+_TASK_OF = {QuadraticSpec: QuadraticTask, MlpSpec: MlpTask}
 
 
 def build_task(spec: TaskSpec, rng: Rng):
     """Construct the task a spec describes; data is a pure function of rng."""
-    if isinstance(spec, QuadraticSpec):
-        return QuadraticTask.generate(spec, rng)
-    if isinstance(spec, MlpSpec):
-        return MlpTask.generate(spec, rng)
-    raise ConfigError(f"unknown task spec {type(spec).__name__}")
+    task = _TASK_OF.get(type(spec))
+    if task is None:
+        raise ConfigError(f"unknown task spec {type(spec).__name__}")
+    return task.generate(spec, rng)
 
 
 @dataclass(frozen=True)
@@ -431,62 +441,39 @@ class GradCheckReport:
     probes: int
 
 
-def _probe_loss_fn(task):
-    """A deterministic scalar loss over a fixed probe batch, plus its grads."""
-    if isinstance(task, QuadraticTask):
-        loss, grads = task.train_loss, task.objective_grads
-    elif isinstance(task, MlpTask):
-        rows = task.train_idx[: min(128, task.n_train)]
-        xb, yb = task.x[rows], task.y[rows]
-
-        def loss(p):
-            return task._ce_loss_grads(p, xb.astype(p["w0"].dtype, copy=False),
-                                       yb, want_grads=False)[0]
-
-        def grads(p):
-            return task._ce_loss_grads(p, xb.astype(p["w0"].dtype, copy=False),
-                                       yb, want_grads=True)[1]
-    else:
-        raise ConfigError(f"grad_check does not know task {type(task).__name__}")
-    return loss, grads
-
-
 def grad_check(task, params: dict[str, np.ndarray], probes: int = 20,
                h: float = 1e-5, rng: Rng | None = None) -> list[GradCheckReport]:
     """Compare analytic gradients against central differences.
 
     For each parameter, ``probes`` coordinates are drawn from ``rng`` and
     perturbed by +/- h; the relative error compares (L+ - L-) / 2h with the
-    analytic entry. Meaningful in f64 (f32 drowns in rounding noise).
+    analytic entry, on the task's probe rows. A non-finite error reads
+    inf, so no max over the reports can drop it. Meaningful in f64 (f32
+    drowns in rounding noise).
     """
-    if h <= 0.0:
-        raise RangeError(f"h must be positive, got {h}")
-    if probes < 1:
-        raise RangeError(f"probes must be >= 1, got {probes}")
+    _require(0.0 < h < math.inf, "h", "be positive and finite", h)
+    _require(probes >= 1, "probes", "be >= 1", probes)
+    if not isinstance(task, _Task):
+        raise ConfigError(f"grad_check does not know task {type(task).__name__}")
     if rng is None:
         rng = Rng(0)
-    loss_fn, grads_fn = _probe_loss_fn(task)
-    analytic = grads_fn(params)
+    rows = task._probe_rows
+    analytic = task._objective(params, rows, True)[1]
     reports = []
-    for name in params:
-        arr = params[name]
-        flat_ids = rng.integers(0, arr.size, size=probes)
+    for name, arr in params.items():
         worst = 0.0
-        for flat in flat_ids:
+        for flat in rng.integers(0, arr.size, size=probes):
             coord = np.unravel_index(int(flat), arr.shape)
-            bumped = dict(params)
-            plus = arr.copy()
-            plus[coord] += h
-            bumped[name] = plus
-            l_plus = loss_fn(bumped)
-            minus = arr.copy()
-            minus[coord] -= h
-            bumped[name] = minus
-            l_minus = loss_fn(bumped)
-            fd = (l_plus - l_minus) / (2.0 * h)
+            losses = []
+            for step in (h, -h):
+                bumped = arr.copy()
+                bumped[coord] += step
+                losses.append(task._objective({**params, name: bumped}, rows,
+                                              False)[0])
+            fd = (losses[0] - losses[1]) / (2.0 * h)
             an = float(analytic[name][coord])
             rel = abs(fd - an) / max(abs(fd), abs(an), 1e-10)
-            worst = max(worst, rel)
+            worst = max(worst, rel if math.isfinite(rel) else math.inf)
         reports.append(GradCheckReport(parameter=name, max_rel_error=worst,
                                        probes=probes))
     return reports

@@ -31,7 +31,9 @@ from muonlab.harness import (
     telescope_sweep,
     train,
 )
-from muonlab.optim import OptimizerSpec
+from muonlab.linalg import Matrix, svd
+from muonlab.optim import (AdamWState, MuonState, OptimizerSpec, adamw_step,
+                           clip_global_norm, muon_step, shampoo_step_oracle)
 from muonlab.tasks import MlpSpec, MlpTask, QuadraticSpec, QuadraticTask
 
 
@@ -660,6 +662,38 @@ class TestSnapshotOverlap:
             (tmp_path / name).parent.mkdir(exist_ok=True)
             (tmp_path / name).write_text(text)
         assert harness._cpu_quota(str(tmp_path)) == quota
+
+
+_EYE = Matrix.identity(2)
+
+# (argument, call with NaN for it) for each float argument of the library
+# API outside the config specs.
+NAN_ARGUMENTS = {
+    "loss_spike_count": ("spike_ratio", lambda: loss_spike_count(
+        synthetic_record(vals=[1.0, 2.0]), math.nan)),
+    "clip_global_norm": ("max_norm", lambda: clip_global_norm([_EYE], math.nan)),
+    "muon_step": ("eta_t", lambda: muon_step(
+        _EYE, _EYE, MuonState.fresh(2, 2), OptimizerSpec(), math.nan)),
+    "adamw_step-eta_t": ("eta_t", lambda: adamw_step(
+        _EYE, _EYE, AdamWState.fresh(2, 2), math.nan, 0.0)),
+    "adamw_step-weight_decay": ("weight_decay", lambda: adamw_step(
+        _EYE, _EYE, AdamWState.fresh(2, 2), 0.1, math.nan)),
+    "shampoo_step_oracle": ("eta_t", lambda: shampoo_step_oracle(_EYE, _EYE, math.nan)),
+    "AdamWState": ("eps", lambda: AdamWState.fresh(2, 2, eps=math.nan)),
+    "QuadraticTask": ("lambda_reg", lambda: QuadraticTask(a=_EYE, b=_EYE,
+                                                          lambda_reg=math.nan)),
+    "svd": ("rank_tol", lambda: svd(_EYE, math.nan)),
+}
+
+
+@pytest.mark.parametrize("call", NAN_ARGUMENTS)
+def test_nan_argument_is_named(call):
+    """NaN fails every range check of the library API, which names the
+    argument, as every config field's does."""
+    argument, fn = NAN_ARGUMENTS[call]
+    with pytest.raises(RangeError) as exc:
+        fn()
+    assert exc.value.key_path == argument
 
 
 class TestDiagnostics:

@@ -1,18 +1,23 @@
 """Synthetic tasks: closed-form quadratic, MLP classifier, gradient checks."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
 
+from muonlab import config
 from muonlab.errors import ConfigError, DegenerateInputError, RangeError, ShapeError
 from muonlab.linalg import Matrix, Rng
 from muonlab.tasks import (
+    _TASK_OF,
     GradCheckReport,
     MlpSpec,
     MlpTask,
     QuadraticSpec,
     QuadraticTask,
+    TaskSpec,
+    _Task,
     build_task,
     grad_check,
 )
@@ -440,3 +445,89 @@ class TestGradCheck:
         params = {"w": Rng(37).normal((task.a.cols, task.b.cols))}
         reports = grad_check(task, params, probes=7, rng=Rng(38))
         assert all(r.probes == 7 for r in reports)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_nan_parameter_reads_inf(self, kind):
+        # a NaN entry makes every loss and gradient entry it reaches NaN;
+        # the report must not read as a pass, nor drop out of a max
+        if kind == "quadratic":
+            task = make_quadratic(seed=36)
+            params = {"w": Rng(37).normal((task.a.cols, task.b.cols))}
+            params["w"][2, 3] = math.nan
+        else:
+            task = make_mlp(seed=33)
+            params = task.init_params(Rng(34).child("init"))
+            params["b0"][0] = math.nan
+        reports = grad_check(task, params, probes=3, rng=Rng(38))
+        assert reports[0].max_rel_error == math.inf
+        assert max(r.max_rel_error for r in reports) == math.inf
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-5])
+    def test_step_must_be_positive_and_finite(self, h):
+        task = make_quadratic(seed=36)
+        params = {"w": Rng(37).normal((task.a.cols, task.b.cols))}
+        with pytest.raises(RangeError) as exc:
+            grad_check(task, params, h=h)
+        assert exc.value.key_path == "h"
+
+
+def _spy_objective(monkeypatch, task) -> list:
+    """Record each call of ``task``'s objective core as (rows, want_grads),
+    with rows as a list (None: the whole train set)."""
+    calls = []
+    core = type(task)._objective
+
+    def spy(self, params, rows, want_grads):
+        calls.append((None if rows is None else rows.tolist(), want_grads))
+        return core(self, params, rows, want_grads)
+
+    monkeypatch.setattr(type(task), "_objective", spy)
+    return calls
+
+
+class TestTaskContract:
+    """Both tasks keep one contract: the harness surface is written once,
+    over each task's objective core, and the task kinds are listed once."""
+
+    SURFACE = ("sample_batch", "train_loss", "val_loss", "objective_grads",
+               "evaluate")
+
+    @staticmethod
+    def make(kind):
+        if kind == "quadratic":
+            task = make_quadratic(seed=70, lambda_reg=0.2, reg_in_gradient=False)
+            return task, {"w": Rng(71).normal((task.a.cols, task.b.cols))}, []
+        task = make_mlp(seed=72, hidden=(16, 12))
+        return (task, task.init_params(Rng(73)),
+                [(task.val_idx.tolist(), False)])
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_evaluate_is_one_train_pass(self, kind, monkeypatch):
+        task, params, val_pass = self.make(kind)
+        calls = _spy_objective(monkeypatch, task)
+        task.evaluate(params)
+        assert calls == [(None, True)] + val_pass
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_grad_check_probes_the_probe_rows(self, kind, monkeypatch):
+        task, params, _ = self.make(kind)
+        probe = None if kind == "quadratic" else task.train_idx[:128].tolist()
+        calls = _spy_objective(monkeypatch, task)
+        grad_check(task, params, probes=2, rng=Rng(74))
+        assert calls[0] == (probe, True)
+        assert calls[1:] == [(probe, False)] * (len(calls) - 1)
+        assert len(calls) == 1 + 2 * 2 * len(params)
+
+    def test_grad_check_rejects_a_non_task(self):
+        with pytest.raises(ConfigError):
+            grad_check(object(), {"w": np.zeros((2, 2))})
+
+    def test_surface_is_written_once(self):
+        for name in self.SURFACE:
+            assert name in vars(_Task), name
+            for task in _TASK_OF.values():
+                assert name not in vars(task), (task.__name__, name)
+
+    def test_task_kinds_are_listed_once(self):
+        assert set(typing.get_args(TaskSpec)) == set(_TASK_OF)
+        assert config._TASKS == {spec().kind: spec for spec in _TASK_OF}
