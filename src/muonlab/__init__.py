@@ -110,13 +110,10 @@ from .optim import (
     MuonState,
     OptimizerBank,
     OptimizerSpec,
-    SCHEDULE_KINDS,
-    Schedule,
     adamw_step,
     clip_global_norm,
     muon_step,
     route_parameter,
-    schedule_eta,
     shampoo_direction,
     shampoo_step_oracle,
 )
@@ -136,6 +133,7 @@ from .harness import (
     ETA_TUNING_MULTIPLIERS,
     EvalRow,
     RunRecord,
+    SCHEDULE_KINDS,
     STOP_RULES,
     SweepCell,
     SweepResult,
@@ -147,6 +145,7 @@ from .harness import (
     batch_sweep,
     loss_spike_count,
     rate_check,
+    schedule_eta,
     telescope_sweep,
     train,
 )

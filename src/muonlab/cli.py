@@ -27,10 +27,10 @@ from .config import (
     parse_telescope_config,
     parse_train_config,
 )
-from .errors import ConfigError, MuonlabError
+from .errors import ConfigError, MuonlabError, RangeError
 from .harness import ablate, batch_sweep, telescope_sweep, train
 from .linalg import Matrix, Rng
-from .msign import SPECTRUM_BAND, coefficient_preset, msign_newton_schulz
+from .msign import COEFF_PRESETS, SPECTRUM_BAND, coefficient_preset, msign_newton_schulz
 from .reports import emit_reports
 
 
@@ -62,8 +62,13 @@ def _cmd_msign_check(args) -> int:
     for t in range(args.trials):
         child = root.child(t)
         m = Matrix(child.normal((rows, cols)))
-        report = msign_newton_schulz(m, coeffs, args.k, compute_spectrum=True,
-                                     compare_oracle=True)
+        try:
+            report = msign_newton_schulz(m, coeffs, args.k, compute_spectrum=True,
+                                         compare_oracle=True)
+        except RangeError as exc:  # the kernel's "k" is the --k flag here
+            if exc.key_path == "k":
+                exc.key_path = "--k"
+            raise
         smin = report.singular_value_min
         smax = report.singular_value_max
         overall_min = min(overall_min, smin)
@@ -181,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--shape", default="64x64", help="matrix shape, e.g. 32x128")
     check.add_argument("--k", type=int, default=5, help="iteration count")
     check.add_argument("--preset", default="optimized",
-                       choices=("optimized", "taylor"), help="coefficient preset")
+                       choices=tuple(COEFF_PRESETS), help="coefficient preset")
     check.add_argument("--trials", type=int, default=200, help="random trials")
     check.add_argument("--seed", type=int, default=0, help="base seed")
     check.set_defaults(handler=_cmd_msign_check)

@@ -29,17 +29,17 @@ import numpy as np
 from .errors import ConfigError, RangeError, _require
 from .linalg import F64, Rng, dtype_of
 from .optim import (
+    OPTIMIZER_KINDS,
     OptimizerBank,
     OptimizerSpec,
-    Schedule,
     _clip_grad_arrays,
     _sum_left,
     _sum_squares,
-    schedule_eta,
 )
 from .tasks import MlpSpec, TaskSpec, build_task
 
 STOP_RULES = ("fixed-steps", "tokens-to-target")
+SCHEDULE_KINDS = ("cosine-with-linear-warmup", "inverse-sqrt")
 
 # Five-point learning-rate grid used for per-cell re-tuning in sweeps,
 # spanning a factor of 16 around the configured eta0.
@@ -60,6 +60,12 @@ class TrainConfig:
     ``total_steps`` must be a multiple of ``eval_every`` so that the eval
     grid, and therefore the smoothed target-crossing detector, does not
     depend on where the run happens to stop.
+
+    The learning rate peaks at ``optimizer.eta0`` and follows
+    ``schedule_kind`` (see `schedule_eta`): cosine decay with linear
+    warmup, or eta0/sqrt(t). ``warmup_fraction`` accepts [0, 0.02]; 0.005
+    to 0.02 is the recommended band, 0 disables warmup. The inverse-sqrt
+    kind ignores warmup and exists for the convergence-rate check.
     """
 
     task: TaskSpec
@@ -86,11 +92,13 @@ class TrainConfig:
             raise ConfigError(f"unknown task spec {type(self.task).__name__}")
         if not isinstance(self.optimizer, OptimizerSpec):
             raise ConfigError("optimizer must be an OptimizerSpec")
-        try:
-            _schedule(self)
-        except RangeError as exc:  # the schedule's "kind" is schedule_kind here
-            exc.key_path = "schedule_kind" if exc.key_path == "kind" else exc.key_path
-            raise
+        _require(self.total_steps >= 1, "total_steps", "be >= 1", self.total_steps)
+        _require(0.0 <= self.warmup_fraction <= 0.02, "warmup_fraction",
+                 "lie in [0, 0.02]", self.warmup_fraction)
+        _require(0.0 <= self.eta_min_fraction <= 0.01, "eta_min_fraction",
+                 "lie in [0, 0.01]", self.eta_min_fraction)
+        _require(self.schedule_kind in SCHEDULE_KINDS, "schedule_kind",
+                 f"be one of {SCHEDULE_KINDS}", self.schedule_kind)
         try:
             dtype_of(self.precision)
         except RangeError as exc:
@@ -118,12 +126,21 @@ class TrainConfig:
                 f"-b{self.batch_size}-s{self.seed}")
 
 
-def _schedule(config: TrainConfig) -> Schedule:
-    """The learning-rate schedule of one run."""
-    return Schedule(eta0=config.optimizer.eta0, total_steps=config.total_steps,
-                    warmup_fraction=config.warmup_fraction,
-                    kind=config.schedule_kind,
-                    eta_min_fraction=config.eta_min_fraction)
+def schedule_eta(config: TrainConfig, step: int) -> float:
+    """Learning rate of a run at an integer step in [0, total_steps]."""
+    total = config.total_steps
+    _require(0 <= step <= total, "step", "lie in [0, total_steps]", step)
+    eta0 = config.optimizer.eta0
+    if config.schedule_kind == "inverse-sqrt":
+        return eta0 / math.sqrt(max(step, 1))
+    ws = int(round(config.warmup_fraction * total))
+    if ws > 0 and step <= ws:
+        return eta0 * (step / ws)
+    # A warmup fraction of at most 0.02 gives ws <= round(0.02 * total) <
+    # total, so the cosine always has steps left to span.
+    progress = (step - ws) / (total - ws)
+    eta_min = eta0 * config.eta_min_fraction
+    return eta_min + (eta0 - eta_min) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 @dataclass(frozen=True)
@@ -294,8 +311,8 @@ class _Stack:
                                   dtype_of(first.precision))
         steps = first.total_steps + 1
         self.etas_by_step = np.stack([
-            np.fromiter((schedule_eta(sched, step) for step in range(steps)), F64, steps)
-            for sched in map(_schedule, configs)])
+            np.fromiter((schedule_eta(c, step) for step in range(steps)), F64, steps)
+            for c in configs])
         self.params = {name: np.repeat(arr[None], len(configs), axis=0)
                        for name, arr in init.items()}
         self.live = list(range(len(configs)))
@@ -656,7 +673,7 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
     grid = tuple(int(b) for b in batch_grid)
     root = Rng(base.seed)
     cell_keys = [(b, kind, root.child(f"cell-{kind}-b{b}").seed)
-                 for b in grid for kind in ("muon", "adamw")]
+                 for b in grid for kind in OPTIMIZER_KINDS]
     configs = [
         replace(base, batch_size=b, seed=seed,
                 optimizer=replace(base.optimizer, kind=kind,

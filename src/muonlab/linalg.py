@@ -213,8 +213,7 @@ def spectral_norm_estimate(a: Matrix, iters: int = 200, rng: Rng | None = None) 
     which the true spectral norm never exceeds; this keeps the inequality
     exact even at the rank-one equality case where rounding could wobble.
     """
-    if iters < 1:
-        raise RangeError(f"iters must be >= 1, got {iters}")
+    _require(iters >= 1, "iters", "be >= 1", iters)
     if rng is None:
         rng = Rng(0)
     arr = a.a.astype(F64, copy=False)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, RangeError, ShapeError
+from .errors import (ConfigError, DegenerateInputError, RangeError, ShapeError,
+                     _require)
 from .linalg import F64, Matrix, svd
 
 
@@ -154,8 +155,7 @@ def msign_newton_schulz(
     X_k from the SVD oracle; with ``compare_oracle`` it carries the relative
     Frobenius deviation from msign_exact(M).
     """
-    if k < 1:
-        raise RangeError(f"k must be >= 1, got {k}")
+    _require(k >= 1, "k", "be >= 1", k)
     if not m.a.any():
         raise DegenerateInputError("msign of the zero matrix is undefined")
     x = _ns_orthogonalize(m.a / np.linalg.norm(m.a), coeffs, k)
@@ -181,8 +181,7 @@ def msign_newton_schulz(
 def quintic_orbit(t0: float, coeffs: NsCoefficients = OPTIMIZED_COEFFS,
                   k: int = 5) -> float:
     """Scalar orbit of the quintic map; what one singular value does."""
-    if k < 0:
-        raise RangeError(f"k must be >= 0, got {k}")
+    _require(k >= 0, "k", "be >= 0", k)
     t = float(t0)
     for _ in range(k):
         t = coeffs.a * t + coeffs.b * t**3 + coeffs.c * t**5

@@ -1,4 +1,4 @@
-"""Muon and AdamW updates, the LR schedule, gradient clipping, and routing.
+"""Muon and AdamW updates, gradient clipping, and routing.
 
 The Muon step orthogonalizes the momentum buffer (exactly via SVD or
 iteratively via Newton-Schulz), rescales it so the update RMS matches what
@@ -19,26 +19,29 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInputError, NumericError, RangeError,
-                     ShapeError, _require)
+from .errors import (ConfigError, DegenerateInputError, NumericError, ShapeError,
+                     _require)
 from .linalg import F64, Matrix, svd
 from .msign import COEFF_PRESETS, _ns_orthogonalize, coefficient_preset, msign_exact
 
 _ZERO_MOMENTUM_TOL = 1e-12
 _NORM_EPS = 1e-12
 
+# The optimizer kinds, in the order a sweep trains and reports them.
+OPTIMIZER_KINDS = ("muon", "adamw")
+
 
 @dataclass(frozen=True)
 class OptimizerSpec:
     """Optimizer description: the one spec that run configurations,
-    `muon_step` and `OptimizerBank` read.
+    `muon_step`, `adamw_step` and `OptimizerBank` read.
 
     ``kind`` selects the optimizer for matrix parameters; vector parameters
-    always run AdamW. `muon_step` reads the Muon fields and ignores ``kind``
-    and the AdamW fields (``beta1``, ``beta2``, ``eps``); AdamW runs ignore
-    the Muon fields. ``weight_decay`` is the decay of `muon_step`;
-    `OptimizerBank` reads neither it nor ``eta0``. ``coeffs`` names a
-    preset of `COEFF_PRESETS`.
+    always run AdamW. `muon_step` reads the Muon fields, `adamw_step` the
+    AdamW fields (``beta1``, ``beta2``, ``eps``); both ignore ``kind`` and
+    take ``weight_decay`` as their decay. AdamW runs ignore the Muon
+    fields. `OptimizerBank` reads neither ``weight_decay`` nor ``eta0``.
+    ``coeffs`` names a preset of `COEFF_PRESETS`.
 
     ``rms_dim`` picks which dimension enters the 0.2 * sqrt(n) scale:
     'fan-out' uses the second dimension (parameters are fan_in x fan_out),
@@ -65,7 +68,7 @@ class OptimizerSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
-        _require(self.kind in ("muon", "adamw"), "kind", "be 'muon' or 'adamw'",
+        _require(self.kind in OPTIMIZER_KINDS, "kind", "be 'muon' or 'adamw'",
                  self.kind)
         # Every run has AdamW moments (vectors always take AdamW).
         _require(0.0 <= self.beta1 < 1.0, "beta1", "lie in [0, 1)", self.beta1)
@@ -102,32 +105,24 @@ class MuonState:
 
 @dataclass(frozen=True)
 class AdamWState:
-    """Per-parameter AdamW state: first/second moments and the step count."""
+    """Per-parameter AdamW state: first/second moments and the step count.
+    The betas and eps are the `OptimizerSpec`'s."""
 
     m: Matrix
     v: Matrix
     step_count: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.m.shape != self.v.shape:
             raise ShapeError("moment buffers must share a shape")
-        if self.step_count < 0:
-            raise RangeError(f"step_count must be >= 0, got {self.step_count}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise RangeError("betas must lie in [0, 1)")
-        _require(0.0 < self.eps < math.inf, "eps", "be positive and finite", self.eps)
+        _require(self.step_count >= 0, "step_count", "be >= 0", self.step_count)
         if np.any(self.v.a < 0.0):
             raise NumericError("second moment must be nonnegative")
 
     @staticmethod
-    def fresh(rows: int, cols: int, dtype=F64, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamWState":
+    def fresh(rows: int, cols: int, dtype=F64) -> "AdamWState":
         zero = Matrix.zeros(rows, cols, dtype=dtype)
-        return AdamWState(m=zero, v=zero, step_count=0,
-                          beta1=beta1, beta2=beta2, eps=eps)
+        return AdamWState(m=zero, v=zero, step_count=0)
 
 
 def _slice_norms(stack: np.ndarray) -> np.ndarray:
@@ -242,21 +237,19 @@ def muon_step(w: Matrix, g: Matrix, state: MuonState, spec: OptimizerSpec,
     return Matrix(new_w), MuonState(momentum=Matrix(new_mom))
 
 
-def adamw_step(w: Matrix, g: Matrix, state: AdamWState, eta_t: float,
-               weight_decay: float) -> tuple[Matrix, AdamWState]:
-    """One bias-corrected AdamW update with decoupled weight decay."""
+def adamw_step(w: Matrix, g: Matrix, state: AdamWState, spec: OptimizerSpec,
+               eta_t: float) -> tuple[Matrix, AdamWState]:
+    """One bias-corrected AdamW update with decoupled weight decay. It reads
+    the AdamW fields and ``weight_decay`` of ``spec``, whatever its
+    ``kind``."""
     if w.shape != g.shape or w.shape != state.m.shape:
         raise ShapeError(f"w {w.shape}, g {g.shape}, state {state.m.shape} must match")
     _require(0.0 <= eta_t < math.inf, "eta_t", "be finite and >= 0", eta_t)
-    _require(0.0 <= weight_decay < math.inf, "weight_decay", "be finite and >= 0",
-             weight_decay)
     new_w, m, v, t, _ = _adamw_core(
         w.a, g.a, state.m.a, state.v.a, state.step_count,
-        state.beta1, state.beta2, state.eps, eta_t, weight_decay,
+        spec.beta1, spec.beta2, spec.eps, eta_t, spec.weight_decay,
     )
-    new_state = AdamWState(m=Matrix(m), v=Matrix(v), step_count=t,
-                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return Matrix(new_w), new_state
+    return Matrix(new_w), AdamWState(m=Matrix(m), v=Matrix(v), step_count=t)
 
 
 def shampoo_direction(g: Matrix) -> np.ndarray:
@@ -283,58 +276,6 @@ def shampoo_step_oracle(w: Matrix, g: Matrix, eta_t: float) -> Matrix:
         raise ShapeError(f"w {w.shape} and g {g.shape} must match")
     _require(0.0 <= eta_t < math.inf, "eta_t", "be finite and >= 0", eta_t)
     return Matrix(w.a.astype(F64) - eta_t * shampoo_direction(g), dtype=w.dtype)
-
-
-SCHEDULE_KINDS = ("cosine-with-linear-warmup", "inverse-sqrt")
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Per-step learning rate: cosine decay with linear warmup, or eta0/sqrt(t).
-
-    ``warmup_fraction`` accepts [0, 0.02]; 0.005 to 0.02 is the recommended
-    band, 0 disables warmup. The inverse-sqrt kind ignores warmup and exists
-    for the convergence-rate check.
-    """
-
-    eta0: float
-    total_steps: int
-    warmup_fraction: float = 0.01
-    kind: str = "cosine-with-linear-warmup"
-    eta_min_fraction: float = 0.0
-
-    def __post_init__(self):
-        _require(0.0 < self.eta0 < math.inf, "eta0", "be positive and finite",
-                 self.eta0)
-        _require(self.total_steps >= 1, "total_steps", "be >= 1", self.total_steps)
-        _require(0.0 <= self.warmup_fraction <= 0.02, "warmup_fraction",
-                 "lie in [0, 0.02]", self.warmup_fraction)
-        _require(0.0 <= self.eta_min_fraction <= 0.01, "eta_min_fraction",
-                 "lie in [0, 0.01]", self.eta_min_fraction)
-        _require(self.kind in SCHEDULE_KINDS, "kind", f"be one of {SCHEDULE_KINDS}",
-                 self.kind)
-
-    @property
-    def warmup_steps(self) -> int:
-        return int(round(self.warmup_fraction * self.total_steps))
-
-
-def schedule_eta(sched: Schedule, step: int) -> float:
-    """Learning rate at an integer step in [0, total_steps]."""
-    if not 0 <= step <= sched.total_steps:
-        raise RangeError(
-            f"step must lie in [0, {sched.total_steps}], got {step}"
-        )
-    if sched.kind == "inverse-sqrt":
-        return sched.eta0 / math.sqrt(max(step, 1))
-    ws = sched.warmup_steps
-    if ws > 0 and step <= ws:
-        return sched.eta0 * (step / ws)
-    if sched.total_steps == ws:
-        return sched.eta0
-    progress = (step - ws) / (sched.total_steps - ws)
-    eta_min = sched.eta0 * sched.eta_min_fraction
-    return eta_min + (sched.eta0 - eta_min) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 def _sum_left(values: Iterable[float]) -> float:

@@ -32,6 +32,7 @@ from .harness import (
     SweepResult,
     TelescopeResult,
 )
+from .optim import OPTIMIZER_KINDS
 
 
 def _names(cls) -> tuple[str, ...]:
@@ -294,7 +295,7 @@ def _emit_sweep(result: SweepResult) -> dict[str, str]:
         x_label="batch size (samples)", y_label="ratio")
     b_star = max(result.batch_grid, default=None)
     at_b_star = {kind: result.records.get(f"{kind}-b{b_star}")
-                 for kind in ("muon", "adamw")}
+                 for kind in OPTIMIZER_KINDS}
     texts["loss_vs_tokens.svg"] = svg_line_plot(
         {f"{kind} (B={b_star})": _loss_curve(rec)
          for kind, rec in at_b_star.items() if rec is not None},

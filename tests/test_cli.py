@@ -359,6 +359,7 @@ class TestMsignCheck:
     @pytest.mark.parametrize("argv, flag", [
         (["--trials", "0"], "--trials"), (["--shape", "64"], "--shape"),
         (["--shape", "0x4"], "--shape"), (["--shape", "8x8x8"], "--shape"),
+        (["--k", "0"], "--k"),
     ])
     def test_bad_argument_exit_2_names_flag(self, capsys, argv, flag):
         # --trials 0 once printed its own line, without the flag's colon

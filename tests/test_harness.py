@@ -28,10 +28,12 @@ from muonlab.harness import (
     batch_sweep,
     loss_spike_count,
     rate_check,
+    schedule_eta,
     telescope_sweep,
     train,
 )
-from muonlab.linalg import Matrix, svd
+from muonlab.linalg import Matrix, spectral_norm_estimate, svd
+from muonlab.msign import msign_newton_schulz, quintic_orbit
 from muonlab.optim import (AdamWState, MuonState, OptimizerSpec, adamw_step,
                            clip_global_norm, muon_step, shampoo_step_oracle)
 from muonlab.tasks import MlpSpec, MlpTask, QuadraticSpec, QuadraticTask
@@ -675,11 +677,8 @@ NAN_ARGUMENTS = {
     "muon_step": ("eta_t", lambda: muon_step(
         _EYE, _EYE, MuonState.fresh(2, 2), OptimizerSpec(), math.nan)),
     "adamw_step-eta_t": ("eta_t", lambda: adamw_step(
-        _EYE, _EYE, AdamWState.fresh(2, 2), math.nan, 0.0)),
-    "adamw_step-weight_decay": ("weight_decay", lambda: adamw_step(
-        _EYE, _EYE, AdamWState.fresh(2, 2), 0.1, math.nan)),
+        _EYE, _EYE, AdamWState.fresh(2, 2), OptimizerSpec(), math.nan)),
     "shampoo_step_oracle": ("eta_t", lambda: shampoo_step_oracle(_EYE, _EYE, math.nan)),
-    "AdamWState": ("eps", lambda: AdamWState.fresh(2, 2, eps=math.nan)),
     "QuadraticTask": ("lambda_reg", lambda: QuadraticTask(a=_EYE, b=_EYE,
                                                           lambda_reg=math.nan)),
     "svd": ("rank_tol", lambda: svd(_EYE, math.nan)),
@@ -691,6 +690,26 @@ def test_nan_argument_is_named(call):
     """NaN fails every range check of the library API, which names the
     argument, as every config field's does."""
     argument, fn = NAN_ARGUMENTS[call]
+    with pytest.raises(RangeError) as exc:
+        fn()
+    assert exc.value.key_path == argument
+
+
+# (argument, call with it out of range) for the integer arguments of the
+# library API outside the config specs.
+RANGE_ARGUMENTS = {
+    "msign_newton_schulz": ("k", lambda: msign_newton_schulz(_EYE, k=0)),
+    "quintic_orbit": ("k", lambda: quintic_orbit(0.5, k=-1)),
+    "spectral_norm_estimate": ("iters", lambda: spectral_norm_estimate(_EYE, 0)),
+    "schedule_eta": ("step", lambda: schedule_eta(quad_config(), 101)),
+    "AdamWState": ("step_count", lambda: AdamWState(
+        m=_EYE, v=_EYE, step_count=-1)),
+}
+
+
+@pytest.mark.parametrize("call", RANGE_ARGUMENTS)
+def test_out_of_range_argument_is_named(call):
+    argument, fn = RANGE_ARGUMENTS[call]
     with pytest.raises(RangeError) as exc:
         fn()
     assert exc.value.key_path == argument

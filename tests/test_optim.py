@@ -8,23 +8,22 @@ import numpy as np
 import pytest
 
 from muonlab.errors import RangeError, ShapeError
+from muonlab.harness import SCHEDULE_KINDS, TrainConfig, schedule_eta
 from muonlab.linalg import Matrix, Rng
 from muonlab.msign import COEFF_PRESETS, TAYLOR_COEFFS, msign_exact
 from muonlab.optim import (
-    SCHEDULE_KINDS,
     AdamWState,
     MuonState,
     OptimizerBank,
     OptimizerSpec,
-    Schedule,
     adamw_step,
     clip_global_norm,
     muon_step,
     route_parameter,
-    schedule_eta,
     shampoo_direction,
     shampoo_step_oracle,
 )
+from muonlab.tasks import QuadraticSpec
 from muonlab.optim import (_clip_grad_arrays, _muon_core, _muon_direction, _rms_scale,
                            _slice_norms, _sum_left, _sum_squares)
 
@@ -166,8 +165,8 @@ class TestAdamWStep:
 
         state = AdamWState.fresh(1, 1)
         new_w, new_state = adamw_step(Matrix(np.array([[w0]])),
-                                      Matrix(np.array([[g0]])),
-                                      state, eta_t=eta, weight_decay=lam)
+                                      Matrix(np.array([[g0]])), state,
+                                      OptimizerSpec(weight_decay=lam), eta_t=eta)
         assert abs(new_w.a[0, 0] - want) < 1e-15
         assert new_state.step_count == 1
         assert abs(new_state.m.a[0, 0] - m1) < 1e-15
@@ -176,8 +175,8 @@ class TestAdamWStep:
     def test_pure_decay_with_zero_gradient(self):
         w = Matrix.identity(2)
         g = Matrix.zeros(2, 2)
-        new_w, _ = adamw_step(w, g, AdamWState.fresh(2, 2), eta_t=0.5,
-                              weight_decay=0.2)
+        new_w, _ = adamw_step(w, g, AdamWState.fresh(2, 2),
+                              OptimizerSpec(weight_decay=0.2), eta_t=0.5)
         np.testing.assert_allclose(new_w.a, (1.0 - 0.5 * 0.2) * np.eye(2),
                                    atol=1e-15)
 
@@ -185,7 +184,7 @@ class TestAdamWStep:
         # With eps tiny, the first update is close to eta * sign(g).
         g = make_matrix(3, 3, seed=4)
         new_w, _ = adamw_step(Matrix.zeros(3, 3), g, AdamWState.fresh(3, 3),
-                              eta_t=0.01, weight_decay=0.0)
+                              OptimizerSpec(weight_decay=0.0), eta_t=0.01)
         np.testing.assert_allclose(new_w.a, -0.01 * np.sign(g.a), atol=1e-6)
 
 
@@ -209,50 +208,104 @@ class TestShampooEquivalence:
         assert rel < 1e-6
 
 
+def schedule(eta0, total_steps, **fields):
+    """A run config that carries only a learning-rate schedule."""
+    return TrainConfig(task=QuadraticSpec(), optimizer=OptimizerSpec(eta0=eta0),
+                       total_steps=total_steps, eval_every=1, **fields)
+
+
+# schedule_eta at eta0 = 0.3, at steps (0, 1, ws, ws + 1, total // 3, total)
+# where ws = round(warmup_fraction * total), recorded as float literals so
+# that a change which moves any bit fails. Keyed (kind, warmup_fraction,
+# eta_min_fraction, total_steps); inverse-sqrt reads only total_steps.
+_COSINE, _INV_SQRT = SCHEDULE_KINDS
+SCHEDULE_PINS = {
+    (_COSINE, 0.0, 0.0, 100): (0.3, 0.2999259840548597, 0.3, 0.2999259840548597,
+                               0.22635621236255568, 0.0),
+    (_COSINE, 0.0, 0.01, 100): (0.3, 0.29992672421431116, 0.3, 0.29992672421431116,
+                                0.22709265023893013, 0.003),
+    (_COSINE, 0.01, 0.0, 100): (0.0, 0.3, 0.3, 0.2999244813574778,
+                                0.22908382014157536, 0.0),
+    (_COSINE, 0.01, 0.01, 100): (0.0, 0.3, 0.3, 0.299925236543903,
+                                 0.2297929819401596, 0.003),
+    (_COSINE, 0.02, 0.0, 100): (0.0, 0.15, 0.3, 0.29992293243010315,
+                                0.23183023518158227, 0.0),
+    (_COSINE, 0.02, 0.01, 100): (0.0, 0.15, 0.3, 0.29992370310580213,
+                                 0.23251193282976645, 0.003),
+    (_COSINE, 0.0, 0.0, 2000): (0.3, 0.2999998149449555, 0.3, 0.2999998149449555,
+                                0.22513599380410648, 0.0),
+    (_COSINE, 0.0, 0.01, 2000): (0.3, 0.29999981679550597, 0.3, 0.29999981679550597,
+                                 0.22588463386606542, 0.003),
+    (_COSINE, 0.01, 0.0, 2000): (0.0, 0.015, 0.3, 0.29999981118758934,
+                                 0.2278668497381718, 0.0),
+    (_COSINE, 0.01, 0.01, 2000): (0.0, 0.015, 0.3, 0.29999981307571344,
+                                  0.22858818124079008, 0.003),
+    (_COSINE, 0.02, 0.0, 2000): (0.0, 0.0075, 0.3, 0.2999998073146159,
+                                 0.23061747052112494, 0.0),
+    (_COSINE, 0.02, 0.01, 2000): (0.0, 0.0075, 0.3, 0.29999980924146974,
+                                  0.2313112958159137, 0.003),
+    (_INV_SQRT, 0.01, 0.0, 100): (0.3, 0.3, 0.3, 0.21213203435596423,
+                                  0.05222329678670935, 0.03),
+    (_INV_SQRT, 0.01, 0.0, 2000): (0.3, 0.3, 0.06708203932499368, 0.06546536707079771,
+                                   0.011624763874381928, 0.006708203932499369),
+}
+
+
 class TestSchedule:
     def test_kinds_constant(self):
         assert SCHEDULE_KINDS == ("cosine-with-linear-warmup", "inverse-sqrt")
 
+    @pytest.mark.parametrize("key", SCHEDULE_PINS,
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_bit_for_bit(self, key):
+        # The byte gate trains only the default cosine and inverse-sqrt;
+        # these pins cover every branch of the arithmetic, warmup and
+        # floor included.
+        kind, warmup, floor, total = key
+        config = schedule(0.3, total, schedule_kind=kind, warmup_fraction=warmup,
+                          eta_min_fraction=floor)
+        ws = int(round(warmup * total))
+        steps = (0, 1, ws, ws + 1, total // 3, total)
+        assert [schedule_eta(config, t) for t in steps] == list(SCHEDULE_PINS[key])
+
     def test_cosine_endpoints_and_warmup(self):
-        sched = Schedule(eta0=0.4, total_steps=200, warmup_fraction=0.01)
-        ws = sched.warmup_steps
-        assert ws == 2
-        assert schedule_eta(sched, 0) == 0.0
-        assert schedule_eta(sched, 1) == pytest.approx(0.2)
-        assert schedule_eta(sched, ws) == pytest.approx(0.4)
-        assert schedule_eta(sched, 200) == pytest.approx(0.0, abs=1e-16)
+        config = schedule(0.4, 200, warmup_fraction=0.01)
+        ws = 2
+        assert schedule_eta(config, 0) == 0.0
+        assert schedule_eta(config, 1) == pytest.approx(0.2)
+        assert schedule_eta(config, ws) == pytest.approx(0.4)
+        assert schedule_eta(config, 200) == pytest.approx(0.0, abs=1e-16)
         mid = ws + (200 - ws) // 2
-        assert schedule_eta(sched, mid) == pytest.approx(
+        assert schedule_eta(config, mid) == pytest.approx(
             0.4 * 0.5 * (1 + math.cos(math.pi * (mid - ws) / (200 - ws))))
 
     def test_cosine_floor(self):
-        sched = Schedule(eta0=1.0, total_steps=100, warmup_fraction=0.0,
-                         eta_min_fraction=0.01)
-        assert schedule_eta(sched, 100) == pytest.approx(0.01)
+        config = schedule(1.0, 100, warmup_fraction=0.0, eta_min_fraction=0.01)
+        assert schedule_eta(config, 100) == pytest.approx(0.01)
 
     def test_inverse_sqrt(self):
-        sched = Schedule(eta0=0.3, total_steps=100, kind="inverse-sqrt")
-        assert schedule_eta(sched, 0) == 0.3
-        assert schedule_eta(sched, 1) == 0.3
-        assert schedule_eta(sched, 4) == pytest.approx(0.15)
-        assert schedule_eta(sched, 100) == pytest.approx(0.03)
+        config = schedule(0.3, 100, schedule_kind="inverse-sqrt")
+        assert schedule_eta(config, 0) == 0.3
+        assert schedule_eta(config, 1) == 0.3
+        assert schedule_eta(config, 4) == pytest.approx(0.15)
+        assert schedule_eta(config, 100) == pytest.approx(0.03)
 
     def test_monotone_after_warmup(self):
-        sched = Schedule(eta0=1.0, total_steps=500, warmup_fraction=0.02)
-        etas = [schedule_eta(sched, t) for t in range(sched.warmup_steps, 501)]
+        config = schedule(1.0, 500, warmup_fraction=0.02)
+        etas = [schedule_eta(config, t) for t in range(10, 501)]
         assert all(b <= a + 1e-15 for a, b in zip(etas, etas[1:]))
 
     def test_validation(self):
         with pytest.raises(RangeError):
-            Schedule(eta0=0.0, total_steps=10)
+            OptimizerSpec(eta0=0.0)
         with pytest.raises(RangeError):
-            Schedule(eta0=0.1, total_steps=10, warmup_fraction=0.5)
+            schedule(0.1, 10, warmup_fraction=0.5)
         with pytest.raises(RangeError):
-            Schedule(eta0=0.1, total_steps=10, eta_min_fraction=0.5)
+            schedule(0.1, 10, eta_min_fraction=0.5)
         with pytest.raises(RangeError):
-            Schedule(eta0=0.1, total_steps=10, kind="linear")
+            schedule(0.1, 10, schedule_kind="linear")
         with pytest.raises(RangeError):
-            schedule_eta(Schedule(eta0=0.1, total_steps=10), 11)
+            schedule_eta(schedule(0.1, 10), 11)
 
 
 class TestClip:
