@@ -13,11 +13,12 @@ script makes the config of every benchmark workload at every config seed of
 quadratic in f64, and the telescope's MLP in f32, whose 16x64 matrix runs
 every Muon variant), the telescope config at ``"precision": "f32"``,
 since every workload runs in f64, and an f32 quadratic ``train`` config
-that takes the quadratic's paths no other config takes (56 configs in
-all).
+that takes the quadratic's paths no other config takes, plus three
+``msign-check`` runs, which take flags and no config (59 configs in all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
-output and every file of the output directory byte for byte. Both sides
+output and every file of the output directory byte for byte (an
+``msign-check`` run writes none). Both sides
 run in directories of the same shape, with a relative output path, so
 their standard outputs name the same files. Their standard errors are
 written once both have ended, the parent's first, and must be empty: a
@@ -93,43 +94,57 @@ def quadratic_f32_config(seed: int, out_dir: str) -> dict:
     }
 
 
+# msign-check at its default flags and at three steps (both exit 1: a
+# standard normal input has singular values too small to reach the band),
+# and on a wide shape under the other preset (exit 0).
+MSIGN_CHECK_FLAGS = ([],
+                     ["--shape", "32x128", "--preset", "taylor", "--trials", "30"],
+                     ["--k", "3", "--trials", "10"])
+
+
 def configs(reference: dict):
-    """(name, muonlab command, config document) of every config checked."""
+    """(name, muonlab arguments, config document or None) of every config
+    checked; a document is passed as ``--config``."""
+    for flags in MSIGN_CHECK_FLAGS:
+        args = ["msign-check", *flags]
+        yield " ".join(args), args, None
     for name, workload in WORKLOADS.items():
         for seed in reference["seeds"]:
             target = reference["sweep_targets"].get(str(seed))
-            yield (f"{name} seed {seed}", workload.command,
+            yield (f"{name} seed {seed}", [workload.command],
                    make_config(name, seed, "out", target))
     for seed in reference["seeds"]:
-        yield f"ablate seed {seed}", "ablate", ablate_config(seed, "out")
+        yield f"ablate seed {seed}", ["ablate"], ablate_config(seed, "out")
     for seed in reference["seeds"]:
-        yield (f"ablate-mlp f32 seed {seed}", "ablate",
+        yield (f"ablate-mlp f32 seed {seed}", ["ablate"],
                mlp_ablate_config(seed, "out"))
     for seed in reference["seeds"]:
-        yield (f"telescope-mlp f32 seed {seed}", "telescope",
+        yield (f"telescope-mlp f32 seed {seed}", ["telescope"],
                dict(make_config("telescope-mlp", seed, "out"), precision="f32"))
     for seed in reference["seeds"]:
-        yield (f"train-quadratic f32 seed {seed}", "train",
+        yield (f"train-quadratic f32 seed {seed}", ["train"],
                quadratic_f32_config(seed, "out"))
 
 
-def start_side(src: str, side_dir: str, command: str, doc: dict):
+def start_side(src: str, side_dir: str, args: list, doc):
     """Start one config under the package in ``src``; returns the process."""
     os.makedirs(side_dir)
-    cfg = os.path.join(side_dir, "config.json")
-    with open(cfg, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    if doc is not None:
+        cfg = os.path.join(side_dir, "config.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        args = args + ["--config", cfg]
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.Popen(
-        [sys.executable, "-m", "muonlab.cli", command, "--config", cfg],
+        [sys.executable, "-m", "muonlab.cli", *args],
         cwd=side_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def run_sides(sides, side_dirs, command: str, doc: dict):
+def run_sides(sides, side_dirs, args: list, doc):
     """Run one config under each package at once; returns each side's
     (code, stdout, stderr), after writing their standard errors in side
     order."""
-    procs = [start_side(src, d, command, doc) for src, d in zip(sides, side_dirs)]
+    procs = [start_side(src, d, args, doc) for src, d in zip(sides, side_dirs)]
     outputs = [proc.communicate() for proc in procs]  # a few lines each
     for _stdout, stderr in outputs:
         sys.stderr.write(stderr.decode(errors="replace"))
@@ -193,10 +208,10 @@ def main(argv=None) -> int:
     work = tempfile.mkdtemp(prefix="same_outputs-")  # under $TMPDIR
     try:
         checked = 0
-        for name, command, doc in configs(reference):
+        for name, args, doc in configs(reference):
             config_dir = os.path.join(work, name.replace(" ", "-"))
             a_dir, b_dir = (os.path.join(config_dir, s) for s in ("a", "b"))
-            a_run, b_run = run_sides(sides, (a_dir, b_dir), command, doc)
+            a_run, b_run = run_sides(sides, (a_dir, b_dir), args, doc)
             diff = first_difference(a_dir, b_dir, a_run, b_run)
             if diff is not None:
                 print(f"DIFFERS {name}: {diff}")

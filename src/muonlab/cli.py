@@ -29,8 +29,9 @@ from .config import (
 )
 from .errors import ConfigError, MuonlabError, RangeError
 from .harness import ablate, batch_sweep, telescope_sweep, train
-from .linalg import Matrix, Rng
-from .msign import COEFF_PRESETS, SPECTRUM_BAND, coefficient_preset, msign_newton_schulz
+from .linalg import _DTYPES, Matrix, Rng
+from .msign import (COEFF_PRESETS, SPECTRUM_BAND, _band_excess, coefficient_preset,
+                    msign_newton_schulz)
 from .reports import emit_reports
 
 
@@ -51,7 +52,6 @@ def _cmd_msign_check(args) -> int:
         raise ConfigError(f"must be >= 1, got {args.trials}", key_path="--trials")
     rows, cols = _parse_shape(args.shape)
     coeffs = coefficient_preset(args.preset)
-    lo, hi = SPECTRUM_BAND
     root = Rng(args.seed)
 
     overall_min = float("inf")
@@ -74,8 +74,8 @@ def _cmd_msign_check(args) -> int:
         overall_min = min(overall_min, smin)
         overall_max = max(overall_max, smax)
         worst_dev = max(worst_dev, report.deviation_from_oracle)
-        outside = max(lo - smin, smax - hi)
-        if outside >= 0.0:
+        outside = _band_excess(smin, smax)
+        if outside is not None:
             violations += 1
             if worst_trial is None or outside > worst_trial[0]:
                 worst_trial = (outside, t, child.seed, smin, smax)
@@ -87,12 +87,12 @@ def _cmd_msign_check(args) -> int:
     print(f"  max relative deviation from exact msign: {worst_dev:.6e}")
     if violations:
         _, idx, child_seed, smin, smax = worst_trial
-        print(f"  band ({lo}, {hi}): {violations} of {args.trials} trials "
+        print(f"  band {SPECTRUM_BAND}: {violations} of {args.trials} trials "
               f"violated")
         print(f"  worst trial: index={idx} matrix_seed={child_seed} "
               f"min={smin:.6f} max={smax:.6f}")
         return 1
-    print(f"  band ({lo}, {hi}): all {args.trials} trials inside")
+    print(f"  band {SPECTRUM_BAND}: all {args.trials} trials inside")
     return 0
 
 
@@ -168,7 +168,7 @@ def _add_config_args(sub) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     sub.add_argument("--out", default=None, help="override the output directory")
-    sub.add_argument("--precision", choices=("f32", "f64"), default=None,
+    sub.add_argument("--precision", choices=tuple(_DTYPES), default=None,
                      help="override the config precision")
 
 

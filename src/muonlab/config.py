@@ -277,13 +277,3 @@ def parse_telescope_config(doc: dict, overrides: dict | None = None,
     _check_f32(config, {"telescope.grid.eta_center": top_eta,
                         "telescope.grid.lambda_center": top_lambda})
     return config, start, end, grid, out_dir
-
-
-__all__ = [
-    "StrictSection",
-    "load_config",
-    "parse_ablate_config",
-    "parse_sweep_config",
-    "parse_telescope_config",
-    "parse_train_config",
-]

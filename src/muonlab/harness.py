@@ -988,26 +988,3 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
                   "widths": [s.width for s in stages]}
     return TelescopeResult(start_width=start_width, end_width=end_width,
                            stages=tuple(stages), provenance=provenance)
-
-
-__all__ = [
-    "ABLATION_CELLS",
-    "AblationCell",
-    "AblationTable",
-    "ETA_TUNING_MULTIPLIERS",
-    "EvalRow",
-    "RunRecord",
-    "STOP_RULES",
-    "SweepCell",
-    "SweepResult",
-    "TelescopeGrid",
-    "TelescopeResult",
-    "TelescopeStage",
-    "TrainConfig",
-    "ablate",
-    "batch_sweep",
-    "loss_spike_count",
-    "rate_check",
-    "telescope_sweep",
-    "train",
-]

@@ -28,16 +28,15 @@ class NsCoefficients:
     a: float
     b: float
     c: float
-    label: str = ""
 
 
 # Tuned for speed on small singular values: the slope at zero is a = 3.4445,
 # at the price of a fixed point below one (a + b + c = 0.701).
-OPTIMIZED_COEFFS = NsCoefficients(3.4445, -4.7750, 2.0315, label="optimized")
+OPTIMIZED_COEFFS = NsCoefficients(3.4445, -4.7750, 2.0315)
 
 # Matched to the Taylor expansion of the inverse square root: monotone on
 # [0, 1] with p(1) = 1 exactly, but much slower on small singular values.
-TAYLOR_COEFFS = NsCoefficients(15.0 / 8.0, -5.0 / 4.0, 3.0 / 8.0, label="taylor")
+TAYLOR_COEFFS = NsCoefficients(15.0 / 8.0, -5.0 / 4.0, 3.0 / 8.0)
 
 COEFF_PRESETS = {
     "optimized": OPTIMIZED_COEFFS,
@@ -188,6 +187,15 @@ def quintic_orbit(t0: float, coeffs: NsCoefficients = OPTIMIZED_COEFFS,
     return t
 
 
+def _band_excess(smin: float, smax: float,
+                 band: tuple[float, float] = SPECTRUM_BAND) -> float | None:
+    """How far the spectrum [smin, smax] reaches outside the open band (0.0
+    when it touches an edge), or None when it lies inside."""
+    lo, hi = band
+    outside = max(lo - smin, smax - hi)
+    return outside if outside >= 0.0 else None
+
+
 def band_violation(m: Matrix, coeffs: NsCoefficients = OPTIMIZED_COEFFS,
                    k: int = 5, band: tuple[float, float] = SPECTRUM_BAND) -> tuple[bool, float, float]:
     """Check whether all singular values of X_k stay inside the open band.
@@ -195,23 +203,6 @@ def band_violation(m: Matrix, coeffs: NsCoefficients = OPTIMIZED_COEFFS,
     Returns (violated, sigma_min, sigma_max) for one input matrix.
     """
     report = msign_newton_schulz(m, coeffs, k, compute_spectrum=True)
-    lo, hi = band
     smin = report.singular_value_min
     smax = report.singular_value_max
-    return (not (lo < smin and smax < hi), smin, smax)
-
-
-__all__ = [
-    "NsCoefficients",
-    "OPTIMIZED_COEFFS",
-    "TAYLOR_COEFFS",
-    "COEFF_PRESETS",
-    "SPECTRUM_BAND",
-    "coefficient_preset",
-    "MsignReport",
-    "msign_exact",
-    "newton_schulz_step",
-    "msign_newton_schulz",
-    "quintic_orbit",
-    "band_violation",
-]
+    return (_band_excess(smin, smax, band) is not None, smin, smax)

@@ -202,20 +202,21 @@ def _muon_core(w: np.ndarray, g: np.ndarray, momentum: np.ndarray,
 
 
 def _adamw_core(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                step_count: int, beta1: float, beta2: float, eps: float,
-                eta_t, weight_decay,
+                step_count: int, spec: OptimizerSpec, eta_t, weight_decay,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """One AdamW step on raw arrays; returns (new_w, m, v, t, update).
+    """One AdamW step on raw arrays, with the AdamW fields of ``spec``;
+    returns (new_w, m, v, t, update).
 
     Elementwise, so the arrays may be stacks and ``eta_t`` and
     ``weight_decay`` per-run arrays that broadcast.
     """
+    beta1, beta2 = spec.beta1, spec.beta2
     t = step_count + 1
     m = beta1 * m + (1.0 - beta1) * g
     v = beta2 * v + (1.0 - beta2) * (g * g)
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    update = eta_t * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
+    update = eta_t * (m_hat / (np.sqrt(v_hat) + spec.eps) + weight_decay * w)
     return w - update, m, v, t, update
 
 
@@ -246,8 +247,8 @@ def adamw_step(w: Matrix, g: Matrix, state: AdamWState, spec: OptimizerSpec,
         raise ShapeError(f"w {w.shape}, g {g.shape}, state {state.m.shape} must match")
     _require(0.0 <= eta_t < math.inf, "eta_t", "be finite and >= 0", eta_t)
     new_w, m, v, t, _ = _adamw_core(
-        w.a, g.a, state.m.a, state.v.a, state.step_count,
-        spec.beta1, spec.beta2, spec.eps, eta_t, spec.weight_decay,
+        w.a, g.a, state.m.a, state.v.a, state.step_count, spec, eta_t,
+        spec.weight_decay,
     )
     return Matrix(new_w), AdamWState(m=Matrix(m), v=Matrix(v), step_count=t)
 
@@ -361,8 +362,7 @@ class OptimizerBank:
                  run_decays: Sequence[float], dtype=F64):
         _require(bool(run_decays) and all(0.0 <= d < math.inf for d in run_decays),
                  "run_decays", "be nonempty, finite and >= 0", run_decays)
-        self._muon = spec if spec.kind == "muon" else None
-        self._betas = (spec.beta1, spec.beta2, spec.eps)
+        self._spec = spec
         self._dtype = dtype
         self._decay = np.array(run_decays, dtype=dtype)
         self._decayed = {name for name, shape in shapes.items()
@@ -375,7 +375,7 @@ class OptimizerBank:
         self._state_scalars = 0
         for name, shape in shapes.items():
             stacked = (len(self._decay), *shape)
-            if name in self._decayed and self._muon is not None:
+            if name in self._decayed and spec.kind == "muon":
                 self._mom[name] = np.zeros(stacked, dtype=dtype)
                 self._state_scalars += math.prod(shape)
             else:
@@ -386,7 +386,6 @@ class OptimizerBank:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              eta_t: Sequence[float]) -> dict[str, np.ndarray]:
         """Apply one update to every parameter stack; returns the new dict."""
-        beta1, beta2, eps = self._betas
         eta = np.array(eta_t, dtype=self._dtype)
         t = self._t
         self._t += 1
@@ -398,13 +397,13 @@ class OptimizerBank:
             col = (-1,) + (1,) * (w.ndim - 1)
             decay = self._decay.reshape(col) if name in self._decayed else 0.0
             if name in self._mom:
-                new_w, new_mom, update = _muon_core(w, g, self._mom[name], self._muon,
+                new_w, new_mom, update = _muon_core(w, g, self._mom[name], self._spec,
                                                     eta.reshape(col), decay)
                 self._mom[name] = new_mom
             else:
                 new_w, self._m[name], self._v[name], _, update = _adamw_core(
-                    w, g, self._m[name], self._v[name], t,
-                    beta1, beta2, eps, eta.reshape(col), decay,
+                    w, g, self._m[name], self._v[name], t, self._spec,
+                    eta.reshape(col), decay,
                 )
             new_params[name] = new_w
             updates.append(update)

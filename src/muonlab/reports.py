@@ -32,7 +32,6 @@ from .harness import (
     SweepResult,
     TelescopeResult,
 )
-from .optim import OPTIMIZER_KINDS
 
 
 def _names(cls) -> tuple[str, ...]:
@@ -294,11 +293,9 @@ def _emit_sweep(result: SweepResult) -> dict[str, str]:
         title="Token-consumption ratio vs batch size",
         x_label="batch size (samples)", y_label="ratio")
     b_star = max(result.batch_grid, default=None)
-    at_b_star = {kind: result.records.get(f"{kind}-b{b_star}")
-                 for kind in OPTIMIZER_KINDS}
     texts["loss_vs_tokens.svg"] = svg_line_plot(
-        {f"{kind} (B={b_star})": _loss_curve(rec)
-         for kind, rec in at_b_star.items() if rec is not None},
+        {f"{c.optimizer} (B={b_star})": _loss_curve(result.records[c.run_id])
+         for c in result.cells if c.batch_size == b_star},
         title="Validation loss vs tokens",
         x_label="tokens (samples)", y_label="val loss")
     # every field but the per-run detail, with the ratios keyed (and sorted)
@@ -361,16 +358,3 @@ def emit_reports(result, out_dir: str) -> list[str]:
         paths.append(os.path.join(out_dir, name))
         _atomic_write_text(paths[-1], text)
     return paths
-
-
-__all__ = [
-    "RUN_CSV_COLUMNS",
-    "SUMMARY_CSV_COLUMNS",
-    "emit_reports",
-    "format_value",
-    "read_run_csv",
-    "run_csv_text",
-    "summary_csv_text",
-    "svg_line_plot",
-    "write_run_csv",
-]

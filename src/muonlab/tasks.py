@@ -14,7 +14,7 @@ the one list of task kinds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class QuadraticTask(_Task):
     noise_sigma: float = 0.0
     reg_in_gradient: bool = True
     init_scale: float = 0.0
-    name: str = field(default="quadratic", init=False)
 
     # No held-out split: the objective is its own validation metric, and
     # grad_check probes all of it.
@@ -311,7 +310,6 @@ class MlpTask(_Task):
     train_idx: np.ndarray
     val_idx: np.ndarray
     noise_sigma: float = 0.0
-    name: str = field(default="mlp", init=False)
 
     @staticmethod
     def generate(spec: MlpSpec, rng: Rng) -> "MlpTask":

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muonlab.errors import RangeError, ShapeError
 from muonlab.harness import SCHEDULE_KINDS, TrainConfig, schedule_eta
@@ -601,3 +603,73 @@ class TestStackedCores:
         for bad in (math.nan, math.inf):
             with pytest.raises(RangeError):
                 OptimizerBank({"w": (2, 2)}, adamw, run_decays=[bad])
+
+
+# The paper's quintic coefficients, written out rather than read from the
+# presets, so a change to the kernel's coefficients fails the bound below.
+PAPER_ABC = (3.4445, -4.7750, 2.0315)
+
+
+def quintic_peak(a: float, b: float, c: float) -> float:
+    """p(t-), the local maximum of p(t) = a t + b t^3 + c t^5: t-^2 is the
+    smaller root u of 5c u^2 + 3b u + a = 0, where p'(sqrt(u)) = 0. For the
+    paper's (a, b, c), p maps [0, p(t-)] into itself, so NS from a start
+    with sigma_max <= 1 never exceeds p(t-)."""
+    u = (-3.0 * b - math.sqrt(9.0 * b * b - 20.0 * a * c)) / (10.0 * c)
+    t = math.sqrt(u)
+    return a * t + b * t**3 + c * t**5
+
+
+@st.composite
+def momentum_stacks(draw):
+    """An f64 momentum stack (R, m, n), R = 1-4 and m, n = 2-16, at an
+    overall scale of 1e-8 to 1e8; each slice is Gaussian, zero, rank one,
+    or Gaussian with one column scaled by 1e6."""
+    runs, rows, cols = (draw(st.integers(lo, hi))
+                        for lo, hi in ((1, 4), (2, 16), (2, 16)))
+    stack = Rng(draw(st.integers(0, 2**32 - 1))).normal((runs, rows, cols))
+    for s in stack:
+        kind = draw(st.sampled_from(("gaussian", "zero", "rank-one", "column")))
+        if kind == "zero":
+            s[:] = 0.0
+        elif kind == "rank-one":
+            s[:] = np.outer(s[:, 0], s[0])
+        elif kind == "column":
+            s[:, draw(st.integers(0, cols - 1))] *= 1e6
+    return stack * 10.0 ** draw(st.floats(-8.0, 8.0))
+
+
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+class TestMuonDirectionBound:
+    """The spectral norm of the Muon direction is bounded whatever the
+    momentum's scale or rank (the paper's claim (ii))."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stack=momentum_stacks())
+    def test_newton_schulz_direction_stays_below_the_quintic_peak(self, stack):
+        peak = quintic_peak(*PAPER_ABC)
+        assert peak == pytest.approx(1.2023686, abs=1e-7)
+        u = _muon_direction(stack, OptimizerSpec(coeffs="optimized", k_iters=5))
+        assert spectral_norms(u).max() <= peak + 1e-9
+
+    @pytest.mark.parametrize("spec", [OptimizerSpec(coeffs="taylor"),
+                                      OptimizerSpec(momentum_only=True)],
+                             ids=["taylor", "momentum-only"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stack=momentum_stacks())
+    def test_monotone_directions_stay_at_or_below_one(self, spec, stack):
+        assert spectral_norms(_muon_direction(stack, spec)).max() <= 1.0 + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stack=momentum_stacks(), log_c=st.floats(-3.0, 3.0))
+    def test_direction_is_scale_invariant(self, stack, log_c):
+        # The 1e-12 added to each slice's norm breaks exact invariance, by
+        # a relative 1e-10 at most on slices of norm >= 1e-2 at both scales.
+        c = 10.0 ** log_c
+        spec = OptimizerSpec()
+        base, scaled = _muon_direction(stack, spec), _muon_direction(c * stack, spec)
+        kept = np.linalg.norm(stack, axis=(-2, -1)) * min(1.0, c) >= 1e-2
+        np.testing.assert_allclose(scaled[kept], base[kept], rtol=0.0, atol=1e-8)

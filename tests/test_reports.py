@@ -277,6 +277,13 @@ class TestEmitReports:
         self.assert_clean_dir(out, paths)
         with open(os.path.join(out, "summary.csv")) as fh:
             assert len(fh.read().splitlines()) == 1 + 4
+        # The loss plot draws the largest batch size's two runs only.
+        with open(os.path.join(out, "loss_vs_tokens.svg")) as fh:
+            svg = fh.read()
+        assert svg.count("<polyline") == 2
+        assert re.findall(r">(\w+ \(B=\d+\))</text>", svg) == [
+            "muon (B=128)", "adamw (B=128)"]
+        assert "B=32" not in svg
 
     def test_empty_sweep_emits_header_only_summary(self, tmp_path):
         res = SweepResult(batch_grid=(), target_loss=1.0, cells=(),
