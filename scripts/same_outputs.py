@@ -12,9 +12,10 @@ script makes the config of every benchmark workload at every config seed of
 ``ablate`` configs, since no workload runs that command (the acceptance
 quadratic in f64, and the telescope's MLP in f32, whose 16x64 matrix runs
 every Muon variant), the telescope config at ``"precision": "f32"``,
-since every workload runs in f64, and an f32 quadratic ``train`` config
-that takes the quadratic's paths no other config takes, plus three
-``msign-check`` runs, which take flags and no config (59 configs in all).
+since every workload runs in f64, an f32 quadratic ``train`` config
+that takes the quadratic's paths no other config takes, and a relu MLP
+``train`` config under gradient noise, plus three ``msign-check`` runs,
+which take flags and no config (67 configs in all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte (an
@@ -94,6 +95,19 @@ def quadratic_f32_config(seed: int, out_dir: str) -> dict:
     }
 
 
+def mlp_relu_noise_config(seed: int, out_dir: str) -> dict:
+    """An MLP with relu activations trained under gradient noise: the two
+    MLP knobs no other config sets."""
+    return {
+        "task": {"kind": "mlp", "n_samples": 512, "input_dim": 16,
+                 "hidden": [32, 32], "classes": 4, "activation": "relu",
+                 "noise_sigma": 0.01},
+        "optimizer": {"kind": "muon", "eta0": 0.05, "lambda": 0.1},
+        "batch_size": 32, "total_steps": 100, "eval_every": 10,
+        "seed": seed, "out_dir": out_dir,
+    }
+
+
 # msign-check at its default flags and at three steps (both exit 1: a
 # standard normal input has singular values too small to reach the band),
 # and on a wide shape under the other preset (exit 0).
@@ -124,6 +138,9 @@ def configs(reference: dict):
     for seed in reference["seeds"]:
         yield (f"train-quadratic f32 seed {seed}", ["train"],
                quadratic_f32_config(seed, "out"))
+    for seed in reference["seeds"]:
+        yield (f"train-mlp relu noise seed {seed}", ["train"],
+               mlp_relu_noise_config(seed, "out"))
 
 
 def start_side(src: str, side_dir: str, args: list, doc):

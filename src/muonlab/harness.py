@@ -462,7 +462,7 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                              [0.0], [0.0])
     stack.start(row0)
 
-    noise_sigma = float(task.noise_sigma)
+    noise_sigma = float(first.task.noise_sigma)
     try:
         for step in range(1, first.total_steps + 1):
             if not stack.live:
@@ -779,8 +779,6 @@ class AblationTable:
 
 
 def _ablation_config(base: TrainConfig, name: str) -> TrainConfig:
-    if name not in _ABLATIONS:
-        raise ConfigError(f"unknown ablation cell {name!r}")
     change = _ABLATIONS[name]
     fields, factor = (change, 1) if isinstance(change, dict) else ({}, change)
     return replace(base, optimizer=replace(base.optimizer, **fields),

@@ -5,10 +5,10 @@ minimizer, and a small Gaussian-mixture MLP classifier with hand-written
 backpropagation. Throughout the harness, "tokens" means samples consumed;
 one sample is one token.
 
-Both keep one contract: each defines its data and one objective core,
-and `_Task` writes the harness surface once over that core. `grad_check`
-probes the core, and `build_task` finds a spec's task in ``_TASK_OF``,
-the one list of task kinds.
+Both keep one contract: each holds its spec and its data and defines one
+objective core, and `_Task` writes the harness surface once over that
+core. `grad_check` probes the core, and `build_task` finds a spec's task
+in ``_TASK_OF``, the one list of task kinds.
 """
 
 from __future__ import annotations
@@ -102,13 +102,14 @@ TaskSpec = QuadraticSpec | MlpSpec
 class _Task:
     """The harness surface of a task, written once over its objective core.
 
-    A task defines its data, ``generate``, ``n_train``, ``init_params``,
-    ``batch_loss_grad`` and ``_objective(params, rows, want_grads)``: the
-    loss on ``rows`` of its data (None: the whole train set) and, with
-    ``want_grads``, its exact gradient. Two row sets come with it:
-    ``_held_out``, the validation rows (None where the objective is its
-    own validation metric), and ``_probe_rows``, the rows `grad_check`
-    probes (None: the whole objective).
+    A task holds its data and the ``spec`` whose knobs it reads, and it
+    defines ``generate``, ``n_train``, ``init_params``, ``batch_loss_grad``
+    and ``_objective(params, rows, want_grads)``: the loss on ``rows`` of
+    its data (None: the whole train set) and, with ``want_grads``, its
+    exact gradient. Two row sets come with it: ``_held_out``, the
+    validation rows (None where the objective is its own validation
+    metric), and ``_probe_rows``, the rows `grad_check` probes (None: the
+    whole objective).
 
     The parameters may be stacks with a leading run axis: every loss is
     then one value per run, each the bytes of that run alone.
@@ -147,7 +148,8 @@ class QuadraticTask(_Task):
     """L(W) = 0.5 ||A W - B||_F^2 + (lambda_reg / 2) ||W||_F^2.
 
     Rows of (A, B) act as the dataset: a minibatch subsamples rows and
-    rescales so its gradient is an unbiased estimate of the full one.
+    rescales so its gradient is an unbiased estimate of the full one. The
+    spec's shape must be that of (A, B), and its knobs set the objective.
 
     One array core computes every loss and gradient: on a minibatch for
     `batch_loss_grad`, on the full batch with the regularizer always in the
@@ -156,20 +158,19 @@ class QuadraticTask(_Task):
 
     a: Matrix
     b: Matrix
-    lambda_reg: float = 0.0
-    noise_sigma: float = 0.0
-    reg_in_gradient: bool = True
-    init_scale: float = 0.0
+    spec: QuadraticSpec
 
     # No held-out split: the objective is its own validation metric, and
     # grad_check probes all of it.
     _held_out = _probe_rows = None
 
     def __post_init__(self):
-        if self.a.rows != self.b.rows:
-            raise ShapeError(f"A has {self.a.rows} rows but B has {self.b.rows}")
-        _require(0.0 <= self.lambda_reg < math.inf, "lambda_reg",
-                 "be finite and >= 0", self.lambda_reg)
+        n = self.spec.n_rows
+        for name, m, cols in (("A", self.a, self.spec.in_dim),
+                              ("B", self.b, self.spec.out_dim)):
+            if m.shape != (n, cols):
+                raise ShapeError(f"{name} must be {n}x{cols}, as the spec says, "
+                                 f"got {m.rows}x{m.cols}")
 
     @staticmethod
     def generate(spec: QuadraticSpec, rng: Rng) -> "QuadraticTask":
@@ -178,13 +179,7 @@ class QuadraticTask(_Task):
         b = a @ w_true
         if spec.target_noise > 0.0:
             b = b + rng.normal(b.shape, scale=spec.target_noise)
-        return QuadraticTask(
-            a=Matrix(a), b=Matrix(b),
-            lambda_reg=spec.lambda_reg,
-            noise_sigma=spec.noise_sigma,
-            reg_in_gradient=spec.reg_in_gradient,
-            init_scale=spec.init_scale,
-        )
+        return QuadraticTask(a=Matrix(a), b=Matrix(b), spec=spec)
 
     # -- contract surface -------------------------------------------------
 
@@ -204,12 +199,12 @@ class QuadraticTask(_Task):
         needs full column rank; otherwise the system is degenerate.
         """
         res = svd(self.a)
-        if self.lambda_reg == 0.0 and res.rank < self.a.cols:
+        if self.spec.lambda_reg == 0.0 and res.rank < self.a.cols:
             raise DegenerateInputError(
                 "unregularized minimizer needs a full-column-rank design"
             )
         s = np.asarray(res.singular_values, dtype=F64)
-        filt = s / (s * s + self.lambda_reg)
+        filt = s / (s * s + self.spec.lambda_reg)
         w_star = (res.v.a * filt) @ (res.u.a.T @ self.b.a)
         return Matrix(w_star)
 
@@ -225,8 +220,8 @@ class QuadraticTask(_Task):
 
     def init_params(self, rng: Rng, dtype=F64) -> dict[str, np.ndarray]:
         shape = (self.a.cols, self.b.cols)
-        if self.init_scale > 0.0:
-            return {"w": rng.normal(shape, scale=self.init_scale).astype(dtype)}
+        if self.spec.init_scale > 0.0:
+            return {"w": rng.normal(shape, scale=self.spec.init_scale).astype(dtype)}
         return {"w": np.zeros(shape, dtype=dtype)}
 
     def batch_loss_grad(self, params: dict[str, np.ndarray],
@@ -240,7 +235,7 @@ class QuadraticTask(_Task):
         per run, each the bytes of that run alone.
         """
         w = params["w"]
-        loss, grad = self._loss_grad(w, idx, self.reg_in_gradient)
+        loss, grad = self._loss_grad(w, idx, self.spec.reg_in_gradient)
         return loss, {"w": grad.astype(w.dtype, copy=False)}
 
     def _objective(self, params: dict[str, np.ndarray], rows: np.ndarray | None,
@@ -268,10 +263,11 @@ class QuadraticTask(_Task):
         grad = scale * (a.T @ resid)
         resid *= resid
         loss = 0.5 * scale * np.sum(resid, axis=(-2, -1))
-        if self.lambda_reg > 0.0:
-            loss += 0.5 * self.lambda_reg * np.sum(w * w, axis=(-2, -1)).astype(F64)
+        lambda_reg = self.spec.lambda_reg
+        if lambda_reg > 0.0:
+            loss += 0.5 * lambda_reg * np.sum(w * w, axis=(-2, -1)).astype(F64)
             if reg_in_gradient:
-                grad = grad + self.lambda_reg * w
+                grad = grad + lambda_reg * w
         return _per_run(loss), grad
 
 
@@ -304,12 +300,9 @@ class MlpTask(_Task):
 
     x: np.ndarray
     y: np.ndarray
-    hidden: tuple[int, ...]
-    classes: int
-    activation: str
     train_idx: np.ndarray
     val_idx: np.ndarray
-    noise_sigma: float = 0.0
+    spec: MlpSpec
 
     @staticmethod
     def generate(spec: MlpSpec, rng: Rng) -> "MlpTask":
@@ -318,16 +311,8 @@ class MlpTask(_Task):
         x = means[y] + rng.normal((spec.n_samples, spec.input_dim), scale=spec.sample_noise)
         perm = rng.permutation(spec.n_samples)
         n_val = max(1, int(round(spec.val_fraction * spec.n_samples)))
-        return MlpTask(
-            x=x, y=y, hidden=tuple(spec.hidden), classes=spec.classes,
-            activation=spec.activation,
-            val_idx=np.sort(perm[:n_val]), train_idx=np.sort(perm[n_val:]),
-            noise_sigma=spec.noise_sigma,
-        )
-
-    @property
-    def input_dim(self) -> int:
-        return self.x.shape[1]
+        return MlpTask(x=x, y=y, train_idx=np.sort(perm[n_val:]),
+                       val_idx=np.sort(perm[:n_val]), spec=spec)
 
     @property
     def n_train(self) -> int:
@@ -342,7 +327,8 @@ class MlpTask(_Task):
         return self.train_idx[:128]
 
     def layer_dims(self) -> list[tuple[int, int]]:
-        widths = (self.input_dim, *self.hidden, self.classes)
+        spec = self.spec
+        widths = (spec.input_dim, *spec.hidden, spec.classes)
         return [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
 
     def init_params(self, rng: Rng, dtype=F64) -> dict[str, np.ndarray]:
@@ -363,7 +349,7 @@ class MlpTask(_Task):
             z = hs[-1] @ params[f"w{i}"]
             z += params[f"b{i}"][..., None, :]
             if i < n_layers - 1:
-                hs.append(_activation(self.activation, z))
+                hs.append(_activation(self.spec.activation, z))
         return z, hs
 
     def _objective(self, params: dict[str, np.ndarray], rows: np.ndarray | None,
@@ -405,7 +391,7 @@ class MlpTask(_Task):
             grads[f"b{i}"] = dz.sum(axis=-2)
             if i > 0:
                 dz = dz @ params[f"w{i}"].swapaxes(-1, -2)
-                dz *= _activation_grad(self.activation, h)
+                dz *= _activation_grad(self.spec.activation, h)
         return loss, grads
 
     def batch_loss_grad(self, params: dict[str, np.ndarray], idx: np.ndarray | None):

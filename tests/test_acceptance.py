@@ -33,6 +33,7 @@ import muonlab
 from muonlab.config import parse_sweep_config, parse_train_config
 from muonlab.harness import (
     ABLATION_CELLS,
+    ETA_TUNING_MULTIPLIERS,
     TelescopeGrid,
     TrainConfig,
     ablate,
@@ -404,13 +405,19 @@ def test_09_token_ratio_pipeline(sweep_artifacts):
     ok = (all_reached and has_ratios and monotone_reported and report_exists
           and recompute_ok)
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    # A cell won at a grid end may have a better learning rate beyond it.
+    eta0 = sweep_base_config().optimizer.eta0
+    ends = {eta0 * min(ETA_TUNING_MULTIPLIERS), eta0 * max(ETA_TUNING_MULTIPLIERS)}
+    edge_won = [c.run_id for c in result.cells if c.eta0 in ends]
     _verdict(
         "9", ok,
         f"sweep over B={SWEEP_GRID}: all cells reached the target "
         f"({all_reached}), ratios {{B: R}} = "
         f"{ {b: round(result.ratios[b], 4) for b in sorted(result.ratios)} }, "
         f"monotonicity reported ({result.ratio_monotone_nondecreasing}), "
-        f"independent recompute exit {proc.returncode} ('{tail}')")
+        f"independent recompute exit {proc.returncode} ('{tail}'), "
+        f"{len(edge_won)} of {len(result.cells)} cells won at an end of the "
+        f"eta0 grid {edge_won}")
 
 
 def test_audit_rejects_gapped_eval_grid(sweep_artifacts, tmp_path):

@@ -5,6 +5,7 @@ import math
 import struct
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -627,6 +628,28 @@ class TestSnapshotOverlap:
         with pytest.raises(RuntimeError, match="snapshot failed"):
             train(group)
         assert threading.active_count() == before
+        # A step that raises while a snapshot is still pending: the worker
+        # is joined before the step's error leaves train.
+        started = threading.Event()
+
+        def slow(task, params):
+            if threading.current_thread() is not threading.main_thread():
+                started.set()
+                time.sleep(0.3)
+            return real(task, params)
+
+        real_step = MlpTask.batch_loss_grad
+
+        def failing_step(task, params, idx):
+            if started.is_set():
+                raise RuntimeError("step failed")
+            return real_step(task, params, idx)
+
+        monkeypatch.setattr(MlpTask, "evaluate", slow)
+        monkeypatch.setattr(MlpTask, "batch_loss_grad", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train(group)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("config", [
         quad_config(batch_size=8),  # the ablation's batch-quarter cell
@@ -679,8 +702,6 @@ NAN_ARGUMENTS = {
     "adamw_step-eta_t": ("eta_t", lambda: adamw_step(
         _EYE, _EYE, AdamWState.fresh(2, 2), OptimizerSpec(), math.nan)),
     "shampoo_step_oracle": ("eta_t", lambda: shampoo_step_oracle(_EYE, _EYE, math.nan)),
-    "QuadraticTask": ("lambda_reg", lambda: QuadraticTask(a=_EYE, b=_EYE,
-                                                          lambda_reg=math.nan)),
     "svd": ("rank_tol", lambda: svd(_EYE, math.nan)),
 }
 

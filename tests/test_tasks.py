@@ -59,7 +59,9 @@ class TestQuadraticClosedForm:
     def test_identity_design_hand_solution(self):
         # A = I: the ridge solution is B / (1 + lambda).
         b = Rng(2).normal((5, 3))
-        task = QuadraticTask(a=Matrix.identity(5), b=Matrix(b), lambda_reg=0.5)
+        task = QuadraticTask(a=Matrix.identity(5), b=Matrix(b),
+                             spec=QuadraticSpec(n_rows=5, in_dim=5, out_dim=3,
+                                                lambda_reg=0.5))
         np.testing.assert_allclose(task.minimizer().a, b / 1.5, atol=1e-12)
         # optimum by hand: 0.5*||B - B/1.5||^2 + 0.25*||B/1.5||^2
         resid = b - b / 1.5
@@ -90,6 +92,16 @@ class TestQuadraticClosedForm:
         task = make_quadratic(seed=6)
         with pytest.raises(ShapeError):
             task.loss_grad(Matrix.zeros(3, 3))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((4, 5), (5, 3)),
+                                                  ((5, 4), (5, 3)),
+                                                  ((5, 5), (5, 2))])
+    def test_data_must_have_the_spec_shape(self, a_shape, b_shape):
+        # The spec a task holds is true of its data: 5 rows, in 5, out 3.
+        spec = QuadraticSpec(n_rows=5, in_dim=5, out_dim=3)
+        with pytest.raises(ShapeError):
+            QuadraticTask(a=Matrix.zeros(*a_shape), b=Matrix.zeros(*b_shape),
+                          spec=spec)
 
 
 class TestQuadraticBatches:
