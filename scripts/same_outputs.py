@@ -14,8 +14,9 @@ quadratic in f64, and the telescope's MLP in f32, whose 16x64 matrix runs
 every Muon variant), the telescope config at ``"precision": "f32"``,
 since every workload runs in f64, an f32 quadratic ``train`` config
 that takes the quadratic's paths no other config takes, and a relu MLP
-``train`` config under gradient noise, plus three ``msign-check`` runs,
-which take flags and no config (67 configs in all).
+``train`` config under gradient noise, an f32 quadratic ``sweep`` whose
+batches take the counted pass, plus three ``msign-check`` runs, which
+take flags and no config (75 configs in all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte (an
@@ -108,6 +109,21 @@ def mlp_relu_noise_config(seed: int, out_dir: str) -> dict:
     }
 
 
+def sweep_counted_config(seed: int, out_dir: str) -> dict:
+    """A quadratic sweep whose batches of 1024 draws from 64 rows take the
+    counted pass, where the benchmark's sweep does not go: in f32, with the
+    regularizer in the gradient and gradient noise, and with a Muon tuning
+    run (eta0 x4) that diverges."""
+    return {
+        "task": {"kind": "quadratic", "n_rows": 64, "in_dim": 16,
+                 "out_dim": 8, "lambda_reg": 0.1, "noise_sigma": 0.5},
+        "optimizer": {"kind": "muon", "eta0": 2.0, "lambda": 0.1},
+        "batch_size": 1024, "total_steps": 100, "eval_every": 10,
+        "seed": seed, "target_loss": 60.0, "stop_rule": "tokens-to-target",
+        "precision": "f32", "sweep": {"batch_grid": [1024]}, "out_dir": out_dir,
+    }
+
+
 # msign-check at its default flags and at three steps (both exit 1: a
 # standard normal input has singular values too small to reach the band),
 # and on a wide shape under the other preset (exit 0).
@@ -141,6 +157,9 @@ def configs(reference: dict):
     for seed in reference["seeds"]:
         yield (f"train-mlp relu noise seed {seed}", ["train"],
                mlp_relu_noise_config(seed, "out"))
+    for seed in reference["seeds"]:
+        yield (f"sweep-quadratic counted f32 seed {seed}", ["sweep"],
+               sweep_counted_config(seed, "out"))
 
 
 def start_side(src: str, side_dir: str, args: list, doc):

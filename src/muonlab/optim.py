@@ -293,11 +293,12 @@ def _sum_squares(stacks: Iterable[np.ndarray]) -> np.ndarray:
     """Per run of (R, ...) stacks, the f64 sum of squares of its entries:
     each run's sum over a stack (squared into one fresh C-contiguous f64
     array) is its slice's ``np.sum`` bit for bit, and the stacks fold left
-    to right."""
+    to right. ``np.add.reduce`` is the reduction ``np.sum`` calls, without
+    its Python wrapper."""
     total = 0.0
     for g in stacks:
-        total = total + np.sum(np.square(g, dtype=F64, order="C"),
-                               axis=tuple(range(1, g.ndim)))
+        total = total + np.add.reduce(np.square(g, dtype=F64, order="C"),
+                                      axis=tuple(range(1, g.ndim)))
     return total
 
 

@@ -229,10 +229,13 @@ class QuadraticTask(_Task):
         """Unbiased estimate of the full objective and its gradient.
 
         ``idx`` rows are rescaled by n_rows / batch; ``idx=None`` means the
-        exact full batch. The regularizer joins the gradient only when
-        ``reg_in_gradient`` is set. ``params["w"]`` may be a stack
-        (R, in, out) of runs sharing the batch: the loss is then one value
-        per run, each the bytes of that run alone.
+        exact full batch. A batch of at least 4 draws per row and at least
+        1024 draws is taken over its distinct rows, each weighted by its
+        draw count: the same estimator, regrouped, so only the rounding
+        differs from the pass over every drawn row. The regularizer joins
+        the gradient only when ``reg_in_gradient`` is set. ``params["w"]``
+        may be a stack (R, in, out) of runs sharing the batch: the loss is
+        then one value per run, each the bytes of that run alone.
         """
         w = params["w"]
         loss, grad = self._loss_grad(w, idx, self.spec.reg_in_gradient)
@@ -248,27 +251,58 @@ class QuadraticTask(_Task):
     def _loss_grad(self, w: np.ndarray, idx: np.ndarray | None = None,
                    reg_in_gradient: bool = True):
         # The array core of the objective and its f64 gradient, for one W or
-        # a stack of runs; an overflowed gradient returns, not raises.
+        # a stack of runs; an overflowed gradient returns, not raises. A
+        # large batch goes over its distinct rows u with draw counts c:
+        # scale * A_u^T (c * R_u) and 0.5 * scale * sum(c * R_u^2), where a
+        # small one goes over every drawn row. Rows not drawn never enter.
         a, b = self.a.a, self.b.a
+        counts = None
         if idx is None:
             scale = 1.0
         else:
             if len(idx) == 0:
                 raise RangeError("batch must be nonempty")
-            a, b = np.take(a, idx, axis=0), np.take(b, idx, axis=0)
             scale = self.n_train / len(idx)
+            if _counts_draws(len(idx), self.n_train):
+                idx, counts = _distinct_draws(idx, self.n_train)
+            a, b = np.take(a, idx, axis=0), np.take(b, idx, axis=0)
         # In place: a stack of residuals is the largest array of a step.
         resid = a @ w.astype(F64, copy=False)
         resid -= b
-        grad = scale * (a.T @ resid)
-        resid *= resid
-        loss = 0.5 * scale * np.sum(resid, axis=(-2, -1))
+        weighted = resid if counts is None else resid * counts
+        grad = scale * (a.T @ weighted)
+        resid *= weighted
+        loss = 0.5 * scale * np.add.reduce(resid, axis=(-2, -1))
         lambda_reg = self.spec.lambda_reg
         if lambda_reg > 0.0:
-            loss += 0.5 * lambda_reg * np.sum(w * w, axis=(-2, -1)).astype(F64)
+            loss += 0.5 * lambda_reg * np.add.reduce(w * w, axis=(-2, -1)).astype(F64)
             if reg_in_gradient:
                 grad = grad + lambda_reg * w
         return _per_run(loss), grad
+
+
+# A minibatch of at least this many draws per design row, and of at least
+# this many draws, takes the counted pass (`gate_scan` in
+# BENCH_counted_draws.json). The rule reads per-run sizes only, never the
+# stack's run count, so a run in a lockstep group takes its solo pass.
+_COUNTED_PER_ROW, _COUNTED_LEAST = 4, 1024
+
+
+def _counts_draws(batch: int, n_rows: int) -> bool:
+    return batch >= max(_COUNTED_LEAST, _COUNTED_PER_ROW * n_rows)
+
+
+def _distinct_draws(idx, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a draw and how often each was drawn, as an f64
+    column. Indices keep `np.take`'s contract: -n_rows <= i < n_rows."""
+    idx = np.asarray(idx)
+    lo, hi = idx.min(), idx.max()
+    if lo < -n_rows or hi >= n_rows:
+        bad = lo if lo < -n_rows else hi
+        raise IndexError(f"index {bad} is out of bounds for axis 0 with size {n_rows}")
+    counts = np.bincount(idx % n_rows if lo < 0 else idx)
+    rows = np.flatnonzero(counts)
+    return rows, counts[rows].astype(F64)[:, None]
 
 
 def _per_run(loss):

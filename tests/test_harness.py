@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muonlab import harness
+from muonlab import harness, tasks
 from muonlab.errors import ConfigError, RangeError
 from muonlab.harness import (
     ABLATION_CELLS,
@@ -290,6 +290,22 @@ class TestLockstep:
         assert [(r.terminated, len(r.rows)) for r in records] == [
             ("diverged", 1), ("diverged", 2), ("target-reached", 7),
             ("target-reached", 13), ("completed", 21)]
+        for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_counted_batches_give_each_run_its_solo_bytes(self, precision):
+        # batches of 1024 draws from 64 rows take the counted pass, under
+        # the regularizer and gradient noise, and one run diverges
+        spec = dataclasses.replace(LOCKSTEP_TASKS["quadratic"], lambda_reg=0.3,
+                                   noise_sigma=0.5)
+        assert tasks._counts_draws(1024, spec.n_rows)
+        base = quad_config(task=spec, batch_size=1024, total_steps=20,
+                           eval_every=5, precision=precision)
+        group = [dataclasses.replace(base, run_id=f"run{i}", optimizer=dataclasses.replace(
+            base.optimizer, eta0=eta)) for i, eta in enumerate((1e30, 0.2, 0.05, 0.005))]
+        records = train(group)
+        assert [r.terminated for r in records] == ["diverged"] + ["completed"] * 3
         for config, record in zip(group, records):
             _assert_records_identical(record, train(config))
 

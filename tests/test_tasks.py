@@ -6,7 +6,7 @@ import typing
 import numpy as np
 import pytest
 
-from muonlab import config
+from muonlab import config, tasks
 from muonlab.errors import ConfigError, DegenerateInputError, RangeError, ShapeError
 from muonlab.linalg import Matrix, Rng
 from muonlab.tasks import (
@@ -263,6 +263,104 @@ class TestStackedBatches:
         stack = {name: root.child(name).normal((5, *p.shape)).astype(dtype)
                  for name, p in task.init_params(Rng(55), dtype=dtype).items()}
         self.assert_matches_each_run(task, stack, task.sample_batch(Rng(56), 32))
+
+
+class TestCountedPass:
+    """A batch of many draws per row goes over its distinct rows, each
+    weighted by its draw count: the with-replacement estimator of the pass
+    over every drawn row, regrouped."""
+
+    N_ROWS, BATCH = 8, 1024  # the smallest batch the rule counts at 8 rows
+
+    @staticmethod
+    def force(monkeypatch, counted: bool):
+        monkeypatch.setattr(tasks, "_counts_draws", lambda batch, n_rows: counted)
+
+    def task(self, **kwargs):
+        return make_quadratic(seed=60, n_rows=self.N_ROWS, **kwargs)
+
+    def test_rule_reads_batch_and_rows(self):
+        assert tasks._counts_draws(self.BATCH, self.N_ROWS)
+        assert not tasks._counts_draws(self.BATCH - 1, self.N_ROWS)
+        # above 256 rows, 4 draws a row
+        assert tasks._counts_draws(4096, 1024) and not tasks._counts_draws(4095, 1024)
+        # the check-11 ablation (8 rows, batches of 8 to 128) and the
+        # sweep's smaller batches stay on the pass over every drawn row
+        assert not any(tasks._counts_draws(b, 8) for b in (8, 32, 128))
+        assert [tasks._counts_draws(b, 256) for b in (32, 128, 512, 2048)] == [
+            False, False, False, True]
+
+    @pytest.mark.parametrize("reg_in_gradient", [False, True])
+    @pytest.mark.parametrize("lambda_reg", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_the_gathered_pass(self, monkeypatch, dtype, lambda_reg,
+                                      reg_in_gradient):
+        # Compared on the f64 core: the cast to f32 can round the two
+        # passes' gradients to neighbouring floats.
+        task = self.task(lambda_reg=lambda_reg, reg_in_gradient=reg_in_gradient)
+        w = Rng(61).normal((3, task.a.cols, task.b.cols)).astype(dtype)
+        idx = task.sample_batch(Rng(62), self.BATCH)
+        counted = task._loss_grad(w, idx, reg_in_gradient)
+        self.force(monkeypatch, False)
+        gathered = task._loss_grad(w, idx, reg_in_gradient)
+        np.testing.assert_allclose(counted[0], gathered[0], rtol=1e-12, atol=0.0)
+        err = np.abs(counted[1] - gathered[1]).max(axis=(-2, -1))
+        assert (err <= 1e-12 * np.abs(gathered[1]).max(axis=(-2, -1))).all()
+
+    @pytest.mark.parametrize("batch", [BATCH - 1, BATCH])
+    @pytest.mark.parametrize("runs", [1, 2, 3, 4])
+    def test_stack_takes_the_solo_pass(self, monkeypatch, runs, batch):
+        # Each run of a stack gets the bytes of its solo pass, whatever the
+        # run count; the two passes round this batch differently.
+        task = self.task(lambda_reg=0.3)
+        stack = {"w": Rng(63).normal((runs, task.a.cols, task.b.cols))}
+        idx = task.sample_batch(Rng(64), batch)
+        TestStackedBatches.assert_matches_each_run(task, stack, idx)
+        got = task.batch_loss_grad(stack, idx)[1]["w"]
+        passes = {}
+        for counted in (False, True):
+            self.force(monkeypatch, counted)
+            passes[counted] = task.batch_loss_grad(stack, idx)[1]["w"]
+        assert not np.array_equal(passes[False], passes[True])
+        assert np.array_equal(got, passes[batch >= self.BATCH])
+
+    def test_index_contract(self):
+        task = self.task()
+        params = {"w": Rng(65).normal((task.a.cols, task.b.cols))}
+        idx = task.sample_batch(Rng(66), self.BATCH)
+        loss, grads = task.batch_loss_grad(params, idx)
+        # -n <= i < 0 names row i + n, as np.take reads it
+        wrapped = np.where(np.arange(self.BATCH) % 3 == 0, idx - self.N_ROWS, idx)
+        assert wrapped.min() == -self.N_ROWS
+        got_loss, got_grads = task.batch_loss_grad(params, wrapped)
+        assert got_loss == loss and np.array_equal(got_grads["w"], grads["w"])
+        for bad in (self.N_ROWS, -self.N_ROWS - 1):
+            with pytest.raises(IndexError):
+                task.batch_loss_grad(params, np.append(idx, bad))
+
+    def test_empty_batch_is_rejected(self, monkeypatch):
+        self.force(monkeypatch, True)
+        task = self.task()
+        with pytest.raises(RangeError):
+            task.batch_loss_grad({"w": np.zeros((task.a.cols, task.b.cols))},
+                                 np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("batch", [32, BATCH])
+    def test_an_undrawn_row_never_enters(self, batch):
+        # Row 7's residual overflows; a batch that draws it is non-finite,
+        # one that does not is finite, on either pass.
+        spec = QuadraticSpec(n_rows=self.N_ROWS)
+        base = QuadraticTask.generate(spec, Rng(67).child("data"))
+        a = base.a.a.copy()
+        a[7] = 1e308
+        task = QuadraticTask(a=Matrix(a), b=base.b, spec=spec)
+        params = {"w": 1.0 + np.abs(Rng(68).normal((spec.in_dim, spec.out_dim)))}
+        idx = Rng(69).integers(0, 7, size=batch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = task.batch_loss_grad(params, idx)
+            assert math.isfinite(loss) and np.isfinite(grads["w"]).all()
+            drew = task.batch_loss_grad(params, np.append(idx[1:], 7))[0]
+        assert not math.isfinite(drew)
 
 
 class TestStackedEvals:
