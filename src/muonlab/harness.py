@@ -204,7 +204,7 @@ def _group_key(config: TrainConfig) -> TrainConfig:
 
 def _finite_per_run(stack: np.ndarray) -> np.ndarray:
     """Per run of a stack (R, ...): whether all of its entries are finite."""
-    return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    return np.logical_and.reduce(np.isfinite(stack).reshape(len(stack), -1), axis=1)
 
 
 # A full snapshot at least this large (train rows x parameters per run, the
@@ -293,12 +293,11 @@ def _measure(task, stack: dict[str, np.ndarray], by_run: bool,
 
 
 class _Stack:
-    """The runs of one lockstep group as they train. Slot s of the
-    parameter stacks and of the `OptimizerBank` holds run ``live[s]``, an
-    index into ``configs``; each run keeps its learning rate at every step
-    (a row of ``etas_by_step``, worked out once), eval rows, target
-    crossing and, once it leaves the stack, its record. ``pending`` is the
-    snapshot out on a worker thread, if any."""
+    """The runs of one lockstep group. Slot s of the parameter stacks, the
+    `OptimizerBank` and ``etas_by_step`` (learning rates by step, worked
+    out once) holds run ``live[s]``, an index into ``configs``, until the
+    run leaves and is cut from all three. Each run keeps its eval rows,
+    target crossing and record; ``pending`` is a worker's snapshot."""
 
     def __init__(self, configs: list[TrainConfig], task, init: dict[str, np.ndarray],
                  by_run: bool, val_only: bool):
@@ -321,10 +320,6 @@ class _Stack:
         self.records: list[RunRecord | None] = [None] * len(configs)
         self.initial_val, self.pending = math.nan, None
         self.t0 = time.perf_counter()
-
-    def etas(self, step: int) -> list[float]:
-        """The learning rate of each live run at ``step``."""
-        return self.etas_by_step[self.live, step].tolist()
 
     def snapshot(self, step: int, params: dict[str, np.ndarray], update_rms,
                  etas: Sequence[float]) -> list[EvalRow]:
@@ -359,6 +354,7 @@ class _Stack:
         keep = [slot for slot in range(len(self.live)) if slot not in ended]
         self.params = {name: p[keep] for name, p in self.params.items()}
         self.bank.select(keep)
+        self.etas_by_step = self.etas_by_step[keep]
         self.live = [self.live[slot] for slot in keep]
 
     def settle(self, new_rows: list[EvalRow]) -> None:
@@ -412,7 +408,8 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     each step makes one batch draw and gather, one stacked matmul per
     layer and per Newton-Schulz step, and one optimizer step with a
     learning rate and decay per run. Clipping and the finiteness checks
-    act per run, and a run leaves the stack when it diverges or stops at
+    act per run, and a run leaves the stack (its slot of the parameters,
+    the bank and the learning-rate table) when it diverges or stops at
     its target, so each record is byte-identical to its run trained alone.
 
     Per step: draw a batch (or take the full set), compute the loss and
@@ -439,7 +436,8 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
 
     Divergence (non-finite loss/gradient/parameter, or an eval val loss
     that is NaN or above 10x the initial one) terminates the run with the
-    'diverged' flag instead of raising.
+    'diverged' flag instead of raising, under one float-error scope for all
+    steps, whatever the caller's (a worker's snapshot sets its own).
     """
     single = isinstance(configs, TrainConfig)
     group = [configs] if single else list(configs)
@@ -464,12 +462,12 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
 
     noise_sigma = float(first.task.noise_sigma)
     try:
-        for step in range(1, first.total_steps + 1):
-            if not stack.live:
-                break
-            idx = (None if first.full_batch
-                   else task.sample_batch(batch_rng, first.batch_size))
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            for step in range(1, first.total_steps + 1):
+                if not stack.live:
+                    break
+                idx = (None if first.full_batch
+                       else task.sample_batch(batch_rng, first.batch_size))
                 loss, grads = task.batch_loss_grad(stack.params, idx)
                 if noise_sigma > 0.0:
                     # Every run draws the same noise: one draw serves the stack.
@@ -495,24 +493,25 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                             grads[name][slot] = g
                 if stack.live:
                     stack.params = stack.bank.step(stack.params, grads,
-                                                   stack.etas(step))
+                                                   stack.etas_by_step[:, step])
                     finite = np.logical_and.reduce(
                         [_finite_per_run(p) for p in stack.params.values()])
                     if not finite.all():
                         stack.leave_diverged(finite)
-            if step % first.eval_every != 0 or not stack.live:
-                continue
-            # The previous snapshot's endings first: the next one measures
-            # only the runs that stay.
+                if step % first.eval_every != 0 or not stack.live:
+                    continue
+                # The previous snapshot's endings first: the next one
+                # measures only the runs that stay.
+                stack.collect()
+                if not stack.live:
+                    continue
+                args = (step, stack.params, stack.bank.last_update_rms,
+                        stack.etas_by_step[:, step].tolist())
+                if overlap:
+                    stack.pending = _Snapshot(stack.snapshot, *args)
+                else:
+                    stack.settle(stack.snapshot(*args))
             stack.collect()
-            if not stack.live:
-                continue
-            args = (step, stack.params, stack.bank.last_update_rms, stack.etas(step))
-            if overlap:
-                stack.pending = _Snapshot(stack.snapshot, *args)
-            else:
-                stack.settle(stack.snapshot(*args))
-        stack.collect()
     finally:
         if stack.pending is not None:
             stack.pending.join()

@@ -142,7 +142,8 @@ def _muon_direction(momentum: np.ndarray, spec: OptimizerSpec) -> np.ndarray:
     # rounding.
     norm = _slice_norms(momentum)
     zero = norm.astype(F64) < _ZERO_MOMENTUM_TOL
-    if zero.all():
+    zero_count = np.count_nonzero(zero)
+    if zero_count == zero.size:
         return np.zeros_like(momentum)
     if spec.exact_msign:
         rows, cols = momentum.shape[-2:]
@@ -157,7 +158,7 @@ def _muon_direction(momentum: np.ndarray, spec: OptimizerSpec) -> np.ndarray:
     else:
         u = _ns_orthogonalize(momentum / (norm + _NORM_EPS),
                               COEFF_PRESETS[spec.coeffs], spec.k_iters)
-    if zero.any():
+    if zero_count:
         u[zero.reshape(momentum.shape[:-2])] = 0.0
     return u
 
@@ -179,8 +180,9 @@ def _rms_scale(spec: OptimizerSpec, u: np.ndarray):
 
 def _into(op: np.ufunc, a: np.ndarray, b) -> np.ndarray:
     """``op(a, b)``, written over ``a`` (a fresh temporary of the caller's)
-    where ``a`` has the result's dtype, as it has when the dtypes agree."""
-    return op(a, b, out=a if a.dtype == np.result_type(a, b) else None)
+    where ``b`` casts safely to ``a``'s dtype: a Python scalar always does
+    (NEP 50), a numpy scalar only as its dtype does."""
+    return op(a, b, out=a if getattr(b, "dtype", a.dtype) <= a.dtype else None)
 
 
 def _muon_core(w: np.ndarray, g: np.ndarray, momentum: np.ndarray,
@@ -398,9 +400,8 @@ class OptimizerBank:
             col = (-1,) + (1,) * (w.ndim - 1)
             decay = self._decay.reshape(col) if name in self._decayed else 0.0
             if name in self._mom:
-                new_w, new_mom, update = _muon_core(w, g, self._mom[name], self._spec,
-                                                    eta.reshape(col), decay)
-                self._mom[name] = new_mom
+                new_w, self._mom[name], update = _muon_core(
+                    w, g, self._mom[name], self._spec, eta.reshape(col), decay)
             else:
                 new_w, self._m[name], self._v[name], _, update = _adamw_core(
                     w, g, self._m[name], self._v[name], t, self._spec,

@@ -256,16 +256,16 @@ class QuadraticTask(_Task):
         # scale * A_u^T (c * R_u) and 0.5 * scale * sum(c * R_u^2), where a
         # small one goes over every drawn row. Rows not drawn never enter.
         a, b = self.a.a, self.b.a
-        counts = None
+        n_rows, counts = a.shape[0], None
         if idx is None:
             scale = 1.0
         else:
             if len(idx) == 0:
                 raise RangeError("batch must be nonempty")
-            scale = self.n_train / len(idx)
-            if _counts_draws(len(idx), self.n_train):
-                idx, counts = _distinct_draws(idx, self.n_train)
-            a, b = np.take(a, idx, axis=0), np.take(b, idx, axis=0)
+            scale = n_rows / len(idx)
+            if _counts_draws(len(idx), n_rows):
+                idx, counts = _distinct_draws(idx, n_rows)
+            a, b = a.take(idx, axis=0), b.take(idx, axis=0)
         # In place: a stack of residuals is the largest array of a step.
         resid = a @ w.astype(F64, copy=False)
         resid -= b
@@ -399,12 +399,12 @@ class MlpTask(_Task):
         rows = self.train_idx if rows is None else rows
         if len(rows) == 0:
             raise RangeError("batch must be nonempty")
-        xb = np.take(self.x, rows, axis=0).astype(params["w0"].dtype, copy=False)
-        yb = np.take(self.y, rows, axis=0)
+        xb = self.x.take(rows, axis=0).astype(params["w0"].dtype, copy=False)
+        yb = self.y.take(rows, axis=0)
         logits, hs = self._forward(params, xb)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
+        shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         expz = np.exp(shifted)
-        sumexp = expz.sum(axis=-1, keepdims=True)
+        sumexp = np.add.reduce(expz, axis=-1, keepdims=True)
         n = xb.shape[0]
         at = np.arange(n)
         loss = _per_run(np.mean(np.log(sumexp[..., 0]) - shifted[..., at, yb],
@@ -422,7 +422,7 @@ class MlpTask(_Task):
         for i in range(len(hs) - 1, -1, -1):
             h = hs.pop()
             grads[f"w{i}"] = h.swapaxes(-1, -2) @ dz
-            grads[f"b{i}"] = dz.sum(axis=-2)
+            grads[f"b{i}"] = np.add.reduce(dz, axis=-2)
             if i > 0:
                 dz = dz @ params[f"w{i}"].swapaxes(-1, -2)
                 dz *= _activation_grad(self.spec.activation, h)
@@ -434,7 +434,7 @@ class MlpTask(_Task):
         The parameters may be stacks (R, ...) of runs sharing the minibatch:
         one gather serves them all, and the loss is one value per run.
         """
-        rows = None if idx is None else np.take(self.train_idx, idx, axis=0)
+        rows = None if idx is None else self.train_idx.take(idx, axis=0)
         return self._objective(params, rows, want_grads=True)
 
 

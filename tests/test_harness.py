@@ -705,6 +705,45 @@ class TestSnapshotOverlap:
         assert harness._cpu_quota(str(tmp_path)) == quota
 
 
+class TestErrorScope:
+    """`train` takes its steps' float errors in one scope of its own, so a
+    caller's `np.errstate` changes no record and comes back as it was."""
+
+    @staticmethod
+    def train_under_raise(group):
+        outside = np.geterr()
+        with np.errstate(all="raise"):
+            inside = np.geterr()
+            records = train(group)
+            assert np.geterr() == inside
+        assert np.geterr() == outside
+        return records
+
+    def test_quadratic_group_with_a_diverging_run(self):
+        # in f32 the diverging run's optimizer step overflows
+        base = quad_config(task=LOCKSTEP_TASKS["quadratic"], batch_size=8,
+                           total_steps=40, eval_every=5, precision="f32")
+        group = [dataclasses.replace(base, run_id=f"run{i}", optimizer=dataclasses.replace(
+            base.optimizer, eta0=eta)) for i, eta in enumerate((1e30, 0.2, 0.05))]
+        records = self.train_under_raise(group)
+        assert [r.terminated for r in records] == ["diverged", "completed", "completed"]
+        for got, want in zip(records, train(group)):
+            _assert_records_identical(got, want)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_mlp_group_with_overlapped_snapshots(self, monkeypatch, precision):
+        monkeypatch.setattr(harness, "_LARGE_SNAPSHOT", 0)
+        overlapped = TestSnapshotOverlap.count_overlaps(monkeypatch)
+        group = TestSnapshotOverlap.group(
+            (TestSnapshotOverlap.BIG_ETA[precision], 20.0, 0.05), precision,
+            activation="relu", eval_every=1)
+        records = self.train_under_raise(group)
+        assert overlapped, "no snapshot overlapped"
+        assert [r.terminated for r in records] == ["diverged", "diverged", "completed"]
+        for got, want in zip(records, train(group)):
+            _assert_records_identical(got, want)
+
+
 _EYE = Matrix.identity(2)
 
 # (argument, call with NaN for it) for each float argument of the library

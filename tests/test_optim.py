@@ -550,17 +550,21 @@ class TestStackedCores:
 
     def test_mixed_dtypes_keep_the_formulas_bytes(self):
         # the Muon core updates its own temporaries in place only where
-        # those hold the result's dtype: mixed dtypes round as the formula
+        # those hold the result's dtype: mixed dtypes round as the formula,
+        # and so do learning rates that are Python scalars (weak under
+        # NEP 50: an int has no dtype) or numpy scalars (an np.float64
+        # promotes f32 weights to f64, although it subclasses float)
         dtypes = (np.float32, np.float64)
+        etas = (0.3, 3, np.float32(0.3), np.float64(0.3))
         root = Rng(5)
-        for dw, dg, ds in itertools.product(dtypes, dtypes, dtypes):
+        for dw, dg, ds, eta in itertools.product(dtypes, dtypes, dtypes, etas):
             w, g, state = (root.normal((6, 9)).astype(d) for d in (dw, dg, ds))
             hyper = OptimizerSpec(eta0=0.1)
             new_w, mom = muon_step(Matrix(w), Matrix(g), MuonState(Matrix(state)),
-                                   hyper, 0.3)
+                                   hyper, eta)
             want_mom = hyper.beta * state + (1.0 - hyper.beta) * g
             u = _muon_direction(want_mom, hyper)
-            want_w = w - 0.3 * (_rms_scale(hyper, u) * u + hyper.weight_decay * w)
+            want_w = w - eta * (_rms_scale(hyper, u) * u + hyper.weight_decay * w)
             for got, want in ((new_w.a, want_w), (mom.momentum.a, want_mom)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -610,14 +614,35 @@ class TestStackedCores:
 PAPER_ABC = (3.4445, -4.7750, 2.0315)
 
 
+def quintic_critical_points(a: float, b: float, c: float) -> tuple[float, float]:
+    """(t-, t+), the local maximum and minimum of p(t) = a t + b t^3 + c t^5:
+    their squares are the roots u of 5c u^2 + 3b u + a = 0, where
+    p'(sqrt(u)) = 0."""
+    disc = math.sqrt(9.0 * b * b - 20.0 * a * c)
+    return (math.sqrt((-3.0 * b - disc) / (10.0 * c)),
+            math.sqrt((-3.0 * b + disc) / (10.0 * c)))
+
+
 def quintic_peak(a: float, b: float, c: float) -> float:
-    """p(t-), the local maximum of p(t) = a t + b t^3 + c t^5: t-^2 is the
-    smaller root u of 5c u^2 + 3b u + a = 0, where p'(sqrt(u)) = 0. For the
-    paper's (a, b, c), p maps [0, p(t-)] into itself, so NS from a start
-    with sigma_max <= 1 never exceeds p(t-)."""
-    u = (-3.0 * b - math.sqrt(9.0 * b * b - 20.0 * a * c)) / (10.0 * c)
-    t = math.sqrt(u)
+    """p(t-), the local maximum of p. For the paper's (a, b, c), p maps
+    [0, p(t-)] into itself, so NS from a start with sigma_max <= 1 never
+    exceeds p(t-)."""
+    t = quintic_critical_points(a, b, c)[0]
     return a * t + b * t**3 + c * t**5
+
+
+def quintic_peak_start(a: float, b: float, c: float) -> float:
+    """The start whose five steps of p land on the peak p(t-). p rises on
+    [0, t-] and stays below a t there, so p^4 rises from below t- at
+    t-/a^4 to above it at t-/a^3; bisection finds where it meets t-."""
+    t_minus = quintic_critical_points(a, b, c)[0]
+    lo, hi = t_minus / a**4, t_minus / a**3
+    for _ in range(100):
+        mid = x = 0.5 * (lo + hi)
+        for _ in range(4):
+            x = a * x + b * x**3 + c * x**5
+        lo, hi = (mid, hi) if x < t_minus else (lo, mid)
+    return lo
 
 
 @st.composite
@@ -727,6 +752,137 @@ class TestMuonDirectionOrbit:
         u = _muon_direction(stack, OptimizerSpec(coeffs="optimized", k_iters=5))
         np.testing.assert_allclose(np.sort(np.linalg.svd(u, compute_uv=False)),
                                    np.sort(t), rtol=0.0, atol=1e-12)
+
+
+# The paper's Newton-Schulz peak p(t-) (see `quintic_peak`), rounded up.
+NS_PEAK = 1.202369
+
+
+@st.composite
+def bank_trajectories(draw):
+    """A Muon bank of R = 1-3 runs on one m x n matrix (m, n = 2-12), each
+    with decay lambda in [0.01, 1], learning rates with
+    0 < eta_t * lambda <= 1, and W_0 at a scale of 1e-2 to 1e2; then 60
+    gradients at one scale of 1e-8 to 1e8. Each is Gaussian or, at odds of
+    3 in 10, rank one; or one is held fixed, so that the weights drift to
+    their fixed point rather than random-walk: the first, a rank-one one
+    (whose ``dynamic_rms`` update has spectral norm equal to its Frobenius
+    norm), or one with a normalized singular value at
+    `quintic_peak_start`, whose direction reaches the peak. Returns
+    (spec, W_0, decays, etas, gradients)."""
+    runs, rows, cols = (draw(st.integers(lo, hi))
+                        for lo, hi in ((1, 3), (2, 12), (2, 12)))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    decays = np.array([draw(st.floats(0.01, 1.0)) for _ in range(runs)])
+    reach = draw(st.floats(0.05, 1.0))
+    etas = reach * rng.uniform(0.5, 1.0, size=(60, runs)) / decays
+    w0 = rng.normal((runs, rows, cols)) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    grads = rng.normal((60, runs, rows, cols))
+    for g in grads.reshape(-1, rows, cols)[rng.uniform(size=60 * runs) < 0.3]:
+        g[:] = np.outer(g[:, 0], g[0])
+    held = draw(st.sampled_from(("none", "first", "rank-one", "peak")))
+    if held == "first":
+        grads[:] = grads[0]
+    elif held == "rank-one":
+        grads[:] = np.outer(grads[0, 0, :, 0], grads[0, 0, 0])
+    elif held == "peak":
+        short, start = min(rows, cols), quintic_peak_start(*PAPER_ABC)
+        t = np.full(short, math.sqrt((1.0 - start**2) / (short - 1)))
+        t[0] = start
+        q, p = (np.linalg.qr(rng.normal((n, short)))[0] for n in (rows, cols))
+        grads[:] = (q * t) @ p.T
+    spec = OptimizerSpec(dynamic_rms=draw(st.booleans()))
+    return spec, w0, decays, etas, grads * 10.0 ** draw(st.floats(-8.0, 8.0))
+
+
+class TestBankSpectralBound:
+    """The paper's claim (ii): Muon's weights stay bounded whatever the
+    gradient scale. Each update is eta_t (s U + lambda W) with
+    ||s U||_2 <= s p(t-), so with eta_t lambda <= 1,
+    ||W_{t+1}||_2 <= (1 - eta_t lambda) ||W_t||_2 + eta_t s p(t-), and by
+    induction ||W_t||_2 <= max(||W_0||_2, s p(t-) / lambda), with
+    s = 0.2 sqrt(fan_out). Under ``dynamic_rms`` each update has
+    Frobenius norm 0.2 sqrt(mn) eta_t, so the same induction bounds the
+    weights by max(||W_0||_2, 0.2 sqrt(mn) / lambda)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=bank_trajectories())
+    def test_weights_stay_below_the_decay_fixed_point(self, case):
+        spec, w, decays, etas, grads = case
+        rows, cols = w.shape[1:]
+        bank = OptimizerBank({"w": (rows, cols)}, spec, decays.tolist())
+        if spec.dynamic_rms:
+            step_norm = spec.rms_factor * math.sqrt(rows * cols)
+        else:
+            step_norm = spec.rms_factor * math.sqrt(cols) * NS_PEAK
+        bound = np.maximum(spectral_norms(w), step_norm / decays) * (1.0 + 1e-9)
+        for eta, g in zip(etas, grads):
+            w = bank.step({"w": w}, {"w": g}, eta)["w"]
+            assert (spectral_norms(w) <= bound).all()
+
+
+class TestStiefel:
+    """The paper's claim (iii): msign(G) = G (G^T G)^(-1/2) is the point of
+    the Stiefel manifold nearest to G in the Frobenius norm (Higham 1986),
+    and the Newton-Schulz direction lands near the manifold."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 12),
+           cols=st.integers(2, 12), log_scale=st.floats(-4.0, 4.0),
+           step=st.floats(1e-3, 1.0))
+    def test_exact_sign_is_the_nearest_orthonormal_matrix(self, seed, rows, cols,
+                                                          log_scale, step):
+        # Wide matrices go through their transposes: orthonormal rows.
+        rng = Rng(seed)
+        g = rng.normal((rows, cols)) * 10.0 ** log_scale
+        tall = g if rows >= cols else g.T
+        polar = msign_exact(Matrix(tall)).a
+
+        def orthonormal(x):  # the Q of x = QR with R's diagonal positive
+            q, r = np.linalg.qr(x)
+            return q * np.sign(np.diag(r))
+
+        haar = orthonormal(rng.normal(tall.shape))
+        z = rng.normal(tall.shape)
+        sym = polar.T @ z
+        tangent = z - polar @ (sym + sym.T) / 2.0
+        retracted = orthonormal(polar + step * tangent)
+        nearest = np.linalg.norm(tall - polar)
+        slack = 1e-12 * np.linalg.norm(tall)
+        assert nearest <= np.linalg.norm(tall - haar) + slack
+        assert nearest <= np.linalg.norm(tall - retracted) + slack
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=rotated_stacks(), seed=st.integers(0, 2**32 - 1),
+           edge=st.booleans())
+    def test_newton_schulz_direction_sits_near_the_manifold(self, case, seed,
+                                                             edge):
+        # Starts sigma_i / ||M||_F >= 1.6e-3 land in [p(t+), p(t-)] after
+        # five steps (check 1), so over the short side ||X^T X - I||_2 is at
+        # most max(1 - p(t+)^2, p(t-)^2 - 1) = 0.535. Singular values in
+        # [6.4e-3, 1] give such starts on up to 16 of them; ``edge`` puts
+        # one at 6.4e-3 and the rest at 1, a start of 1.65e-3 at 16.
+        stack, q, p = case
+        short = min(stack.shape[1:])
+        lowest = 6.4e-3
+        sigma = 10.0 ** Rng(seed).uniform(math.log10(lowest), 0.0,
+                                          size=(len(stack), short))
+        if edge:
+            sigma[:, 0], sigma[:, 1:] = lowest, 1.0
+        starts = sigma / np.linalg.norm(sigma, axis=-1, keepdims=True)
+        assert starts.min() >= 1.6e-3
+        scale = np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
+        m = (q[..., :short] * sigma[:, None, :]) @ p[:, :short, :] * scale
+        x = _muon_direction(m, OptimizerSpec(coeffs="optimized", k_iters=5))
+        gram = (x.swapaxes(-1, -2) @ x if m.shape[1] >= m.shape[2]
+                else x @ x.swapaxes(-1, -2))
+        a, b, c = PAPER_ABC
+        t_plus = quintic_critical_points(a, b, c)[1]
+        trough = a * t_plus + b * t_plus**3 + c * t_plus**5
+        bound = max(1.0 - trough**2, quintic_peak(a, b, c) ** 2 - 1.0)
+        assert bound == pytest.approx(0.535, abs=2e-4)
+        gap = np.linalg.norm(gram - np.eye(short), ord=2, axis=(-2, -1))
+        assert gap.max() <= bound + 1e-9
 
 
 @st.composite
