@@ -15,8 +15,9 @@ every Muon variant), the telescope config at ``"precision": "f32"``,
 since every workload runs in f64, an f32 quadratic ``train`` config
 that takes the quadratic's paths no other config takes, and a relu MLP
 ``train`` config under gradient noise, an f32 quadratic ``sweep`` whose
-batches take the counted pass, plus three ``msign-check`` runs, which
-take flags and no config (75 configs in all).
+batches take the counted pass, a quadratic ``sweep`` whose diverging
+tuning runs leave its stack while the rest train on, plus three
+``msign-check`` runs, which take flags and no config (83 configs in all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte (an
@@ -124,6 +125,22 @@ def sweep_counted_config(seed: int, out_dir: str) -> dict:
     }
 
 
+def sweep_leave_config(seed: int, out_dir: str) -> dict:
+    """A quadratic sweep over three batch sizes, trained as one stack of
+    two optimizer sub-stacks, whose x4 tuning runs (and at some seeds the
+    x1 and x2 AdamW runs at B = 8) diverge on their first eval row at
+    every config seed: runs leave from the middle of both sub-stacks while
+    the rest train on."""
+    return {
+        "task": {"kind": "quadratic", "n_rows": 64, "in_dim": 16,
+                 "out_dim": 8, "lambda_reg": 0.1},
+        "optimizer": {"kind": "muon", "eta0": 2.0, "lambda": 0.1},
+        "batch_size": 32, "total_steps": 100, "eval_every": 10,
+        "seed": seed, "target_loss": 60.0, "stop_rule": "tokens-to-target",
+        "sweep": {"batch_grid": [8, 64, 512]}, "out_dir": out_dir,
+    }
+
+
 # msign-check at its default flags and at three steps (both exit 1: a
 # standard normal input has singular values too small to reach the band),
 # and on a wide shape under the other preset (exit 0).
@@ -160,6 +177,9 @@ def configs(reference: dict):
     for seed in reference["seeds"]:
         yield (f"sweep-quadratic counted f32 seed {seed}", ["sweep"],
                sweep_counted_config(seed, "out"))
+    for seed in reference["seeds"]:
+        yield (f"sweep-quadratic leaving seed {seed}", ["sweep"],
+               sweep_leave_config(seed, "out"))
 
 
 def start_side(src: str, side_dir: str, args: list, doc):

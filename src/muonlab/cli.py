@@ -5,10 +5,9 @@ sign computation against the exact one), ``train``, ``sweep``, ``ablate``,
 and ``telescope`` (JSON-config experiment drivers).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 divergence. A sweep, ablation or telescope stage trains its lockstep
-groups of runs (runs that differ only in eta0, weight decay and run id)
-one after another in this process; each record is byte-identical to its
-run trained alone.
+3 divergence. A sweep or an ablation trains all of its runs as one
+lockstep stack in this process, and a telescope one stack per stage;
+each record is byte-identical to its run trained alone.
 
 Importing this module runs the package ``__init__``, which pins OpenBLAS
 to one thread and, on glibc, keeps freed heap pages mapped; its docstring

@@ -7,12 +7,14 @@ re-tuning and token-consumption ratios, the eleven-cell component ablation
 grid, the width-telescoping hyperparameter search, and the empirical
 convergence-rate fit.
 
-The drivers hand their runs to one executor, `_run_many`, which groups
-runs that differ only in eta0, weight decay and run id, and has `train`
-train each group in lockstep, one group after another. A `train` call
-keeps all of its state in one `_Stack`: the parameter and optimizer
-stacks, the schedules, and each run's rows and record. A group's records
-are byte-identical to its runs trained alone.
+The drivers hand their runs to one executor, `_run_many`, which stacks
+runs that differ only in seed, batch size, optimizer and run id, and has
+`train` train each stack in lockstep, one stack after another. A `train`
+call keeps all of its state in one `_Stack`: the parameter stacks, the
+data groups (one per seed and batch size) with their task and draws, the
+optimizer sub-stacks (one `OptimizerBank` per optimizer setting), the
+schedules, and each run's rows and record. A stack's records are
+byte-identical to its runs trained alone.
 """
 
 from __future__ import annotations
@@ -143,6 +145,25 @@ def schedule_eta(config: TrainConfig, step: int) -> float:
     return eta_min + (eta0 - eta_min) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+def _eta_table(configs: Sequence[TrainConfig]) -> np.ndarray:
+    """`schedule_eta` of each run (row) at each step 0..total_steps
+    (column), bit for bit, for runs that share all of the schedule but
+    eta0: its per-step Python floats are taken once, and each run's eta0
+    and floor enter in numpy, in the same order of operations."""
+    first = configs[0]
+    total = first.total_steps
+    eta0 = np.array([[c.optimizer.eta0] for c in configs], dtype=F64)
+    if first.schedule_kind == "inverse-sqrt":
+        return eta0 / np.array([math.sqrt(max(step, 1)) for step in range(total + 1)])
+    ws = int(round(first.warmup_fraction * total))
+    warm = [step / ws for step in range(ws + 1)] if ws > 0 else []
+    cos = [1.0 + math.cos(math.pi * ((step - ws) / (total - ws)))
+           for step in range(len(warm), total + 1)]
+    eta_min = eta0 * first.eta_min_fraction
+    return np.concatenate([eta0 * np.array(warm, dtype=F64),
+                           eta_min + (eta0 - eta_min) * 0.5 * np.array(cos)], axis=1)
+
+
 @dataclass(frozen=True)
 class EvalRow:
     """One evaluation snapshot; mirrors one run-CSV data row.
@@ -195,11 +216,21 @@ def _spike_count(vals: Sequence[float], ratio: float) -> int:
     return count
 
 
-def _group_key(config: TrainConfig) -> TrainConfig:
-    """What the runs of one lockstep group share: all but eta0, the weight
-    decay and the run id."""
-    return replace(config, run_id="", optimizer=replace(
-        config.optimizer, eta0=1.0, weight_decay=0.0))
+def _stack_key(config: TrainConfig) -> TrainConfig:
+    """What the runs of one stack share: all but the seed, the batch size,
+    the optimizer and the run id."""
+    return replace(config, run_id="", seed=0, batch_size=1, optimizer=OptimizerSpec())
+
+
+def _data_key(config: TrainConfig) -> tuple[int, int]:
+    """What the runs of one data group share: the seed and the batch size."""
+    return config.seed, config.batch_size
+
+
+def _optimizer_key(config: TrainConfig) -> OptimizerSpec:
+    """What the runs of one optimizer sub-stack share: the optimizer but
+    eta0 and the weight decay."""
+    return replace(config.optimizer, eta0=1.0, weight_decay=0.0)
 
 
 def _finite_per_run(stack: np.ndarray) -> np.ndarray:
@@ -292,57 +323,176 @@ def _measure(task, stack: dict[str, np.ndarray], by_run: bool,
     return measured
 
 
-class _Stack:
-    """The runs of one lockstep group. Slot s of the parameter stacks, the
-    `OptimizerBank` and ``etas_by_step`` (learning rates by step, worked
-    out once) holds run ``live[s]``, an index into ``configs``, until the
-    run leaves and is cut from all three. Each run keeps its eval rows,
-    target crossing and record; ``pending`` is a worker's snapshot."""
+def _part(arrays: dict[str, np.ndarray], where) -> dict[str, np.ndarray]:
+    """The slots ``where`` of each stack in ``arrays``."""
+    return {name: a[where] for name, a in arrays.items()}
 
-    def __init__(self, configs: list[TrainConfig], task, init: dict[str, np.ndarray],
-                 by_run: bool, val_only: bool):
+
+def _layout(owners: Sequence) -> list[tuple]:
+    """(owner, where, slots) of each distinct owner of ``owners``, the
+    owner of each slot of a stack, in order of its first slot: ``where``
+    is a slice (a view) for contiguous slots, else an index array."""
+    slots_of: dict = {}
+    for slot, owner in enumerate(owners):
+        slots_of.setdefault(owner, []).append(slot)
+    return [(owner, slice(slots[0], slots[-1] + 1)
+             if slots[-1] - slots[0] + 1 == len(slots) else np.array(slots), slots)
+            for owner, slots in slots_of.items()]
+
+
+class _DataGroup:
+    """The runs of a stack that share a seed and a batch size, and with
+    them the task, the init and every batch and noise draw."""
+
+    def __init__(self, config: TrainConfig):
+        root = Rng(config.seed)
+        self.batch_size, self.full_batch = config.batch_size, config.full_batch
+        self.noise_sigma = float(config.task.noise_sigma)
+        self.task = build_task(config.task, root.child("data"))
+        self.init = self.task.init_params(root.child("init"),
+                                          dtype=dtype_of(config.precision))
+        self.batch_rng, self.noise_rng = root.child("batch"), root.child("noise")
+
+    def loss_grads(self, params: dict[str, np.ndarray]):
+        """One step's batch draw (or the full set), then the loss and the
+        gradients of the runs stacked in ``params``, plus the task noise."""
+        idx = (None if self.full_batch
+               else self.task.sample_batch(self.batch_rng, self.batch_size))
+        loss, grads = self.task.batch_loss_grad(params, idx)
+        if self.noise_sigma > 0.0:
+            # Every run draws the same noise: one draw serves the group.
+            for name, g in grads.items():
+                noise = self.noise_sigma * self.noise_rng.normal(g.shape[1:])
+                grads[name] = (g + noise).astype(g.dtype, copy=False)
+        return loss, grads
+
+
+class _Stack:
+    """The runs of one `train` call. Slot s of the parameter stacks and of
+    ``etas_by_step`` (learning rates by step, worked out once) holds run
+    ``live[s]``, an index into ``configs``, until the run leaves and is
+    cut from both and from its bank.
+
+    Runs that share a seed and a batch size form a data group
+    (`_DataGroup`), and runs that share the optimizer but eta0 and the
+    weight decay form a sub-stack with one `OptimizerBank`. The slots are
+    ordered by sub-stack, then by data group, each in order of first
+    appearance, so a sub-stack is one slice. ``groups`` and ``banks`` are
+    their `_layout` over the live slots, redone when runs leave. Each run
+    keeps its eval rows, initial val loss, target crossing and record;
+    ``pending`` is a worker's snapshot."""
+
+    def __init__(self, configs: list[TrainConfig], val_only: bool):
         first = self.first = configs[0]
-        self.configs, self.task = configs, task
-        self.by_run, self.val_only = by_run, val_only
-        self.bank = OptimizerBank({name: arr.shape for name, arr in init.items()},
-                                  first.optimizer,
-                                  [c.optimizer.weight_decay for c in configs],
-                                  dtype_of(first.precision))
-        steps = first.total_steps + 1
-        self.etas_by_step = np.stack([
-            np.fromiter((schedule_eta(c, step) for step in range(steps)), F64, steps)
-            for c in configs])
-        self.params = {name: np.repeat(arr[None], len(configs), axis=0)
-                       for name, arr in init.items()}
-        self.live = list(range(len(configs)))
+        self.configs, self.val_only = configs, val_only
+        groups: dict[tuple[int, int], _DataGroup] = {}
+        bank_runs: dict[OptimizerSpec, list[int]] = {}
+        self.group_of: list[_DataGroup] = []
+        for run, config in enumerate(configs):
+            if _data_key(config) not in groups:
+                groups[_data_key(config)] = _DataGroup(config)
+            self.group_of.append(groups[_data_key(config)])
+            bank_runs.setdefault(_optimizer_key(config), []).append(run)
+        order = list(groups.values())
+        init = order[0].init
+        self.by_run = (not val_only and order[0].task.n_train
+                       * sum(a.size for a in init.values()) >= _LARGE_SNAPSHOT)
+        self.live, self.bank_of = [], [None] * len(configs)
+        for runs in bank_runs.values():
+            runs.sort(key=lambda run: order.index(self.group_of[run]))
+            bank = OptimizerBank({name: arr.shape for name, arr in init.items()},
+                                 configs[runs[0]].optimizer,
+                                 [configs[run].optimizer.weight_decay for run in runs],
+                                 dtype_of(first.precision))
+            for run in runs:
+                self.bank_of[run] = bank
+            self.live += runs
+        self.etas_by_step = _eta_table([configs[run] for run in self.live])
+        self.params = {name: np.stack([self.group_of[run].init[name]
+                                       for run in self.live])
+                       for name in init}
+        self._place()
         self.rows: list[list[EvalRow]] = [[] for _ in configs]
+        self.initial_val = [math.nan] * len(configs)
         self.tokens_to_target: list[int | None] = [None] * len(configs)
         self.records: list[RunRecord | None] = [None] * len(configs)
-        self.initial_val, self.pending = math.nan, None
+        self.pending = None
         self.t0 = time.perf_counter()
 
+    def _place(self) -> None:
+        self.groups = _layout([self.group_of[run] for run in self.live])
+        self.banks = _layout([self.bank_of[run] for run in self.live])
+
     def snapshot(self, step: int, params: dict[str, np.ndarray], update_rms,
-                 etas: Sequence[float]) -> list[EvalRow]:
-        """The eval rows at ``step`` of the runs stacked in ``params``; reads
-        nothing that training changes, so it may run on a worker."""
-        measured = _measure(self.task, params, self.by_run, self.val_only)
+                 etas: Sequence[float], groups: list[tuple]) -> list[EvalRow]:
+        """The eval rows at ``step`` of the runs stacked in ``params``, laid
+        out in data groups as ``groups`` says; reads nothing that training
+        changes, so it may run on a worker."""
+        measured: list = [None] * len(etas)
+        for group, where, slots in groups:
+            part = _measure(group.task, _part(params, where), self.by_run,
+                            self.val_only)
+            for slot, m in zip(slots, part):
+                measured[slot] = (step * group.batch_size, *m)
         wall = ((time.perf_counter() - self.t0) * 1e3
                 if self.first.record_wall_time else 0.0)
-        return [EvalRow(step, step * self.first.batch_size, *m, update_rms=float(u),
-                        eta_t=eta, wall_ms=wall)
+        return [EvalRow(step, *m, update_rms=float(u), eta_t=eta, wall_ms=wall)
                 for m, u, eta in zip(measured, update_rms, etas)]
 
-    def start(self, row0: EvalRow) -> None:
-        """Give each run the step-0 row at its own learning rate; a target
-        met at step 0 ends every run under the stop rule."""
-        first = self.first
-        self.initial_val = row0.val_loss
-        for run, eta in enumerate(self.etas_by_step[:, 0].tolist()):
-            self.rows[run].append(replace(row0, eta_t=eta))
-        if first.target_loss is not None and row0.val_loss <= first.target_loss:
-            self.tokens_to_target = [0] * len(self.configs)
-            if first.stop_rule == "tokens-to-target":
-                self.leave(dict.fromkeys(range(len(self.live)), "target-reached"))
+    def start(self) -> None:
+        """Give each run its data group's step-0 row at its own learning
+        rate: the group's runs start from the same weights, so one pass
+        serves them all. A target met at step 0 ends the group's runs
+        under the stop rule."""
+        first, ended = self.first, {}
+        etas = self.etas_by_step[:, 0].tolist()
+        for group, _, slots in self.groups:
+            (row0,) = self.snapshot(0, {name: a[None] for name, a in group.init.items()},
+                                    [0.0], [0.0], [(group, slice(0, 1), [0])])
+            reached = first.target_loss is not None and row0.val_loss <= first.target_loss
+            for slot in slots:
+                run = self.live[slot]
+                self.initial_val[run] = row0.val_loss
+                self.rows[run].append(replace(row0, eta_t=etas[slot]))
+                if reached:
+                    self.tokens_to_target[run] = 0
+                    if first.stop_rule == "tokens-to-target":
+                        ended[slot] = "target-reached"
+        if ended:
+            self.leave(ended)
+
+    def loss_grads(self):
+        """Each data group's step on its slots: the loss and the gradients
+        of every live run, in slot order."""
+        if len(self.groups) == 1:
+            return self.groups[0][0].loss_grads(self.params)
+        loss, grads = np.empty(len(self.live)), None
+        for group, where, _ in self.groups:
+            part_loss, part_grads = group.loss_grads(_part(self.params, where))
+            if grads is None:
+                # In the task's order of gradients, which the norms fold in.
+                grads = {name: np.empty_like(self.params[name]) for name in part_grads}
+            loss[where] = part_loss
+            for name, g in part_grads.items():
+                grads[name][where] = g
+        return loss, grads
+
+    def step(self, grads: dict[str, np.ndarray], step: int) -> None:
+        """One optimizer step of every sub-stack, each slot at its own
+        learning rate of ``step``."""
+        etas = self.etas_by_step[:, step]
+        if len(self.banks) == 1:
+            self.params = self.banks[0][0].step(self.params, grads, etas)
+            return
+        new = [bank.step(_part(self.params, where), _part(grads, where), etas[where])
+               for bank, where, _ in self.banks]
+        self.params = {name: np.concatenate([p[name] for p in new])
+                       for name in self.params}
+
+    def update_rms(self) -> np.ndarray:
+        """Per slot: the RMS of its run's last update."""
+        rms = [bank.last_update_rms for bank, _, _ in self.banks]
+        return rms[0] if len(rms) == 1 else np.concatenate(rms)
 
     def leave(self, ended: dict[int, str]) -> None:
         """Close the runs of the ``ended`` slots, each with its verdict."""
@@ -350,12 +500,14 @@ class _Stack:
             run = self.live[slot]
             self.records[run] = _record(self.configs[run], self.rows[run],
                                         self.tokens_to_target[run], terminated,
-                                        self.bank.state_scalar_count())
+                                        self.bank_of[run].state_scalar_count())
         keep = [slot for slot in range(len(self.live)) if slot not in ended]
         self.params = {name: p[keep] for name, p in self.params.items()}
-        self.bank.select(keep)
+        for bank, _, slots in self.banks:
+            bank.select([slot - slots[0] for slot in slots if slot not in ended])
         self.etas_by_step = self.etas_by_step[keep]
         self.live = [self.live[slot] for slot in keep]
+        self._place()
 
     def settle(self, new_rows: list[EvalRow]) -> None:
         """Append a snapshot's rows to its runs and close the runs it ends:
@@ -367,7 +519,7 @@ class _Stack:
             rows.append(new_row)
             val_loss = new_row.val_loss
             if (not math.isfinite(val_loss)
-                    or val_loss > _DIVERGENCE_FACTOR * self.initial_val):
+                    or val_loss > _DIVERGENCE_FACTOR * self.initial_val[run]):
                 ended[slot] = "diverged"
             elif first.target_loss is not None and self.tokens_to_target[run] is None:
                 window = rows[-first.smooth_window:]
@@ -397,33 +549,37 @@ class _Stack:
 
 def train(configs: TrainConfig | Sequence[TrainConfig], *,
           val_only: bool = False) -> RunRecord | list[RunRecord]:
-    """Train one run, or a group of runs in lockstep; deterministic given
+    """Train one run, or a stack of runs in lockstep; deterministic given
     the configs.
 
     One config returns its RunRecord; a sequence returns one record per
-    config, in order. The configs of a group may differ only in
-    ``optimizer.eta0``, ``optimizer.weight_decay`` and ``run_id``, so they
-    share the seed, and with it the data, the init and every batch draw.
-    The group trains as one `_Stack`, which holds all of the call's state:
-    each step makes one batch draw and gather, one stacked matmul per
-    layer and per Newton-Schulz step, and one optimizer step with a
-    learning rate and decay per run. Clipping and the finiteness checks
-    act per run, and a run leaves the stack (its slot of the parameters,
-    the bank and the learning-rate table) when it diverges or stops at
-    its target, so each record is byte-identical to its run trained alone.
+    config, in order. The configs of a stack may differ only in ``seed``,
+    ``batch_size``, ``optimizer`` and ``run_id`` (see `_stack_key`). The
+    stack is one `_Stack`, which holds all of the call's state. Its runs
+    that share a seed and a batch size form a data group, with the task,
+    init and batch and noise draws each of them has alone and one stacked
+    matmul per layer; its runs that share the optimizer but eta0 and the
+    weight decay form a sub-stack, one `OptimizerBank` with a learning
+    rate and decay per run. Clipping and the finiteness checks act per
+    run, and a run leaves the stack (its slot of the parameters, its bank
+    and the learning-rate table) when it diverges or stops at its target.
+    Every op acts per slice, so each record is byte-identical to its run
+    trained alone.
 
-    Per step: draw a batch (or take the full set), compute the loss and
-    gradients, inject task noise if configured, take one stacked sum of
-    squares of the gradients, close the runs whose loss or gradients are
-    not finite, clip each run's global gradient norm (the square root of
-    its sum), take one optimizer step, and close the runs whose weights
-    are not finite. Every ``eval_every`` steps a snapshot (`_measure`) gives each
-    live run an eval row: the full train/val losses, the exact
-    full-objective gradient norm, the update RMS and the learning rate.
-    ``val_only`` measures the val loss alone and leaves ``train_loss`` and
-    ``grad_global_norm`` None. With ``record_wall_time`` the rows of an
-    eval step share one ``wall_ms``, the time since the group started at
-    the end of the snapshot's pass.
+    Per step: each data group draws a batch (or takes the full set),
+    computes the loss and gradients and injects task noise if configured;
+    then one stacked sum of squares of the gradients, close the runs
+    whose loss or gradients are not finite, clip each run's global
+    gradient norm (the square root of its sum), take one optimizer step
+    per sub-stack, and close the runs whose weights are not finite. Every
+    ``eval_every`` steps a snapshot (`_measure`, once per data group)
+    gives each live run an eval row: the full train/val losses, the exact
+    full-objective gradient norm, the update RMS and the learning rate,
+    at ``tokens_seen`` = step * its batch size. ``val_only`` measures the
+    val loss alone and leaves ``train_loss`` and ``grad_global_norm``
+    None. With ``record_wall_time`` the rows of an eval step share one
+    ``wall_ms``, the time since the stack started at the end of the
+    snapshot's pass.
 
     Where a second CPU is usable (the affinity mask, capped by a cgroup
     CPU quota), a large snapshot (see `_LARGE_SNAPSHOT`) of step k runs on
@@ -440,48 +596,30 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     steps, whatever the caller's (a worker's snapshot sets its own).
     """
     single = isinstance(configs, TrainConfig)
-    group = [configs] if single else list(configs)
-    if not group:
+    runs = [configs] if single else list(configs)
+    if not runs:
         raise RangeError("train needs at least one config")
-    first = group[0]
-    if any(_group_key(c) != _group_key(first) for c in group[1:]):
-        raise ConfigError("a training group may differ only in optimizer.eta0, "
-                          "optimizer.weight_decay and run_id")
-    root = Rng(first.seed)
-    task = build_task(first.task, root.child("data"))
-    init = task.init_params(root.child("init"), dtype=dtype_of(first.precision))
-    batch_rng, noise_rng = root.child("batch"), root.child("noise")
-    by_run = (not val_only and task.n_train * sum(a.size for a in init.values())
-              >= _LARGE_SNAPSHOT)
-    overlap = by_run and _usable_cpus() > 1
-    stack = _Stack(group, task, init, by_run, val_only)
-    # Every run starts from the same weights: one snapshot serves them all.
-    (row0,) = stack.snapshot(0, {name: arr[None] for name, arr in init.items()},
-                             [0.0], [0.0])
-    stack.start(row0)
-
-    noise_sigma = float(first.task.noise_sigma)
+    first = runs[0]
+    if any(_stack_key(c) != _stack_key(first) for c in runs[1:]):
+        raise ConfigError("a training stack may differ only in seed, batch_size, "
+                          "optimizer and run_id")
+    stack = _Stack(runs, val_only)
+    overlap = stack.by_run and _usable_cpus() > 1
+    stack.start()
     try:
         with np.errstate(all="ignore"):
             for step in range(1, first.total_steps + 1):
                 if not stack.live:
                     break
-                idx = (None if first.full_batch
-                       else task.sample_batch(batch_rng, first.batch_size))
-                loss, grads = task.batch_loss_grad(stack.params, idx)
-                if noise_sigma > 0.0:
-                    # Every run draws the same noise: one draw serves the stack.
-                    for name, g in grads.items():
-                        noise = noise_sigma * noise_rng.normal(g.shape[1:])
-                        grads[name] = (g + noise).astype(g.dtype, copy=False)
+                loss, grads = stack.loss_grads()
                 finite = np.isfinite(loss)
                 sq = _sum_squares(grads.values())
-                if not np.isfinite(sq).all():
+                if not np.logical_and.reduce(np.isfinite(sq)):
                     # A finite sum means finite entries, but finite entries
                     # can overflow when squared: check those entry by entry.
                     for g in grads.values():
                         finite &= _finite_per_run(g)
-                if not finite.all():
+                if not np.logical_and.reduce(finite):
                     keep = stack.leave_diverged(finite)
                     grads = {name: g[keep] for name, g in grads.items()}
                     sq = sq[keep]
@@ -492,11 +630,10 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                         for name, g in clipped.items():
                             grads[name][slot] = g
                 if stack.live:
-                    stack.params = stack.bank.step(stack.params, grads,
-                                                   stack.etas_by_step[:, step])
+                    stack.step(grads, step)
                     finite = np.logical_and.reduce(
                         [_finite_per_run(p) for p in stack.params.values()])
-                    if not finite.all():
+                    if not np.logical_and.reduce(finite):
                         stack.leave_diverged(finite)
                 if step % first.eval_every != 0 or not stack.live:
                     continue
@@ -505,8 +642,8 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
                 stack.collect()
                 if not stack.live:
                     continue
-                args = (step, stack.params, stack.bank.last_update_rms,
-                        stack.etas_by_step[:, step].tolist())
+                args = (step, stack.params, stack.update_rms(),
+                        stack.etas_by_step[:, step].tolist(), stack.groups)
                 if overlap:
                     stack.pending = _Snapshot(stack.snapshot, *args)
                 else:
@@ -574,19 +711,20 @@ def rate_check(record: RunRecord) -> float:
 
 def _run_many(configs: Sequence[TrainConfig], *,
               val_only: bool = False) -> list[RunRecord]:
-    """Train configs in lockstep groups; returns records in config order.
+    """Train configs in lockstep stacks; returns records in config order.
 
-    Configs that differ only in eta0, weight decay and run id form one
-    group, placed where its first member stands, and the groups train one
-    after another. ``val_only`` is passed to each `train` call.
+    Configs that differ only in seed, batch size, optimizer and run id
+    form one stack, placed where its first member stands, and the stacks
+    train one after another: a sweep or an ablation is one `train` call,
+    a telescope one per stage. ``val_only`` is passed to each call.
     """
     members: dict[TrainConfig, list[int]] = {}
     for i, config in enumerate(configs):
-        members.setdefault(_group_key(config), []).append(i)
+        members.setdefault(_stack_key(config), []).append(i)
     records: list[RunRecord] = [None] * len(configs)
     for idx in members.values():
-        group_records = train([configs[i] for i in idx], val_only=val_only)
-        for i, record in zip(idx, group_records):
+        stack_records = train([configs[i] for i in idx], val_only=val_only)
+        for i, record in zip(idx, stack_records):
             records[i] = record
     return records
 

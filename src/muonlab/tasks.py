@@ -284,7 +284,7 @@ class QuadraticTask(_Task):
 # A minibatch of at least this many draws per design row, and of at least
 # this many draws, takes the counted pass (`gate_scan` in
 # BENCH_counted_draws.json). The rule reads per-run sizes only, never the
-# stack's run count, so a run in a lockstep group takes its solo pass.
+# stack's run count, so a run in a lockstep stack takes its solo pass.
 _COUNTED_PER_ROW, _COUNTED_LEAST = 4, 1024
 
 
@@ -407,8 +407,10 @@ class MlpTask(_Task):
         sumexp = np.add.reduce(expz, axis=-1, keepdims=True)
         n = xb.shape[0]
         at = np.arange(n)
-        loss = _per_run(np.mean(np.log(sumexp[..., 0]) - shifted[..., at, yb],
-                                axis=-1))
+        # The sum over n, then one division: `np.mean`'s bytes (its f64
+        # quotient of an f32 sum rounds to the f32 one) without its wrapper.
+        loss = _per_run(np.add.reduce(np.log(sumexp[..., 0]) - shifted[..., at, yb],
+                                      axis=-1) / n)
         if not want_grads:
             return loss, {}
         # In place: the softmax over expz, and each activation's derivative

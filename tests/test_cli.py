@@ -191,8 +191,8 @@ print(json.dumps(dict(summary, codes=codes)))
         code = self.CODE.format(bench=self.BENCH, sweep=sweep, telescope=telescope)
         summary = json.loads(fresh_interpreter_output(code).splitlines()[-1])
         assert summary["codes"] == [0, 0]
-        # one span per lockstep group: 4 sweep cells and 2 telescope stages
-        assert summary["harness.train.calls"] == 6
+        # one span per lockstep stack: the whole sweep and 2 telescope stages
+        assert summary["harness.train.calls"] == 3
         assert summary["msign.ns.calls"] > 0
         assert 0.0 < summary["optim.clip.fired_share"] <= 1.0
 

@@ -265,6 +265,41 @@ def lockstep_groups(draw, tasks=tuple(sorted(LOCKSTEP_TASKS))):
         for i, (eta, lam) in enumerate(runs)]
 
 
+# The optimizer settings a stack's runs mix: both kinds and each Muon
+# variant of the ablation grid, plus the exact matrix sign.
+OPTIMIZER_VARIANTS = (
+    OptimizerSpec(kind="adamw"), OptimizerSpec(kind="muon"),
+    OptimizerSpec(kind="muon", k_iters=3), OptimizerSpec(kind="muon", coeffs="taylor"),
+    OptimizerSpec(kind="muon", momentum_only=True),
+    OptimizerSpec(kind="muon", dynamic_rms=True),
+    OptimizerSpec(kind="muon", rms_matching=False),
+    OptimizerSpec(kind="muon", exact_msign=True))
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A lockstep group whose runs are then given their own seeds, batch
+    sizes (on both sides of the quadratic's counted pass) and optimizer
+    settings, each keeping its eta0 and weight decay."""
+    group = draw(lockstep_groups())
+    assert not tasks._counts_draws(32, 64) and tasks._counts_draws(1024, 64)
+    return [dataclasses.replace(
+        config, seed=draw(st.integers(0, 3)),
+        batch_size=draw(st.sampled_from([8, 32, 1024])),
+        optimizer=dataclasses.replace(draw(st.sampled_from(OPTIMIZER_VARIANTS)),
+                                      eta0=config.optimizer.eta0,
+                                      weight_decay=config.optimizer.weight_decay))
+        for config in group]
+
+
+def _mixed(base, runs):
+    """Configs of ``base`` with each run's (seed, batch size, optimizer
+    spec, eta0)."""
+    return [dataclasses.replace(base, run_id=f"run{i}", seed=seed, batch_size=batch,
+                                optimizer=dataclasses.replace(spec, eta0=eta))
+            for i, (seed, batch, spec, eta) in enumerate(runs)]
+
+
 class TestLockstep:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(group=lockstep_groups())
@@ -272,6 +307,50 @@ class TestLockstep:
         records = train(group)
         assert len(records) == len(group)
         for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(group=mixed_stacks())
+    def test_mixed_stack_records_equal_solo_records(self, group):
+        records = train(group)
+        for config, record in zip(group, records):
+            assert all(r.tokens_seen == r.step * config.batch_size for r in record.rows)
+            _assert_records_identical(record, train(config))
+
+    def test_a_whole_data_group_diverges_while_the_rest_train_on(self):
+        # every run of seed 1 at B = 8 goes non-finite in its first steps,
+        # in both sub-stacks; the other data groups of both train on
+        adamw, muon = OPTIMIZER_VARIANTS[:2]
+        group = _mixed(quad_config(total_steps=40, eval_every=5, clip_norm=1e300), [
+            (1, 8, muon, 1e150), (2, 32, muon, 0.02), (1, 8, adamw, 1e150),
+            (0, 8, muon, 0.05), (2, 32, adamw, 0.01), (1, 8, muon, 1e306)])
+        records = train(group)
+        assert [r.terminated for r in records] == [
+            "diverged", "completed", "diverged", "completed", "completed", "diverged"]
+        assert {len(records[i].rows) for i in (0, 2, 5)} == {1}
+        for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
+
+    def test_a_data_group_meets_its_target_at_step_0(self):
+        # zero weights start each seed at its own loss: a target between
+        # two seeds' stops one seed's runs at step 0 and not the other's
+        base = quad_config(total_steps=60, eval_every=5)
+        start = {seed: train(dataclasses.replace(base, seed=seed, total_steps=5,
+                                                 eval_every=5)).rows[0].val_loss
+                 for seed in (0, 1)}
+        low, high = sorted(start, key=start.get)
+        adamw, muon = OPTIMIZER_VARIANTS[:2]
+        base = dataclasses.replace(base, target_loss=0.5 * (start[low] + start[high]),
+                                   stop_rule="tokens-to-target")
+        group = _mixed(base, [(high, 32, muon, 0.02), (low, 32, muon, 0.02),
+                              (low, 32, adamw, 0.01), (high, 8, adamw, 0.01)])
+        records = train(group)
+        for config, record in zip(group, records):
+            if config.seed == low:
+                assert (record.terminated, len(record.rows)) == ("target-reached", 1)
+                assert record.tokens_to_target == 0
+            else:
+                assert len(record.rows) > 1
             _assert_records_identical(record, train(config))
 
     def test_runs_leave_the_stack_at_different_steps(self):
@@ -350,8 +429,19 @@ class TestLockstep:
         assert record == train(config)
 
     def test_incompatible_group_rejected(self):
-        with pytest.raises(ConfigError):
-            train([quad_config(seed=1), quad_config(seed=2)])
+        # a stack shares the parameter shapes, the step budget and the
+        # precision; seeds, batch sizes and optimizers may differ
+        for other in (quad_config(total_steps=200), quad_config(precision="f32"),
+                      quad_config(task=QuadraticSpec(out_dim=4)),
+                      quad_config(task=QuadraticSpec(noise_sigma=0.5))):
+            with pytest.raises(ConfigError):
+                train([quad_config(), other])
+        group = [quad_config(seed=1, total_steps=20),
+                 quad_config(seed=2, total_steps=20, batch_size=8)]
+        records = train(group)
+        assert records[0].rows != records[1].rows
+        for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
         with pytest.raises(RangeError):
             train([])
 
@@ -512,7 +602,7 @@ class TestValOnlySnapshots:
         ablate(TestAblation().base(total_steps=20), axes=("full", "batch-4x"))
         batch_sweep(dataclasses.replace(TestBatchSweep().small_base(),
                                         total_steps=20), (32,))
-        assert asked == [{"val_only": False}] * 4
+        assert asked == [{"val_only": False}] * 2  # one stack per driver
 
 
 class TestSnapshotOverlap:
@@ -603,6 +693,21 @@ class TestSnapshotOverlap:
             ("diverged", 2), ("diverged", 2), ("completed", 41), ("completed", 41)]
         assert records[1].rows[-1].val_loss > 10.0 * records[1].rows[0].val_loss
         assert finite_steps[1] is False  # the overlapped path's step 2
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_mixed_stack(self, monkeypatch, precision):
+        # three data groups (one spans two sub-stacks, so its slots are not
+        # contiguous) and three sub-stacks; runs diverge in two of them
+        base = self.group((0.05,), precision, activation="relu")[0]
+        adamw, muon, k3 = OPTIMIZER_VARIANTS[:3]
+        group = _mixed(base, [
+            (1, 8, adamw, 0.05), (2, 32, muon, 0.05), (1, 8, k3, 0.02),
+            (1, 8, adamw, self.BIG_ETA[precision]), (3, 8, muon, 20.0),
+            (2, 32, adamw, 0.005), (1, 8, muon, 0.1)])
+        records = self.train_both(monkeypatch, group)
+        assert "diverged" in {r.terminated for r in records}
+        for config, record in zip(group, records):
+            _assert_records_identical(record, train(config))
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_target_stop(self, monkeypatch, precision):
@@ -887,7 +992,7 @@ class TestBatchSweep:
 
     def test_trains_five_runs_per_cell(self, monkeypatch):
         # each cell's measured run is cut from its winning tuning run, and
-        # a cell's tuning runs train as one lockstep group
+        # all of the sweep's tuning runs train as one lockstep stack
         groups = []
         real_train = harness.train
 
@@ -900,7 +1005,7 @@ class TestBatchSweep:
         calls = [run_id for group in groups for run_id in group]
         assert len(calls) == 4 * len(ETA_TUNING_MULTIPLIERS) == 20
         assert all(run_id.startswith("tune-") for run_id in calls)
-        assert [len(group) for group in groups] == [5] * 4
+        assert [len(group) for group in groups] == [20]
         assert set(res.records) == {"muon-b32", "adamw-b32", "muon-b128",
                                     "adamw-b128"}
 
@@ -1037,6 +1142,23 @@ class TestAblation:
                    for c in table.cells)
         assert {c.run_id for c in table.cells} == \
             {f"ablate-{name}" for name in ABLATION_CELLS}
+
+    def test_grid_trains_as_one_stack(self, monkeypatch):
+        # three batch sizes and seven optimizer settings, one `train` call
+        stacks = []
+        real_train = harness.train
+
+        def counting_train(configs, **kwargs):
+            stacks.append(len(configs))
+            return real_train(configs, **kwargs)
+
+        monkeypatch.setattr(harness, "train", counting_train)
+        table = ablate(self.base(total_steps=20))
+        assert stacks == [len(ABLATION_CELLS)]
+        monkeypatch.undo()
+        for name in ("full", "batch-quarter", "dynamic-rms"):
+            record = table.records[f"ablate-{name}"]
+            _assert_records_identical(record, train(record.config))
 
     def test_unit_batch_cell_duplicates_full(self):
         # the 1x batch cell is the full configuration re-run under another

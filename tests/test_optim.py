@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muonlab.errors import RangeError, ShapeError
-from muonlab.harness import SCHEDULE_KINDS, TrainConfig, schedule_eta
+from muonlab.harness import SCHEDULE_KINDS, TrainConfig, _eta_table, schedule_eta
 from muonlab.linalg import Matrix, Rng
 from muonlab.msign import COEFF_PRESETS, TAYLOR_COEFFS, msign_exact
 from muonlab.optim import (
@@ -269,6 +269,23 @@ class TestSchedule:
         ws = int(round(warmup * total))
         steps = (0, 1, ws, ws + 1, total // 3, total)
         assert [schedule_eta(config, t) for t in steps] == list(SCHEDULE_PINS[key])
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("warmup", [0.0, 0.01, 0.02])
+    @pytest.mark.parametrize("floor", [0.0, 0.01])
+    @pytest.mark.parametrize("total", [1, 7, 50, 100, 150, 2000])
+    def test_table_bit_for_bit(self, kind, warmup, floor, total):
+        # a stack's learning-rate table takes each step's cosine once;
+        # every entry must be `schedule_eta`'s float (round(0.5) = 0 and
+        # round(1.5) = 2 warmup steps at 50 and 150 steps)
+        configs = [schedule(eta0, total, schedule_kind=kind, warmup_fraction=warmup,
+                            eta_min_fraction=floor)
+                   for eta0 in (0.3, 0.005, 1.7e-9, 12.5, 1e306)]
+        want = np.array([[schedule_eta(c, t) for t in range(total + 1)]
+                         for c in configs])
+        got = _eta_table(configs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_cosine_endpoints_and_warmup(self):
         config = schedule(0.4, 200, warmup_fraction=0.01)
