@@ -8,16 +8,17 @@ Usage (from the repository root):
 Each ``*_SRC`` is a ``src/`` directory holding a ``muonlab`` package, say
 that of a checkout of the parent commit and that of the working tree. The
 script makes the config of every benchmark workload at every config seed of
-``bench/reference.json`` (3 workloads x 8 seeds), plus per seed two
+``bench/reference.json`` (3 workloads x 8 seeds), plus per seed three
 ``ablate`` configs, since no workload runs that command (the acceptance
-quadratic in f64, and the telescope's MLP in f32, whose 16x64 matrix runs
-every Muon variant), the telescope config at ``"precision": "f32"``,
+quadratic in f64, and the telescope's MLP in f32 and in f64, whose 16x64
+matrix runs every Muon variant; in f64 a multi-group stack's gradient
+norms keep their last bit), the telescope config at ``"precision": "f32"``,
 since every workload runs in f64, an f32 quadratic ``train`` config
 that takes the quadratic's paths no other config takes, and a relu MLP
 ``train`` config under gradient noise, an f32 quadratic ``sweep`` whose
 batches take the counted pass, a quadratic ``sweep`` whose diverging
 tuning runs leave its stack while the rest train on, plus three
-``msign-check`` runs, which take flags and no config (83 configs in all).
+``msign-check`` runs, which take flags and no config (91 configs in all).
 It runs each through ``python3 -m muonlab.cli`` once under each tree, the
 two processes side by side, and compares the exit code, the standard
 output and every file of the output directory byte for byte (an
@@ -38,6 +39,7 @@ it compares.
 """
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -72,12 +74,12 @@ def ablate_config(seed: int, out_dir: str) -> dict:
 
 
 def mlp_ablate_config(seed: int, out_dir: str) -> dict:
-    """The ablation grid on the telescope's MLP and optimizer, in f32."""
+    """The ablation grid on the telescope's MLP and optimizer, in f64."""
     telescope = make_config("telescope-mlp", seed, out_dir)
     return {
         "task": telescope["task"], "optimizer": telescope["optimizer"],
         "total_steps": 100, "eval_every": 10, "seed": seed,
-        "target_loss": 1.0, "precision": "f32", "out_dir": out_dir,
+        "target_loss": 1.0, "out_dir": out_dir,
     }
 
 
@@ -149,6 +151,26 @@ MSIGN_CHECK_FLAGS = ([],
                      ["--k", "3", "--trials", "10"])
 
 
+def in_f32(make):
+    """The config maker ``make`` with ``"precision": "f32"`` set."""
+    return lambda seed, out_dir: dict(make(seed, out_dir), precision="f32")
+
+
+# (label, muonlab command, config maker) of each config checked at every
+# config seed, after the benchmark's workloads.
+PER_SEED = [
+    ("ablate", "ablate", ablate_config),
+    ("ablate-mlp f32", "ablate", in_f32(mlp_ablate_config)),
+    ("ablate-mlp f64", "ablate", mlp_ablate_config),
+    ("telescope-mlp f32", "telescope",
+     in_f32(functools.partial(make_config, "telescope-mlp"))),
+    ("train-quadratic f32", "train", quadratic_f32_config),
+    ("train-mlp relu noise", "train", mlp_relu_noise_config),
+    ("sweep-quadratic counted f32", "sweep", sweep_counted_config),
+    ("sweep-quadratic leaving", "sweep", sweep_leave_config),
+]
+
+
 def configs(reference: dict):
     """(name, muonlab arguments, config document or None) of every config
     checked; a document is passed as ``--config``."""
@@ -160,26 +182,9 @@ def configs(reference: dict):
             target = reference["sweep_targets"].get(str(seed))
             yield (f"{name} seed {seed}", [workload.command],
                    make_config(name, seed, "out", target))
-    for seed in reference["seeds"]:
-        yield f"ablate seed {seed}", ["ablate"], ablate_config(seed, "out")
-    for seed in reference["seeds"]:
-        yield (f"ablate-mlp f32 seed {seed}", ["ablate"],
-               mlp_ablate_config(seed, "out"))
-    for seed in reference["seeds"]:
-        yield (f"telescope-mlp f32 seed {seed}", ["telescope"],
-               dict(make_config("telescope-mlp", seed, "out"), precision="f32"))
-    for seed in reference["seeds"]:
-        yield (f"train-quadratic f32 seed {seed}", ["train"],
-               quadratic_f32_config(seed, "out"))
-    for seed in reference["seeds"]:
-        yield (f"train-mlp relu noise seed {seed}", ["train"],
-               mlp_relu_noise_config(seed, "out"))
-    for seed in reference["seeds"]:
-        yield (f"sweep-quadratic counted f32 seed {seed}", ["sweep"],
-               sweep_counted_config(seed, "out"))
-    for seed in reference["seeds"]:
-        yield (f"sweep-quadratic leaving seed {seed}", ["sweep"],
-               sweep_leave_config(seed, "out"))
+    for label, command, make in PER_SEED:
+        for seed in reference["seeds"]:
+            yield f"{label} seed {seed}", [command], make(seed, "out")
 
 
 def start_side(src: str, side_dir: str, args: list, doc):

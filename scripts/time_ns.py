@@ -27,12 +27,15 @@ import statistics
 import sys
 import timeit
 
-# (runs, rows, cols) of the Muon matrices of the benchmark's workloads: the
-# quadratic sweep's 16x8 tuning stacks, the telescope's 9-run stages at
-# widths 64-256 (first layer wide, last layer tall) and the 64-128-128-8
-# MLP's layers alone.
-SHAPES = [(5, 16, 8), (9, 16, 64), (9, 16, 128), (9, 16, 256), (9, 64, 4),
-          (9, 128, 4), (9, 256, 4), (1, 64, 128), (1, 128, 128), (1, 128, 8)]
+# (runs, rows, cols) of the Muon matrices of the benchmark's workloads and
+# the acceptance ablation: the quadratic sweep's one 16x8 Muon bank of 20
+# tuning runs, the check-11 ablation's 16x8 `full` bank of 5 (full,
+# no-weight-decay and the three batch cells), the telescope's 9-run stages
+# at widths 64-256 (first layer wide, last layer tall) and the
+# 64-128-128-8 MLP's layers alone.
+SHAPES = [(20, 16, 8), (5, 16, 8), (9, 16, 64), (9, 16, 128), (9, 16, 256),
+          (9, 64, 4), (9, 128, 4), (9, 256, 4), (1, 64, 128), (1, 128, 128),
+          (1, 128, 8)]
 
 
 def load_tree(src: str, name: str):

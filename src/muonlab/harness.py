@@ -7,14 +7,14 @@ re-tuning and token-consumption ratios, the eleven-cell component ablation
 grid, the width-telescoping hyperparameter search, and the empirical
 convergence-rate fit.
 
-The drivers hand their runs to one executor, `_run_many`, which stacks
-runs that differ only in seed, batch size, optimizer and run id, and has
-`train` train each stack in lockstep, one stack after another. A `train`
-call keeps all of its state in one `_Stack`: the parameter stacks, the
-data groups (one per seed and batch size) with their task and draws, the
-optimizer sub-stacks (one `OptimizerBank` per optimizer setting), the
-schedules, and each run's rows and record. A stack's records are
-byte-identical to its runs trained alone.
+`train` is the one executor: it trains runs that differ only in seed,
+batch size, optimizer and run id as one stack in lockstep, and each
+driver calls it directly (once for a sweep or an ablation, once per stage
+for a telescope). A `train` call keeps all of its state in one `_Stack`:
+the parameter stacks, the data groups (one per seed and batch size) with
+their task and draws, the optimizer sub-stacks (one `OptimizerBank` per
+optimizer setting), the schedules, and each run's rows and record. A
+stack's records are byte-identical to its runs trained alone.
 """
 
 from __future__ import annotations
@@ -379,8 +379,8 @@ class _Stack:
     ordered by sub-stack, then by data group, each in order of first
     appearance, so a sub-stack is one slice. ``groups`` and ``banks`` are
     their `_layout` over the live slots, redone when runs leave. Each run
-    keeps its eval rows, initial val loss, target crossing and record;
-    ``pending`` is a worker's snapshot."""
+    keeps its eval rows, target crossing and record; ``pending`` is a
+    worker's snapshot."""
 
     def __init__(self, configs: list[TrainConfig], val_only: bool):
         first = self.first = configs[0]
@@ -413,7 +413,6 @@ class _Stack:
                        for name in init}
         self._place()
         self.rows: list[list[EvalRow]] = [[] for _ in configs]
-        self.initial_val = [math.nan] * len(configs)
         self.tokens_to_target: list[int | None] = [None] * len(configs)
         self.records: list[RunRecord | None] = [None] * len(configs)
         self.pending = None
@@ -440,24 +439,17 @@ class _Stack:
                 for m, u, eta in zip(measured, update_rms, etas)]
 
     def start(self) -> None:
-        """Give each run its data group's step-0 row at its own learning
-        rate: the group's runs start from the same weights, so one pass
-        serves them all. A target met at step 0 ends the group's runs
-        under the stop rule."""
+        """Give each run its step-0 row, from one snapshot like every eval
+        step's. A target met at step 0 ends the run under the stop rule."""
         first, ended = self.first, {}
-        etas = self.etas_by_step[:, 0].tolist()
-        for group, _, slots in self.groups:
-            (row0,) = self.snapshot(0, {name: a[None] for name, a in group.init.items()},
-                                    [0.0], [0.0], [(group, slice(0, 1), [0])])
-            reached = first.target_loss is not None and row0.val_loss <= first.target_loss
-            for slot in slots:
-                run = self.live[slot]
-                self.initial_val[run] = row0.val_loss
-                self.rows[run].append(replace(row0, eta_t=etas[slot]))
-                if reached:
-                    self.tokens_to_target[run] = 0
-                    if first.stop_rule == "tokens-to-target":
-                        ended[slot] = "target-reached"
+        rows = self.snapshot(0, self.params, np.zeros(len(self.live)),
+                             self.etas_by_step[:, 0].tolist(), self.groups)
+        for slot, (run, row0) in enumerate(zip(self.live, rows)):
+            self.rows[run].append(row0)
+            if first.target_loss is not None and row0.val_loss <= first.target_loss:
+                self.tokens_to_target[run] = 0
+                if first.stop_rule == "tokens-to-target":
+                    ended[slot] = "target-reached"
         if ended:
             self.leave(ended)
 
@@ -491,8 +483,7 @@ class _Stack:
 
     def update_rms(self) -> np.ndarray:
         """Per slot: the RMS of its run's last update."""
-        rms = [bank.last_update_rms for bank, _, _ in self.banks]
-        return rms[0] if len(rms) == 1 else np.concatenate(rms)
+        return np.concatenate([bank.last_update_rms for bank, _, _ in self.banks])
 
     def leave(self, ended: dict[int, str]) -> None:
         """Close the runs of the ``ended`` slots, each with its verdict."""
@@ -519,7 +510,7 @@ class _Stack:
             rows.append(new_row)
             val_loss = new_row.val_loss
             if (not math.isfinite(val_loss)
-                    or val_loss > _DIVERGENCE_FACTOR * self.initial_val[run]):
+                    or val_loss > _DIVERGENCE_FACTOR * rows[0].val_loss):
                 ended[slot] = "diverged"
             elif first.target_loss is not None and self.tokens_to_target[run] is None:
                 window = rows[-first.smooth_window:]
@@ -571,14 +562,15 @@ def train(configs: TrainConfig | Sequence[TrainConfig], *,
     then one stacked sum of squares of the gradients, close the runs
     whose loss or gradients are not finite, clip each run's global
     gradient norm (the square root of its sum), take one optimizer step
-    per sub-stack, and close the runs whose weights are not finite. Every
-    ``eval_every`` steps a snapshot (`_measure`, once per data group)
-    gives each live run an eval row: the full train/val losses, the exact
-    full-objective gradient norm, the update RMS and the learning rate,
-    at ``tokens_seen`` = step * its batch size. ``val_only`` measures the
-    val loss alone and leaves ``train_loss`` and ``grad_global_norm``
-    None. With ``record_wall_time`` the rows of an eval step share one
-    ``wall_ms``, the time since the stack started at the end of the
+    per sub-stack, and close the runs whose weights are not finite. At
+    step 0 and every ``eval_every`` steps a snapshot (`_measure`, once
+    per data group) gives each live run an eval row: the full train/val
+    losses, the exact full-objective gradient norm, the update RMS (0 at
+    step 0) and the learning rate, at ``tokens_seen`` = step * its batch
+    size. ``val_only`` measures the val loss alone and leaves
+    ``train_loss`` and ``grad_global_norm`` None. With
+    ``record_wall_time`` the rows of an eval step, step 0 included, share
+    one ``wall_ms``, the time since the stack started at the end of the
     snapshot's pass.
 
     Where a second CPU is usable (the affinity mask, capped by a cgroup
@@ -709,26 +701,6 @@ def rate_check(record: RunRecord) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _run_many(configs: Sequence[TrainConfig], *,
-              val_only: bool = False) -> list[RunRecord]:
-    """Train configs in lockstep stacks; returns records in config order.
-
-    Configs that differ only in seed, batch size, optimizer and run id
-    form one stack, placed where its first member stands, and the stacks
-    train one after another: a sweep or an ablation is one `train` call,
-    a telescope one per stage. ``val_only`` is passed to each call.
-    """
-    members: dict[TrainConfig, list[int]] = {}
-    for i, config in enumerate(configs):
-        members.setdefault(_stack_key(config), []).append(i)
-    records: list[RunRecord] = [None] * len(configs)
-    for idx in members.values():
-        stack_records = train([configs[i] for i in idx], val_only=val_only)
-        for i, record in zip(idx, stack_records):
-            records[i] = record
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Batch-size sweep with token-consumption ratios
 # ---------------------------------------------------------------------------
@@ -802,7 +774,7 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
     final val loss, +inf for a run that diverged (the first run wins a tie;
     eta0 itself stands if no run scores). The measured run is the winner
     cut at its crossing, not trained again. Cell seeds derive from the base
-    seed by cell tag, and all tuning runs go through one `_run_many` call.
+    seed by cell tag, and all tuning runs train as one `train` call.
     """
     _check_batch_grid(batch_grid)
     if base.target_loss is None:
@@ -818,7 +790,7 @@ def batch_sweep(base: TrainConfig, batch_grid: Sequence[int]) -> SweepResult:
                 stop_rule="fixed-steps", run_id=f"tune-{kind}-b{b}-x{mult}")
         for b, kind, seed in cell_keys for mult in ETA_TUNING_MULTIPLIERS
     ]
-    tuned = _run_many(configs)
+    tuned = train(configs)
 
     n = len(ETA_TUNING_MULTIPLIERS)
     cells, records, cell_prov = [], {}, []
@@ -951,7 +923,7 @@ def ablate(base: TrainConfig, axes: Sequence[str] | None = None) -> AblationTabl
     names = ABLATION_CELLS if axes is None else tuple(axes)
     _check_ablation_axes(names)
     configs = [_ablation_config(base, name) for name in names]
-    results = _run_many(configs)
+    results = train(configs)
     cells = []
     records = {}
     for name, rec in zip(names, results):
@@ -1031,9 +1003,8 @@ def _check_widths(start_width: int, end_width: int) -> None:
     """A telescope doubles the width from ``start_width`` >= 2 up to
     ``end_width`` = start_width * 2^j, j >= 1."""
     _require(start_width >= 2, "start_width", "be >= 2", start_width)
-    doublings = end_width / start_width
-    j = round(math.log2(doublings)) if doublings > 0 else -1
-    _require(j >= 1 and start_width * 2 ** j == end_width, "end_width",
+    q, r = divmod(end_width, start_width)
+    _require(r == 0 and q >= 2 and q & (q - 1) == 0, "end_width",
              f"be start_width ({start_width}) * 2^j with j >= 1", end_width)
 
 
@@ -1101,7 +1072,7 @@ def telescope_sweep(base: TrainConfig, start_width: int, end_width: int,
                     base, task=task, optimizer=spec, stop_rule="fixed-steps",
                     run_id=f"telescope-w{width}-eta{eta:.6g}-lam{lam:.6g}",
                 ))
-        results = _run_many(configs, val_only=True)
+        results = train(configs, val_only=True)
         flat = np.array([_search_loss(r) for r in results], dtype=F64)
         best = int(np.argmin(flat))
         bi, bj = divmod(best, len(lams))

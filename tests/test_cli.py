@@ -249,7 +249,7 @@ BAD_VALUES = [
     (QUADRATIC, "spike_ratio", [1.0, NAN]),
     (QUADRATIC, "clip_norm", [0.0, NAN]),
     (MLP, "telescope.start_width", [1]),
-    (MLP, "telescope.end_width", [24]),
+    (MLP, "telescope.end_width", [24, 10**400]),
     (MLP, "telescope.grid.eta_center", [0.0, NAN, INF]),
     (MLP, "telescope.grid.lambda_center", [-0.1, NAN, INF]),
     # 300 decades: the second stage's grid reaches inf and 0

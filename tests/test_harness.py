@@ -353,6 +353,17 @@ class TestLockstep:
                 assert len(record.rows) > 1
             _assert_records_identical(record, train(config))
 
+    def test_step_0_rows_share_one_wall_time(self):
+        # the step-0 rows of two data groups come from one snapshot, so
+        # they share one wall_ms as the rows of every later eval step do
+        adamw, muon = OPTIMIZER_VARIANTS[:2]
+        group = _mixed(quad_config(total_steps=20, eval_every=10, record_wall_time=True),
+                       [(0, 32, muon, 0.02), (1, 8, adamw, 0.01), (0, 32, adamw, 0.01)])
+        records = train(group)
+        for step in range(3):
+            assert len({record.rows[step].wall_ms for record in records}) == 1
+        assert records[0].rows[0].wall_ms > 0.0
+
     def test_runs_leave_the_stack_at_different_steps(self):
         # a non-finite step before any eval row, a 10x loss rise on the
         # first eval row, two target crossings and a run that completes
@@ -602,7 +613,9 @@ class TestValOnlySnapshots:
         ablate(TestAblation().base(total_steps=20), axes=("full", "batch-4x"))
         batch_sweep(dataclasses.replace(TestBatchSweep().small_base(),
                                         total_steps=20), (32,))
-        assert asked == [{"val_only": False}] * 2  # one stack per driver
+        # one stack per driver, neither of them val-only
+        assert len(asked) == 2
+        assert all(kwargs.get("val_only", False) is False for kwargs in asked)
 
 
 class TestSnapshotOverlap:
